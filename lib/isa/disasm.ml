@@ -67,19 +67,33 @@ let find_syscall_sites bytes ~base = List.map (fun off -> base + off) (find_sysc
 (* ------------------------------------------------------------------ *)
 (* Content-addressed sweep memo                                        *)
 
-(* FNV-1a over the buffer: cheap (~0.1 ms on libc-sized text, vs tens
-   of ms for the sweep it keys) and stable across runs. *)
+(* FNV-style multiply-xor over 8-byte words in native ints, with an
+   xor-shift so high bits feed back into low ones.  Every memo hit
+   pays it, so it must run at memory speed (libc-sized text hashes in
+   tens of microseconds); collisions cost only a re-sweep, since a hit
+   is confirmed with [Bytes.equal]. *)
 let content_hash bytes =
-  let h = ref 0xcbf29ce484222325L in
-  for i = 0 to Bytes.length bytes - 1 do
-    h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code (Bytes.unsafe_get bytes i)))) 0x100000001b3L
+  let n = Bytes.length bytes in
+  let mix h w =
+    let h = (h lxor w) * 0x100000001b3 in
+    h lxor (h lsr 29)
+  in
+  let h = ref 0x0bf29ce484222325 in
+  let i = ref 0 in
+  while !i + 8 <= n do
+    h := mix !h (Int64.to_int (Bytes.get_int64_le bytes !i));
+    i := !i + 8
+  done;
+  while !i < n do
+    h := mix !h (Char.code (Bytes.unsafe_get bytes !i));
+    incr i
   done;
   !h
 
 (* One memo table per domain (Domain.DLS): rewriters on different
    domains never share it, so no synchronisation and no cross-domain
    mutable state (DESIGN.md §4f audit). *)
-let memo_key : (int * int64, Bytes.t * int list) Hashtbl.t Domain.DLS.key =
+let memo_key : (int * int, Bytes.t * int list) Hashtbl.t Domain.DLS.key =
   Domain.DLS.new_key (fun () -> Hashtbl.create 8)
 
 (* library images in one world: a handful; bound keeps a pathological

@@ -72,10 +72,10 @@ let do_read (w : world) (th : thread) fd buf count =
   match Hashtbl.find_opt p.fds fd with
   | None -> Errno.ret Errno.ebadf
   | Some (Fd_file f) ->
-    let avail = max 0 (Bytes.length f.file.content - f.pos) in
-    let n = min avail count in
+    let b = Vfs.read_at f.file ~pos:f.pos ~len:count in
+    let n = Bytes.length b in
     (try
-       Memory.write_bytes_raw p.mem buf (Bytes.sub f.file.content f.pos n);
+       Memory.write_bytes_raw p.mem buf b;
        f.pos <- f.pos + n;
        charge w th (n / 16);
        n
@@ -126,21 +126,11 @@ let do_write (w : world) (th : thread) fd buf count =
       count
     with Memory.Fault _ -> Errno.ret Errno.efault)
   | Some (Fd_file f) -> (
-    if f.file.file_immutable then Errno.ret Errno.eperm
+    if Vfs.immutable f.file then Errno.ret Errno.eperm
     else
       try
         let b = Memory.read_bytes_raw p.mem buf count in
-        let newlen = max (Bytes.length f.file.content) (f.pos + count) in
-        let content =
-          if newlen > Bytes.length f.file.content then begin
-            let c = Bytes.make newlen '\000' in
-            Bytes.blit f.file.content 0 c 0 (Bytes.length f.file.content);
-            c
-          end
-          else f.file.content
-        in
-        Bytes.blit b 0 content f.pos count;
-        f.file.content <- content;
+        Vfs.write_at f.file ~pos:f.pos b;
         f.pos <- f.pos + count;
         charge w th (count / 16);
         count
@@ -182,10 +172,7 @@ let do_open (w : world) (th : thread) path flags =
     match target with
     | None -> Errno.ret Errno.enoent
     | Some q ->
-      let file =
-        { Vfs.content = Bytes.of_string (maps_string q ^ "\n"); file_immutable = true; mode = 0o444 }
-      in
-      alloc_fd p (Fd_file { file; pos = 0; path })
+      alloc_fd p (Fd_file { file = Vfs.pseudo_file (maps_string q ^ "\n"); pos = 0; path })
   in
   match String.split_on_char '/' path with
   | [ ""; "proc"; pid_str; "maps" ] -> proc_maps_of pid_str
@@ -203,13 +190,12 @@ let do_open (w : world) (th : thread) path flags =
     else if Vfs.is_dir w.vfs path then
       (* opening a directory: an empty pseudo-file whose path getdents64
          resolves against *)
-      alloc_fd p
-        (Fd_file { file = { Vfs.content = Bytes.empty; file_immutable = true; mode = 0o555 }; pos = 0; path })
+      alloc_fd p (Fd_file { file = Vfs.pseudo_file ""; pos = 0; path })
     else
       match Vfs.open_file w.vfs path with
       | Error e -> vfs_err e
       | Ok f ->
-        if flags land o_trunc <> 0 && flags land o_wronly <> 0 then f.content <- Bytes.empty;
+        if flags land o_trunc <> 0 && flags land o_wronly <> 0 then ignore (Vfs.truncate f 0);
         alloc_fd p (Fd_file { file = f; pos = 0; path }))
 
 (* ------------------------------------------------------------------ *)
@@ -232,7 +218,7 @@ let do_mmap (w : world) (th : thread) addr len prot flags fd off =
         let base = p.mmap_cursor in
         p.mmap_cursor <- p.mmap_cursor + Memory.align_up len + 0x10000;
         Memory.map p.mem ~addr:base ~len ~perm;
-        Memory.write_bytes_raw p.mem base f.file.content;
+        Memory.write_bytes_raw p.mem base (Vfs.read_at f.file ~pos:0 ~len:(Vfs.size f.file));
         add_region p
           { r_start = base; r_len = Memory.align_up len; r_perm = perm; r_name = f.path;
             r_owner = Anon; r_image = None; r_sec = `Other };
@@ -452,7 +438,7 @@ let dispatch (ctx : ctx) ~nr ~args : int =
     match Hashtbl.find_opt p.fds args.(0) with
     | Some (Fd_file f) ->
       (try
-         Memory.write_u64_raw p.mem args.(1) (Bytes.length f.file.content);
+         Memory.write_u64_raw p.mem args.(1) (Vfs.size f.file);
          0
        with Memory.Fault _ -> Errno.ret Errno.efault)
     | Some _ ->
@@ -468,7 +454,7 @@ let dispatch (ctx : ctx) ~nr ~args : int =
         match args.(2) with
         | 0 -> args.(1) (* SEEK_SET *)
         | 1 -> f.pos + args.(1)
-        | 2 -> Bytes.length f.file.content + args.(1)
+        | 2 -> Vfs.size f.file + args.(1)
         | _ -> -1
       in
       if pos < 0 then Errno.ret Errno.einval
@@ -657,21 +643,15 @@ let dispatch (ctx : ctx) ~nr ~args : int =
   | n when n = Sysno.ftruncate -> (
     match Hashtbl.find_opt p.fds args.(0) with
     | Some (Fd_file f) ->
-      if f.file.file_immutable then Errno.ret Errno.eperm
-      else begin
-        let len = args.(1) in
-        let c = Bytes.make len '\000' in
-        Bytes.blit f.file.content 0 c 0 (min len (Bytes.length f.file.content));
-        f.file.content <- c;
-        0
-      end
+      if Vfs.immutable f.file then Errno.ret Errno.eperm
+      else (match Vfs.truncate f.file args.(1) with Ok () -> 0 | Error e -> vfs_err e)
     | _ -> Errno.ret Errno.ebadf)
   | n when n = Sysno.fsync ->
     charge w th 3000;
     0
   | n when n = Sysno.getdents64 -> (
     match Hashtbl.find_opt p.fds args.(0) with
-    | Some (Fd_file f) when Bytes.length f.file.content = 0 && Vfs.is_dir w.vfs f.path -> (
+    | Some (Fd_file f) when Vfs.size f.file = 0 && Vfs.is_dir w.vfs f.path -> (
       (* opened a directory: emit the listing once *)
       match Vfs.listdir w.vfs f.path with
       | Error e -> vfs_err e

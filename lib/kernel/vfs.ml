@@ -15,9 +15,10 @@ and dir = {
 }
 
 and file = {
-  mutable content : Bytes.t;
+  mutable buf : Bytes.t;
+      (** capacity buffer; bytes [size, length buf) are always zero *)
+  mutable size : int;  (** logical length, <= [Bytes.length buf] *)
   mutable file_immutable : bool;
-  mutable mode : int;
 }
 
 type t = { root : dir }
@@ -25,6 +26,53 @@ type t = { root : dir }
 type err = [ `Perm | `Noent | `Notdir | `Isdir | `Inval ]
 
 let create () = { root = { entries = Hashtbl.create 16; dir_immutable = false } }
+
+(* ------------------------------------------------------------------ *)
+(* File contents: a logical size over a capacity buffer that doubles
+   when it fills, so a run of appends costs amortized O(1) per byte.
+   The buffer past [size] is kept zeroed, so growing the file (a write
+   past EOF, an extending truncate) reads back zeros without filling. *)
+
+let new_file buf ~immutable = { buf; size = Bytes.length buf; file_immutable = immutable }
+
+(** A file that lives in no directory: /proc synthesised content, or
+    the empty stand-in for an opened directory.  Immutable. *)
+let pseudo_file content = new_file (Bytes.of_string content) ~immutable:true
+
+let size f = f.size
+let immutable f = f.file_immutable
+
+(** Up to [len] bytes from [pos] (a fresh copy); empty at or past EOF. *)
+let read_at f ~pos ~len =
+  let n = max 0 (min len (f.size - pos)) in
+  Bytes.sub f.buf (min pos f.size) n
+
+(* Make room for [n] bytes without changing [size]. *)
+let reserve f n =
+  if n > Bytes.length f.buf then begin
+    let b = Bytes.make (max n (2 * Bytes.length f.buf)) '\000' in
+    Bytes.blit f.buf 0 b 0 f.size;
+    f.buf <- b
+  end
+
+(** Write [b] at [pos], growing the file; a gap between EOF and [pos]
+    reads back as zeros. *)
+let write_at f ~pos b =
+  let len = Bytes.length b in
+  reserve f (pos + len);
+  Bytes.blit b 0 f.buf pos len;
+  f.size <- max f.size (pos + len)
+
+(** Set the logical size to [len]: shrinking zeroes the cut tail (so a
+    later extension never exposes old bytes), extending reads back
+    zeros.  [Error `Inval] for a negative length, as ftruncate(2). *)
+let truncate f len =
+  if len < 0 then Error `Inval
+  else begin
+    if len < f.size then Bytes.fill f.buf len (f.size - len) '\000' else reserve f len;
+    f.size <- len;
+    Ok ()
+  end
 
 (** Empty the filesystem in place: equivalent to a fresh {!create}
     (immutable seals included — a reset world re-seals its own logs).
@@ -103,11 +151,12 @@ let create_file t path =
       | Some (File f) ->
         if f.file_immutable then Error `Perm
         else begin
-          f.content <- Bytes.empty;
+          f.buf <- Bytes.empty;
+          f.size <- 0;
           Ok f
         end
       | None ->
-        let f = { content = Bytes.empty; file_immutable = false; mode = 0o644 } in
+        let f = new_file Bytes.empty ~immutable:false in
         Hashtbl.replace dir.entries name (File f);
         Ok f)
 
@@ -125,12 +174,13 @@ let write_file t path content =
     match create_file t path with
     | Error _ as e -> e
     | Ok f ->
-      f.content <- Bytes.of_string content;
+      f.buf <- Bytes.of_string content;
+      f.size <- String.length content;
       Ok f)
 
 let read_file t path =
   match open_file t path with
-  | Ok f -> Ok (Bytes.to_string f.content)
+  | Ok f -> Ok (Bytes.sub_string f.buf 0 f.size)
   | Error _ as e -> e
 
 let unlink t path =

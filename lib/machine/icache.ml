@@ -72,7 +72,9 @@ let create ?(predecode = true) () =
 let line_base addr = addr land lnot (line_size - 1)
 
 (* Line holding [addr], filling from memory on miss (checking execute
-   permission on the fill, at the faulting address). *)
+   permission on the fill, at the faulting address).  A line never
+   crosses a page, so once [check_exec] has found [addr]'s page the
+   whole line is mapped and the fill cannot fault. *)
 let get_line t (mem : Memory.t) addr =
   let base = line_base addr in
   if t.last_base = base then t.last_line
@@ -84,11 +86,7 @@ let get_line t (mem : Memory.t) addr =
       line
     | None ->
       Memory.check_exec mem addr;
-      let bytes = Bytes.create line_size in
-      for i = 0 to line_size - 1 do
-        let b = try Memory.read_u8_raw mem (base + i) with Memory.Fault _ -> 0 in
-        Bytes.set bytes i (Char.chr b)
-      done;
+      let bytes = Memory.read_bytes_raw mem base line_size in
       let line = { bytes; decoded = Array.make line_size None } in
       Hashtbl.replace t.lines base line;
       t.last_base <- base;

@@ -98,17 +98,21 @@ let find_page t addr = Hashtbl.find_opt t.pages (page_index addr)
 
 (** [map t ~addr ~len ~perm] maps (and commits) pages covering
     [addr, addr+len).  [addr] must be page-aligned.  Already-mapped
-    pages in the range are remapped fresh (MAP_FIXED semantics). *)
+    pages in the range are remapped fresh (MAP_FIXED semantics); only
+    newly added pages are committed and reserved, so map, remap, unmap
+    leaves both counters where they started. *)
 let map ?(pkey = 0) t ~addr ~len ~perm =
   if addr land (page_size - 1) <> 0 then invalid_arg "Memory.map: unaligned addr";
   if len <= 0 then invalid_arg "Memory.map: bad length";
   let npages = (align_up len) lsr page_shift in
   for i = 0 to npages - 1 do
     let idx = page_index addr + i in
-    if not (Hashtbl.mem t.pages idx) then t.committed_bytes <- t.committed_bytes + page_size;
+    if not (Hashtbl.mem t.pages idx) then begin
+      t.committed_bytes <- t.committed_bytes + page_size;
+      t.reserved_bytes <- t.reserved_bytes + page_size
+    end;
     Hashtbl.replace t.pages idx { bytes = Bytes.make page_size '\000'; perm; pkey }
   done;
-  t.reserved_bytes <- t.reserved_bytes + (npages * page_size);
   tlb_flush t
 
 (** Record a virtual-only reservation (MAP_NORESERVE): no pages are
@@ -173,15 +177,30 @@ let write_u8_raw t addr v =
   let p = lookup_raw t addr `Write in
   Bytes.set p.bytes (addr land (page_size - 1)) (Char.chr (v land 0xff))
 
+(* Bulk copies: one page lookup and one blit per in-page chunk.  Each
+   chunk starts either at [addr] or on a page boundary, and its lookup
+   names that first byte, so a fault carries the address the per-byte
+   loop would have faulted on: the first byte of the first unmapped
+   page.  Chunks go in address order, so a faulting write has already
+   stored exactly the prefix the byte loop would have stored.
+   [f page_bytes page_off i n] copies bytes [i, i+n) of the range. *)
+let iter_chunks t addr len access f =
+  let i = ref 0 in
+  while !i < len do
+    let a = addr + !i in
+    let off = a land (page_size - 1) in
+    let n = min (page_size - off) (len - !i) in
+    f (lookup_raw t a access).bytes off !i n;
+    i := !i + n
+  done
+
 let read_bytes_raw t addr len =
   let out = Bytes.create len in
-  for i = 0 to len - 1 do
-    Bytes.set out i (Char.chr (read_u8_raw t (addr + i)))
-  done;
+  iter_chunks t addr len `Read (fun page off i n -> Bytes.blit page off out i n);
   out
 
 let write_bytes_raw t addr b =
-  Bytes.iteri (fun i c -> write_u8_raw t (addr + i) (Char.code c)) b
+  iter_chunks t addr (Bytes.length b) `Write (fun page off i n -> Bytes.blit b i page off n)
 
 (* Word accesses that stay within one page read/write the page buffer
    directly; straddles fall back byte-by-byte (same per-byte fault
@@ -362,5 +381,5 @@ let read_cstr ?(max = 4096) t addr =
   go 0
 
 let write_cstr t addr s =
-  String.iteri (fun i c -> write_u8_raw t (addr + i) (Char.code c)) s;
+  write_bytes_raw t addr (Bytes.unsafe_of_string s);
   write_u8_raw t (addr + String.length s) 0

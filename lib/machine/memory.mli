@@ -60,7 +60,8 @@ val find_page : t -> int -> page option
 
 val map : ?pkey:int -> t -> addr:int -> len:int -> perm:perm -> unit
 (** Map (and commit) pages covering [addr, addr+len); [addr] must be
-    page-aligned.  MAP_FIXED semantics on overlap. *)
+    page-aligned.  MAP_FIXED semantics on overlap: remapped pages come
+    back zeroed, and only newly added pages are counted. *)
 
 val reserve : t -> len:int -> unit
 (** Virtual-only reservation (MAP_NORESERVE): accounted, not
@@ -81,8 +82,17 @@ val get_pkey : t -> int -> int option
 
 val read_u8_raw : t -> int -> int
 val write_u8_raw : t -> int -> int -> unit
+
 val read_bytes_raw : t -> int -> int -> Bytes.t
+(** [read_bytes_raw t addr len]: one page lookup and one blit per
+    in-page chunk.
+    @raise Fault at the first byte of the first unmapped page, the
+    address a byte-at-a-time loop would fault on. *)
+
 val write_bytes_raw : t -> int -> Bytes.t -> unit
+(** Chunked like {!read_bytes_raw}.  On a fault, every byte before the
+    faulting address has been stored, as with a byte-at-a-time loop. *)
+
 val read_u64_raw : t -> int -> int
 val write_u64_raw : t -> int -> int -> unit
 

@@ -204,6 +204,37 @@ let prop_fuzz_gen_roundtrip =
       in
       flat && straddled)
 
+(* The sweep memo returns exactly what a fresh sweep would, through
+   hits, one-byte edits (same length, new content) and truncations. *)
+let prop_sweep_memo =
+  let open QCheck in
+  let gen_byte = Gen.(map Char.chr (oneof [ int_range 0 255; oneofl [ 0x0f; 0x05; 0x34 ] ])) in
+  let gen_case =
+    Gen.(
+      pair
+        (string_size ~gen:gen_byte (int_range 0 300))
+        (list_size (int_range 1 6) (pair (int_range 0 2) (pair nat gen_byte))))
+  in
+  Test.make ~name:"sweep memo == fresh sweep (hits, edits, truncations)" ~count:300
+    (make ~print:(fun (s, edits) -> Printf.sprintf "%S + %d edits" s (List.length edits)) gen_case)
+    (fun (s, edits) ->
+      let b = Bytes.of_string s in
+      let check b =
+        Disasm.find_syscall_sites_memo b ~base:0x1000 = Disasm.find_syscall_sites b ~base:0x1000
+      in
+      check b
+      && List.for_all
+           (fun (kind, (pos, c)) ->
+             let n = Bytes.length b in
+             match kind with
+             | 0 -> check b
+             | 1 when n > 0 ->
+               let e = Bytes.copy b in
+               Bytes.set e (pos mod n) c;
+               check e
+             | _ -> check (Bytes.sub b 0 (if n = 0 then 0 else pos mod n)))
+           edits)
+
 let tests =
   ( "isa",
     List.map
@@ -219,4 +250,5 @@ let tests =
         QCheck_alcotest.to_alcotest prop_roundtrip;
         QCheck_alcotest.to_alcotest prop_sweep_clean;
         QCheck_alcotest.to_alcotest prop_fuzz_gen_roundtrip;
+        QCheck_alcotest.to_alcotest prop_sweep_memo;
       ] )

@@ -112,6 +112,94 @@ let test_unmap_accounting () =
   Alcotest.(check int) "committed stays 0" 0 m.committed_bytes;
   Alcotest.(check int) "reserved stays 0" 0 m.reserved_bytes
 
+(* libc's malloc remaps its trailing page together with the new ones:
+   a remapped page is neither committed nor reserved a second time *)
+let test_remap_accounting () =
+  let m = Memory.create () in
+  Memory.map m ~addr:0x1000 ~len:8192 ~perm:Memory.perm_rw;
+  Memory.map m ~addr:0x2000 ~len:8192 ~perm:Memory.perm_rw;
+  Alcotest.(check int) "committed" 12288 m.committed_bytes;
+  Alcotest.(check int) "reserved" 12288 m.reserved_bytes;
+  Memory.unmap m ~addr:0x1000 ~len:12288;
+  Alcotest.(check int) "committed after unmap" 0 m.committed_bytes;
+  Alcotest.(check int) "reserved after unmap" 0 m.reserved_bytes
+
+(* ---------------- bulk copies vs the byte loop ---------------- *)
+
+(* The byte-at-a-time loops that [read_bytes_raw] / [write_bytes_raw]
+   used to be, kept as the reference the chunked copies must match:
+   the same bytes, the same fault address, and the same prefix stored
+   before a write faults. *)
+let ref_read_bytes m addr len =
+  let out = Bytes.create len in
+  for i = 0 to len - 1 do
+    Bytes.set out i (Char.chr (Memory.read_u8_raw m (addr + i)))
+  done;
+  out
+
+let ref_write_bytes m addr b =
+  Bytes.iteri (fun i c -> Memory.write_u8_raw m (addr + i) (Char.code c)) b
+
+let layout_base = 0x40_0000
+let layout_pages = 8
+
+(* The pages flagged in [layout] mapped, each filled with its own
+   pattern; the others are holes. *)
+let memory_of_layout layout =
+  let m = Memory.create () in
+  List.iteri
+    (fun i mapped ->
+      if mapped then begin
+        let a = layout_base + (i * Memory.page_size) in
+        Memory.map m ~addr:a ~len:Memory.page_size ~perm:Memory.perm_rw;
+        ref_write_bytes m a
+          (Bytes.init Memory.page_size (fun j -> Char.chr (((i * 31) + (j * 7)) land 0xff)))
+      end)
+    layout;
+  m
+
+let image m layout =
+  List.mapi
+    (fun i mapped ->
+      if mapped then
+        Bytes.to_string (ref_read_bytes m (layout_base + (i * Memory.page_size)) Memory.page_size)
+      else "")
+    layout
+
+let outcome f = match f () with v -> Ok v | exception Memory.Fault flt -> Error flt.fault_addr
+
+(* a page layout with holes, and an unaligned (addr, len) around it:
+   zero lengths, in-page runs, and multi-page straddles that may start
+   or end in a hole or past the last page *)
+let arb_access =
+  let open QCheck.Gen in
+  let span = layout_pages * Memory.page_size in
+  let gen =
+    triple (list_repeat layout_pages bool)
+      (int_range (layout_base - 64) (layout_base + span + 64))
+      (frequency [ (1, return 0); (3, int_range 1 64); (4, int_range 1 (3 * Memory.page_size)) ])
+  in
+  QCheck.make gen ~print:(fun (layout, addr, len) ->
+      Printf.sprintf "layout=%s addr=0x%x len=%d"
+        (String.concat "" (List.map (fun b -> if b then "M" else ".") layout))
+        addr len)
+
+let prop_bulk_read =
+  QCheck.Test.make ~name:"memory: chunked read_bytes_raw == byte loop" ~count:500 arb_access
+    (fun (layout, addr, len) ->
+      let m = memory_of_layout layout in
+      outcome (fun () -> Memory.read_bytes_raw m addr len)
+      = outcome (fun () -> ref_read_bytes m addr len))
+
+let prop_bulk_write =
+  QCheck.Test.make ~name:"memory: chunked write_bytes_raw == byte loop" ~count:500 arb_access
+    (fun (layout, addr, len) ->
+      let data = Bytes.init len (fun i -> Char.chr (((i * 13) + 5) land 0xff)) in
+      let chunked = memory_of_layout layout and bytewise = memory_of_layout layout in
+      outcome (fun () -> Memory.write_bytes_raw chunked addr data)
+      = outcome (fun () -> ref_write_bytes bytewise addr data)
+      && image chunked layout = image bytewise layout)
+
 let test_tlb_unmap_faults () =
   let m = Memory.create () in
   Memory.map m ~addr:0x1000 ~len:4096 ~perm:Memory.perm_rw;
@@ -382,6 +470,9 @@ let tests =
       Alcotest.test_case "cstr roundtrip" `Quick test_cstr_roundtrip;
       Alcotest.test_case "MAP_NORESERVE accounting" `Quick test_reservation_accounting;
       Alcotest.test_case "unmap accounting (partial/missing ranges)" `Quick test_unmap_accounting;
+      Alcotest.test_case "remap accounting (map, remap, unmap)" `Quick test_remap_accounting;
+      QCheck_alcotest.to_alcotest prop_bulk_read;
+      QCheck_alcotest.to_alcotest prop_bulk_write;
       Alcotest.test_case "TLB: unmap faults" `Quick test_tlb_unmap_faults;
       Alcotest.test_case "TLB: MAP_FIXED remap serves fresh page" `Quick test_tlb_remap_fresh;
       Alcotest.test_case "TLB: mprotect/pkey visible immediately" `Quick

@@ -41,6 +41,33 @@ let test_ring_bad_capacity () =
     (Invalid_argument "Ring.create: capacity must be positive") (fun () ->
       ignore (Ring.create ~capacity:0))
 
+(* The ring is allocated on use: an empty ring with the default ktrace
+   capacity holds 1024 slots (~8 KiB), not 65,536 (~512 KiB). *)
+let test_ring_allocated_on_use () =
+  let before = Gc.allocated_bytes () in
+  let r = Ring.create ~capacity:65536 in
+  let allocated = Gc.allocated_bytes () -. before in
+  Alcotest.(check bool)
+    (Printf.sprintf "empty ring allocates < 16 KiB (got %.0f B)" allocated)
+    true (allocated < 16384.);
+  Alcotest.(check int) "capacity is the limit" 65536 (Ring.capacity r)
+
+(* Growing on use must not change what a bounded ring keeps: the
+   newest [capacity] entries, oldest first, with the rest counted as
+   dropped — whatever the capacity (powers of two or not, below or
+   above the initial allocation) and however many pushes. *)
+let prop_ring_window =
+  QCheck.Test.make ~name:"ring: window and dropped count of a ring grown on use" ~count:200
+    QCheck.(pair (int_range 1 5000) (int_range 0 12000))
+    (fun (capacity, n) ->
+      let r = Ring.create ~capacity in
+      for i = 1 to n do
+        Ring.push r i
+      done;
+      let kept = min n capacity in
+      Ring.to_list r = List.init kept (fun i -> n - kept + 1 + i)
+      && Ring.dropped r = n - kept)
+
 (* ring overflow through the real recording path: a tiny ring under a
    real run retains exactly [capacity] events and counts the rest *)
 let test_ring_overflow_live () =
@@ -353,6 +380,9 @@ let tests =
       Alcotest.test_case "ring basic" `Quick test_ring_basic;
       Alcotest.test_case "ring overwrites oldest" `Quick test_ring_overflow;
       Alcotest.test_case "ring rejects bad capacity" `Quick test_ring_bad_capacity;
+      Alcotest.test_case "ring allocated on use (< 16 KiB empty)" `Quick
+        test_ring_allocated_on_use;
+      QCheck_alcotest.to_alcotest prop_ring_window;
       Alcotest.test_case "ring overflow on a live run" `Quick test_ring_overflow_live;
       Alcotest.test_case "ring fold/iter parity (incl. wrapped)" `Quick
         test_ring_fold_iter_parity;
