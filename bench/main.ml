@@ -310,21 +310,16 @@ let replay_bench ~quick ?json () =
   in
   let apps = [ ("ls", Mech.Zpoline_ultra); ("ls", Mech.K23_ultra) ] in
   (* A. record overhead: plain run vs bounded ktrace ring vs full
-     recording (unbounded sink + log assembly) *)
-  let setup mech path =
+     recording (unbounded sink + log assembly), each one session *)
+  let fresh () =
     let w = K23_userland.Sim.create_world () in
     register w;
-    if Mech.needs_offline mech then begin
-      ignore (K23_core.K23.offline_run w ~path ());
-      K23_core.K23.seal_logs w
-    end;
-    K23_kernel.Kern.fault_reset w;
     w
   in
-  let run_in w mech path =
-    match Mech.launch mech w ~path () with
+  let run ?sink mech path =
+    match Session.run ?sink (fresh ()) ~mech ~path with
     | Error e -> failwith (Printf.sprintf "replay bench: launch failed (%d)" e)
-    | Ok (p, _) -> K23_kernel.World.run_until_exit w p
+    | Ok _ -> ()
   in
   Printf.printf "record overhead (%d reps, median):\n" reps;
   Printf.printf "  %-6s %-16s %8s %10s %10s %10s %9s\n" "app" "mech" "events" "plain_s"
@@ -333,17 +328,14 @@ let replay_bench ~quick ?json () =
     List.map
       (fun (app, mech) ->
         let path = K23_apps.Coreutils.path app in
-        let plain_s = median_of ~n:batch (fun () -> run_in (setup mech path) mech path) in
-        let ktrace_s =
-          median_of ~n:batch (fun () ->
-              let w = setup mech path in
-              ignore (K23_kernel.Kern.ktrace_enable w);
-              run_in w mech path)
-        in
+        let plain_s = median_of ~n:batch (fun () -> run mech path) in
+        let ktrace_s = median_of ~n:batch (fun () -> run ~sink:Session.Bounded mech path) in
         let rc = ref None in
         let record_s =
           median_of ~n:batch (fun () ->
-              match R.Recorder.record ~register ~mech ~path () with
+              match
+                R.Recorder.record ~cfg:K23_kernel.World.Config.default (fresh ()) ~mech ~path
+              with
               | Error e -> failwith (Printf.sprintf "replay bench: record failed (%d)" e)
               | Ok r -> rc := Some r)
         in

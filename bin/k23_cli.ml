@@ -8,8 +8,9 @@
      k23 offline <app>                run the offline phase, print the log
      k23 pitfalls                     run the PoCs, print Table 3
      k23 fuzz [--jobs N]              differential conformance fuzzing
-     k23 bench table5|table6|fuzz     evaluation sweeps, --jobs to shard
      k23 apps                         list bundled applications
+
+   The evaluation sweeps live in bench/main.exe.
 
    Bundled apps are the simulated coreutils (pwd, touch, ls, cat,
    clear). *)
@@ -20,6 +21,7 @@ open K23_userland
 module Apps = K23_apps
 module K23 = K23_core.K23
 module I = K23_interpose.Interpose
+module Session = K23_eval.Session
 
 let setup_world () =
   let w = Sim.create_world () in
@@ -57,17 +59,10 @@ let run_cmd =
              sud.")
   in
   let run app mech =
-    let w = setup_world () in
-    let path = resolve_app app in
-    if K23_eval.Mech.needs_offline mech then begin
-      ignore (K23.offline_run w ~path ());
-      K23.seal_logs w
-    end;
-    match K23_eval.Mech.launch mech w ~path () with
+    match Session.run (setup_world ()) ~mech ~path:(resolve_app app) with
     | Error e -> Printf.eprintf "launch failed: %s\n" (Errno.to_string e)
-    | Ok (p, stats) ->
-      World.run_until_exit w p;
-      print_string (World.stdout_of p);
+    | Ok (p, stats, { Session.console; _ }) ->
+      print_string console;
       Printf.printf "[%s] %s; %d app syscalls" (K23_eval.Mech.to_string mech)
         (match (p.exit_status, p.term_signal) with
         | Some s, _ -> Printf.sprintf "exit %d" s
@@ -122,16 +117,10 @@ let trace_cmd =
   let run_ktrace ~mech ~json ~seed ~limit path =
     let w = Sim.create_world ?seed () in
     Apps.Coreutils.register_all w;
-    if K23_eval.Mech.needs_offline mech then begin
-      ignore (K23.offline_run w ~path ());
-      K23.seal_logs w
-    end;
-    let t = Kern.ktrace_enable w in
-    match K23_eval.Mech.launch mech w ~path () with
+    match Session.run ~sink:Session.Bounded w ~mech ~path with
     | Error e -> Printf.eprintf "launch failed: %s\n" (Errno.to_string e)
-    | Ok (p, _stats) ->
-      World.run_until_exit w p;
-      let events = K23_obs.Trace.events t in
+    | Ok (_, _, { Session.events; _ }) ->
+      let t = Option.get w.Kern.ktrace in
       let total = List.length events in
       let shown =
         match limit with
@@ -141,7 +130,7 @@ let trace_cmd =
       if json then
         print_string
           (K23_obs.Render.json_stream ~namer:Sysno.name
-             ~counters:(K23_obs.Counters.to_alist t.K23_obs.Trace.counters)
+             ~counters:(K23_obs.Counters.to_list t.K23_obs.Trace.counters)
              ~dropped:(K23_obs.Trace.dropped t) shown)
       else begin
         print_string (K23_obs.Render.human_stream ~namer:Sysno.name shown);
@@ -214,9 +203,9 @@ let record_cmd =
       | None -> World.Config.default
       | Some s -> { World.Config.default with World.Config.seed = s }
     in
-    match
-      R.Recorder.record ~cfg ~register:(fun w -> Apps.Coreutils.register_all w) ~mech ~path ()
-    with
+    let w = Sim.create_world_cfg cfg in
+    Apps.Coreutils.register_all w;
+    match R.Recorder.record ~cfg w ~mech ~path with
     | Error e ->
       Printf.eprintf "launch failed: %s\n" (Errno.to_string e);
       Stdlib.exit 1
@@ -229,7 +218,7 @@ let record_cmd =
         (K23_eval.Mech.to_string mech)
         (List.length r.R.Recording.rc_events)
         (match List.assoc_opt r.R.Recording.rc_root r.R.Recording.rc_fates with
-        | Some f -> R.Recording.fate_to_string f
+        | Some f -> Session.fate_to_string f
         | None -> "?")
         out
   in
@@ -491,55 +480,6 @@ let fuzz_cmd =
       const run $ seed $ iters $ mech $ shapes $ minimize $ save $ json $ faults $ jobs $ oracle
       $ isa)
 
-let bench_cmd =
-  let module F = K23_fuzz in
-  let exps =
-    Arg.(
-      non_empty
-      & pos_all (enum [ ("table5", `Table5); ("table6", `Table6); ("fuzz", `Fuzz) ]) []
-      & info [] ~docv:"EXPERIMENT" ~doc:"$(b,table5), $(b,table6) or $(b,fuzz).")
-  in
-  let jobs =
-    Arg.(
-      value & opt int 1
-      & info [ "jobs"; "j" ] ~docv:"N"
-          ~doc:"Shard the sweep across N domains; tables and reports are identical for every N.")
-  in
-  let quick =
-    Arg.(value & flag & info [ "quick" ] ~doc:"Fewer repetitions per cell / fewer iterations.")
-  in
-  let run exps jobs quick =
-    List.iter
-      (fun exp ->
-        match exp with
-        | `Table5 ->
-          print_string
-            (K23_eval.Micro.render (K23_eval.Micro.table5 ~runs:(if quick then 3 else 10) ~jobs ()))
-        | `Table6 ->
-          print_string
-            (K23_eval.Macro.render (K23_eval.Macro.table6 ~runs:(if quick then 3 else 5) ~jobs ()))
-        | `Fuzz ->
-          let config =
-            { F.Campaign.default_config with c_iters = (if quick then 50 else 300) }
-          in
-          (* wall clock, not Sys.time: CPU time sums across domains *)
-          let t0 = Unix.gettimeofday () in
-          let r = F.Campaign.run ~jobs config in
-          let dt = Unix.gettimeofday () -. t0 in
-          print_string (F.Campaign.render_text r);
-          Printf.printf "throughput: %d oracle runs in %.2fs (%.0f execs/sec, jobs=%d)\n"
-            r.F.Campaign.r_runs dt
-            (float_of_int r.F.Campaign.r_runs /. dt)
-            jobs)
-      exps
-  in
-  Cmd.v
-    (Cmd.info "bench"
-       ~doc:
-         "Run an evaluation sweep — Table 5 microbenchmarks, Table 6 macrobenchmarks, or the \
-          fuzzer throughput experiment — optionally sharded across domains with $(b,--jobs).")
-    Term.(const run $ exps $ jobs $ quick)
-
 let apps_cmd =
   let run () = List.iter (fun (n, _, _) -> Printf.printf "%s\n" n) Apps.Coreutils.all in
   Cmd.v (Cmd.info "apps" ~doc:"List bundled applications.") Term.(const run $ const ())
@@ -560,6 +500,5 @@ let () =
             offline_cmd;
             pitfalls_cmd;
             fuzz_cmd;
-            bench_cmd;
             apps_cmd;
           ]))

@@ -24,10 +24,11 @@ let variant_to_string = Libk23.variant_to_string
 (* ------------------------------------------------------------------ *)
 (* Offline phase                                                       *)
 
-(** Run the offline phase once: the target executes under libLogger
-    (plus the preload-enforcing companion tracer) and every unique
-    syscall site lands in /k23/logs.  Returns the accumulated log. *)
-let offline_run w ~path ?argv ?(env = []) ?(max_steps = 50_000_000) () =
+(** Start the offline phase: spawn the target under libLogger (plus
+    the preload-enforcing companion tracer), so that every unique
+    syscall site it executes lands in /k23/logs.  Returns the process;
+    servers are driven by a client before they are killed. *)
+let offline_spawn w ~path ?argv ?(env = []) () =
   let stats = fresh_stats () in
   register_library w (Offline.image ~stats ());
   let env = add_preload env Offline.lib_path in
@@ -35,9 +36,14 @@ let offline_run w ~path ?argv ?(env = []) ?(max_steps = 50_000_000) () =
   (* the offline phase mirrors the online environment: the vdso is
      disabled there too, so vdso-fallback syscall sites are observed
      and logged *)
-  (match World.spawn w ~path ?argv ~env ~tracer ~vdso:false () with
-  | Error e -> failwith (Printf.sprintf "offline_run: spawn failed (%d)" e)
-  | Ok p -> World.run_until_exit ~max_steps w p);
+  match World.spawn w ~path ?argv ~env ~tracer ~vdso:false () with
+  | Error e -> failwith (Printf.sprintf "offline spawn of %s failed (%d)" path e)
+  | Ok p -> p
+
+(** Run the offline phase once, to the target's exit.  Returns the
+    accumulated log. *)
+let offline_run w ~path ?argv ?env ?(max_steps = 50_000_000) () =
+  World.run_until_exit ~max_steps w (offline_spawn w ~path ?argv ?env ());
   Log_store.read w ~app:path
 
 (** Number of unique logged sites for [app] — the Table 2 metric. *)
@@ -120,14 +126,6 @@ let launch w ~variant ?inner ~path ?argv ?(env = []) () =
   match World.spawn w ~path ?argv ~env ~tracer ~vdso:false () with
   | Ok p -> Ok (p, stats)
   | Error e -> Error e
-
-(** Convenience: offline + seal + launch in one call. *)
-let offline_and_launch w ~variant ?inner ~path ?argv ?env ?(offline_runs = 1) () =
-  for _ = 1 to offline_runs do
-    ignore (offline_run w ~path ?argv ?env ())
-  done;
-  seal_logs w;
-  launch w ~variant ?inner ~path ?argv ?env ()
 
 (** Introspection for tests and benchmarks. *)
 let rewritten_sites (p : proc) = (Libk23.get_state p).rewritten

@@ -49,7 +49,7 @@ let run_mech ?(seed = 42) ?(iters = 300) mech =
       recorded = List.length events;
       dropped = K23_obs.Trace.dropped t;
       kinds = histogram events;
-      counters = K23_obs.Counters.to_alist t.K23_obs.Trace.counters;
+      counters = K23_obs.Counters.to_list t.K23_obs.Trace.counters;
     }
 
 let run ?seed ?iters () = List.map (run_mech ?seed ?iters) Mech.table5_rows

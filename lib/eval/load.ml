@@ -28,7 +28,6 @@
 open K23_kernel
 open K23_userland
 module F = K23_faults.Faults
-module I = K23_interpose.Interpose
 module Stats = K23_util.Stats
 module Apps = K23_apps
 module K23 = K23_core.K23
@@ -125,13 +124,7 @@ let register_tenant w idx t ~resilient =
     libLogger + the ptracer enforcer, drive a short closed-loop warmup
     client, then clear the world (same recipe as {!Macro.offline_spec}). *)
 let offline_tenant w t ~path ~port =
-  let stats = I.fresh_stats () in
-  Kern.register_library w (K23_core.Offline.image ~stats ());
-  let env = I.add_preload [] K23_core.Offline.lib_path in
-  let tracer = Ptracer_enforcer.enforcer () in
-  (match World.spawn w ~path ~env ~tracer ~vdso:false () with
-  | Error e -> failwith (Printf.sprintf "load: offline spawn failed: %d" e)
-  | Ok _ -> ());
+  ignore (K23.offline_spawn w ~path ());
   Macro.wait_for_listener w port;
   let resp_len, req_cost = client_params t in
   let warm =

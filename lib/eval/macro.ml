@@ -7,7 +7,6 @@
 
 open K23_kernel
 open K23_userland
-module I = K23_interpose.Interpose
 module Stats = K23_util.Stats
 module Apps = K23_apps
 module K23 = K23_core.K23
@@ -139,14 +138,7 @@ let offline_spec w spec ~path ~port =
   (match spec.workload with
   | Sqlite _ -> ignore (K23.offline_run w ~path ~max_steps:80_000_000 ())
   | Web _ | Redis _ ->
-    let stats = I.fresh_stats () in
-    Kern.register_library w (K23_core.Offline.image ~stats ());
-    let env = I.add_preload [] K23_core.Offline.lib_path in
-    let tracer = Ptracer_enforcer.enforcer () in
-    (* vdso disabled, matching K23's online environment *)
-    (match World.spawn w ~path ~env ~tracer ~vdso:false () with
-    | Error e -> failwith (Printf.sprintf "offline server spawn failed: %d" e)
-    | Ok _ -> ());
+    ignore (K23.offline_spawn w ~path ());
     wait_for_listener w port;
     (match client_for spec ~rounds:3 with
     | Some client -> ignore (drive_client w ~client)

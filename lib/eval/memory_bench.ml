@@ -4,11 +4,9 @@
     (one bit per address); K23 keeps a Robin-Hood hash set bounded by
     the offline logs; lazypoline keeps nothing (and checks nothing). *)
 
-open K23_kernel
 open K23_userland
 module Apps = K23_apps
 module Zp = K23_baselines.Zpoline
-module Lp = K23_baselines.Lazypoline
 module K23 = K23_core.K23
 
 type entry = {
@@ -18,41 +16,29 @@ type entry = {
   note : string;
 }
 
+(* ls run to completion under [mech], as one session *)
+let run_ls mech =
+  let w = Sim.create_world () in
+  Apps.Coreutils.register_all w;
+  match Session.run w ~mech ~path:(Apps.Coreutils.path "ls") with
+  | Error e -> failwith (string_of_int e)
+  | Ok (p, _, _) -> p
+
 let run () =
-  let path = Apps.Coreutils.path "ls" in
   let zp =
-    let w = Sim.create_world () in
-    Apps.Coreutils.register_all w;
-    match Zp.launch w ~variant:Zp.Ultra ~path () with
-    | Error e -> failwith (string_of_int e)
-    | Ok (p, _) ->
-      World.run_until_exit w p;
-      let reserved, resident = Zp.check_memory_bytes p in
-      { system = "zpoline-ultra"; reserved_bytes = reserved; resident_bytes = resident;
-        note = "bitmap over the whole address space" }
+    let reserved, resident = Zp.check_memory_bytes (run_ls Mech.Zpoline_ultra) in
+    { system = "zpoline-ultra"; reserved_bytes = reserved; resident_bytes = resident;
+      note = "bitmap over the whole address space" }
   in
   let lp =
-    let w = Sim.create_world () in
-    Apps.Coreutils.register_all w;
-    match Lp.launch w ~path () with
-    | Error e -> failwith (string_of_int e)
-    | Ok (p, _) ->
-      World.run_until_exit w p;
-      { system = "lazypoline"; reserved_bytes = 0; resident_bytes = 0;
-        note = "no state, but also no check (P4a unhandled)" }
+    ignore (run_ls Mech.Lazypoline);
+    { system = "lazypoline"; reserved_bytes = 0; resident_bytes = 0;
+      note = "no state, but also no check (P4a unhandled)" }
   in
   let k23 =
-    let w = Sim.create_world () in
-    Apps.Coreutils.register_all w;
-    ignore (K23.offline_run w ~path ());
-    K23.seal_logs w;
-    match K23.launch w ~variant:K23.Ultra ~path () with
-    | Error e -> failwith (string_of_int e)
-    | Ok (p, _) ->
-      World.run_until_exit w p;
-      let b = K23.check_memory_bytes p in
-      { system = "K23-ultra"; reserved_bytes = b; resident_bytes = b;
-        note = "Robin-Hood hash set bounded by the offline logs" }
+    let b = K23.check_memory_bytes (run_ls Mech.K23_ultra) in
+    { system = "K23-ultra"; reserved_bytes = b; resident_bytes = b;
+      note = "Robin-Hood hash set bounded by the offline logs" }
   in
   [ zp; lp; k23 ]
 

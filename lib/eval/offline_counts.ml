@@ -17,63 +17,36 @@ let coreutil_sites name =
   let path = Apps.Coreutils.path name in
   List.length (K23.offline_run w ~path ())
 
-(** Offline phase for one server/database spec. *)
+(** Offline phase for one server/database spec: the recipe whose logs
+    Table 6's K23 columns load. *)
 let app_spec_sites spec =
   let w = Sim.create_world () in
   let path, port = Macro.register_workload w spec in
-  (match spec.Macro.workload with
-  | Macro.Sqlite _ -> ignore (K23.offline_run w ~path ~max_steps:80_000_000 ())
-  | Macro.Web _ | Macro.Redis _ ->
-    let stats = K23_interpose.Interpose.fresh_stats () in
-    Kern.register_library w (K23_core.Offline.image ~stats ());
-    let env = K23_interpose.Interpose.add_preload [] K23_core.Offline.lib_path in
-    (match World.spawn w ~path ~env ~tracer:(Ptracer_enforcer.enforcer ()) () with
-    | Error e -> failwith (Printf.sprintf "offline spawn failed: %d" e)
-    | Ok _ -> ());
-    Macro.wait_for_listener w port;
-    (match Macro.client_for spec ~rounds:3 with
-    | Some client -> ignore (Macro.drive_client w ~client)
-    | None -> ());
-    Macro.kill_everything w);
+  Macro.offline_spec w spec ~path ~port;
   List.length (K23_core.Log_store.read w ~app:path)
 
-(** The paper's Table 2 (expected column from the paper). *)
-let paper_counts =
+(** Table 2's server rows, in the paper's order. *)
+let server_specs =
   [
-    ("pwd", 7);
-    ("touch", 9);
-    ("ls", 10);
-    ("cat", 11);
-    ("clear", 13);
-    ("sqlite", 20);
-    ("nginx", 43);
-    ("lighttpd", 44);
-    ("redis", 92);
+    ("sqlite", Macro.sqlite);
+    ("nginx", Macro.nginx ~workers:1 ~kb:0);
+    ("lighttpd", Macro.lighttpd ~workers:1 ~kb:0);
+    ("redis", Macro.redis ~io_threads:1);
   ]
 
+(** The paper's Table 2 (expected column from the paper). *)
+let paper_counts = coreutil_expected @ [ ("sqlite", 20); ("nginx", 43); ("lighttpd", 44); ("redis", 92) ]
+
 let table2 () =
-  let core =
-    List.map
-      (fun (name, expected) -> { app = name; sites = coreutil_sites name; expected })
-      coreutil_expected
-  in
-  let servers =
-    [
-      { app = "sqlite"; sites = app_spec_sites Macro.sqlite; expected = 20 };
-      {
-        app = "nginx";
-        sites = app_spec_sites (Macro.nginx ~workers:1 ~kb:0);
-        expected = 43;
-      };
-      {
-        app = "lighttpd";
-        sites = app_spec_sites (Macro.lighttpd ~workers:1 ~kb:0);
-        expected = 44;
-      };
-      { app = "redis"; sites = app_spec_sites (Macro.redis ~io_threads:1); expected = 92 };
-    ]
-  in
-  core @ servers
+  List.map
+    (fun (app, expected) ->
+      let sites =
+        match List.assoc_opt app server_specs with
+        | Some spec -> app_spec_sites spec
+        | None -> coreutil_sites app
+      in
+      { app; sites; expected })
+    paper_counts
 
 let render_table2 entries =
   let buf = Buffer.create 512 in

@@ -43,7 +43,7 @@ open K23_kernel
 open K23_userland
 module Event = K23_obs.Event
 module Mech = K23_eval.Mech
-module K23 = K23_core.K23
+module Session = K23_eval.Session
 module Recording = K23_replay.Recording
 
 let target_path = "/bin/fuzz_target"
@@ -59,17 +59,10 @@ let default_mechs_for = function
   | K23_isa.Isa.X86_64 -> default_mechs
   | K23_isa.Isa.Arm64 -> [ Mech.Asc_hook; Mech.Sud; Mech.Ptrace; Mech.Seccomp ]
 
-type fate = Exit of int | Killed of int | Running
-
-let fate_to_string = function
-  | Exit n -> Printf.sprintf "exit %d" n
-  | Killed s -> Printf.sprintf "killed %d" s
-  | Running -> "running"
-
 type projected = {
   streams : (int * string list) list;
       (** canonical pid -> rendered (nr, normalised ret) records *)
-  fates : (int * fate) list;  (** canonical pid -> fate *)
+  fates : (int * Session.fate) list;  (** canonical pid -> fate *)
   console : string;  (** root process console bytes *)
 }
 
@@ -88,11 +81,8 @@ let default_max_steps = 3_000_000
     it is the [k_world] half of every run-spec's key. *)
 let default_world_cfg = { World.Config.default with World.Config.seed = default_world_seed }
 
-(* Register the target, run the offline phase if the mechanism needs
-   one, launch and run to completion.  Takes the world as an argument
-   so the fresh-world ({!run_raw}) and scratch-world ({!run}) paths
-   share one setup sequence. *)
-let launch_in ?unbounded w ~max_steps ~mech (items : Gen.items) =
+(* Register the target and the execve helper. *)
+let install w (items : Gen.items) =
   if w.Kern.isa <> Gen.items_isa items then
     invalid_arg
       (Printf.sprintf "Oracle: %s program on a %s world"
@@ -105,31 +95,21 @@ let launch_in ?unbounded w ~max_steps ~mech (items : Gen.items) =
   | Gen.A64 its ->
     let module A = K23_isa_arm.Asm_arm in
     ignore (Sim.register_app_prog w ~path:target_path (A.assemble its));
-    ignore (Sim.register_app_prog w ~path:Gen.exec_child_path (A.assemble Gen.exec_child_items_arm)));
-  if Mech.needs_offline mech then begin
-    ignore (K23.offline_run w ~path:target_path ());
-    K23.seal_logs w
-  end;
-  (* the offline phase consumed app syscalls that a native run never
-     makes: rewind the fault schedule so every mechanism's measured
-     run starts it from tick 0 *)
-  Kern.fault_reset w;
-  let t = Kern.ktrace_enable ?unbounded w in
-  match Mech.launch mech w ~path:target_path () with
-  | Error e -> Error e
-  | Ok (p, _stats) ->
-    (try World.run_until_exit ~max_steps w p with Kern.Deadlock _ -> ());
-    Ok (p, K23_obs.Trace.events t)
+    ignore (Sim.register_app_prog w ~path:Gen.exec_child_path (A.assemble Gen.exec_child_items_arm)))
+
+(* Install [items] in [w] and run them as one traced session.  Takes
+   the world as an argument so the fresh-world ({!run_raw}) and
+   scratch-world ({!run}) paths share one setup sequence. *)
+let launch_in w ~max_steps ~mech items =
+  install w items;
+  Session.run ~sink:Session.Bounded ~max_steps w ~mech ~path:target_path
 
 (** Run [items] (plus the execve helper) under [mech] in a fresh world
     built from [cfg]; returns the raw material for projection.  Always
-    builds a {e fresh} world — the world escapes to the caller, so the
-    scratch-world cache must not recycle it underneath them. *)
+    builds a {e fresh} world — the root process escapes to the caller,
+    so the scratch-world cache must not recycle it underneath them. *)
 let run_raw ?(cfg = default_world_cfg) ?(max_steps = default_max_steps) ~mech items =
-  let w = Sim.create_world_cfg cfg in
-  match launch_in w ~max_steps ~mech items with
-  | Error e -> Error e
-  | Ok (p, events) -> Ok (w, p, events)
+  launch_in (Sim.create_world_cfg cfg) ~max_steps ~mech items
 
 (** Run [f] on a world observably equal to [Sim.create_world_cfg cfg],
     recycled per domain.  Nothing world-owned may escape [f]; only
@@ -161,14 +141,14 @@ let is_pid_nr nr =
 
 type pend = { pd_nr : int; pd_owner : string; mutable pd_blocked : bool }
 
-(** Project a run into comparable per-process syscall records, from
-    pure data: the root pid, every traced process's fate (by raw
-    pid), the root console bytes and the event stream.  Shared by the
-    live path ({!project}, straight off a world) and the replay
-    oracle ({!project_recording}, off a {!Recording.t} — same
-    function, so a recorded run projects identically by
-    construction). *)
-let project_events ~root_pid ~(fates : (int * fate) list) ~console events =
+(** Project a finished run into comparable per-process syscall
+    records, from pure data: the root pid, every traced process's fate
+    (by raw pid), the root console bytes and the event stream.  Shared
+    by the live path ({!run}), the replay oracle
+    ({!project_recording}, off a {!Recording.t} — same function, so a
+    recorded run projects identically by construction) and
+    {!project}. *)
+let project_run ({ root = root_pid; console; fates; events } : Session.t) =
   (* canonical pid numbering: root first, then first appearance *)
   let pid_map = Hashtbl.create 8 in
   Hashtbl.replace pid_map root_pid 0;
@@ -308,22 +288,25 @@ let project_events ~root_pid ~(fates : (int * fate) list) ~console events =
   in
   { streams; fates; console }
 
-let fate_of_recorded : Recording.fate -> fate = function
-  | Recording.Exit n -> Exit n
-  | Recording.Killed s -> Killed s
-  | Recording.Running -> Running
-
 (** Project a raw run straight off its (still-live) world. *)
 let project (p : Kern.proc) (w : Kern.world) events =
-  project_events ~root_pid:p.Kern.pid
-    ~fates:(List.map (fun (pid, f) -> (pid, fate_of_recorded f)) (Recording.fates_of_world w))
-    ~console:(World.stdout_of p) events
+  project_run
+    {
+      Session.root = p.Kern.pid;
+      console = World.stdout_of p;
+      fates = Session.fates_of_world w;
+      events;
+    }
 
 (** Project a recording — the replay oracle's native column. *)
 let project_recording (r : Recording.t) =
-  project_events ~root_pid:r.Recording.rc_root
-    ~fates:(List.map (fun (pid, f) -> (pid, fate_of_recorded f)) r.Recording.rc_fates)
-    ~console:r.Recording.rc_console r.Recording.rc_events
+  project_run
+    {
+      Session.root = r.Recording.rc_root;
+      console = r.Recording.rc_console;
+      fates = r.Recording.rc_fates;
+      events = r.Recording.rc_events;
+    }
 
 (** Run under [mech] and project.  Uses the per-domain scratch world:
     the world is recycled between calls, and only the immutable
@@ -333,29 +316,16 @@ let run ?(cfg = default_world_cfg) ?(max_steps = default_max_steps) ~mech items 
   with_scratch_world cfg (fun w ->
       match launch_in w ~max_steps ~mech items with
       | Error e -> Launch_failed e
-      | Ok (p, events) -> Ok_run (project p w events))
+      | Ok (_, _, s) -> Ok_run (project_run s))
 
-(** Run [items] under [mech] and package the run as a
-    {!Recording.t} (unbounded sink: a recording must be complete).
+(** Run [items] under [mech] through the {!K23_replay.Recorder}.
     Uses the scratch world — only the immutable recording escapes.
     The replay-checked oracle records the native column once with
     this and projects each iteration off the log. *)
 let record ?(cfg = default_world_cfg) ?(max_steps = default_max_steps) ~mech items =
   with_scratch_world cfg (fun w ->
-      match launch_in ~unbounded:true w ~max_steps ~mech items with
-      | Error e -> Error e
-      | Ok (p, events) ->
-        Ok
-          {
-            Recording.rc_app = target_path;
-            rc_argv = [];
-            rc_mech = mech;
-            rc_cfg = { cfg with World.Config.ktrace = false };
-            rc_root = p.Kern.pid;
-            rc_console = World.stdout_of p;
-            rc_fates = Recording.fates_of_world w;
-            rc_events = events;
-          })
+      install w items;
+      K23_replay.Recorder.record ~max_steps ~cfg w ~mech ~path:target_path)
 
 (* ------------------------------------------------------------------ *)
 (* Comparison                                                          *)
@@ -399,14 +369,16 @@ let compare_projected ~mech (native : projected) (m : projected) : divergence op
   | None -> (
     let rec cmp_fates = function
       | [], [] -> None
-      | (cpid, f) :: _, [] -> mk (Printf.sprintf "pid %d fate" cpid) (fate_to_string f) "<no process>"
-      | [], (cpid, f) :: _ -> mk (Printf.sprintf "pid %d fate" cpid) "<no process>" (fate_to_string f)
+      | (cpid, f) :: _, [] ->
+        mk (Printf.sprintf "pid %d fate" cpid) (Session.fate_to_string f) "<no process>"
+      | [], (cpid, f) :: _ ->
+        mk (Printf.sprintf "pid %d fate" cpid) "<no process>" (Session.fate_to_string f)
       | (ca, fa) :: ra, (cb, fb) :: rb ->
         if ca <> cb || fa <> fb then
           mk
             (Printf.sprintf "pid %d fate" ca)
-            (fate_to_string fa)
-            (Printf.sprintf "pid %d %s" cb (fate_to_string fb))
+            (Session.fate_to_string fa)
+            (Printf.sprintf "pid %d %s" cb (Session.fate_to_string fb))
         else cmp_fates (ra, rb)
     in
     match cmp_fates (native.fates, m.fates) with

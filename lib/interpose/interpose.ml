@@ -358,7 +358,7 @@ let arm_sud (ctx : ctx) ~(im : image) ~selector_sym =
   let allow_hi = text_region.r_start + text_region.r_len in
   ctx.thread.sud <- Some { sel_addr; allow_lo; allow_hi };
   w.sud_ever_armed <- true;
-  Kern.ktrace_count w p "sud.arm";
+  Kern.ktrace_count w "sud.arm";
   Kern.ktrace_event w ctx.thread
     (K23_obs.Event.Sud_toggle { armed = true; sel_addr; allow_lo; allow_hi });
   charge w ctx.thread 500;

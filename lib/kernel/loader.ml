@@ -181,7 +181,7 @@ let vdso_clock_gettime (ctx : ctx) =
   (* executes entirely in user space: no kernel entry, invisible to
      every syscall-instruction-based interposer (pitfall P2b) *)
   p.counters.c_vdso <- p.counters.c_vdso + 1;
-  ktrace_count ctx.world p "sys.vdso";
+  ktrace_count ctx.world "sys.vdso";
   ktrace_event ctx.world th (K23_obs.Event.Vdso_call { sym = "clock_gettime" });
   charge ctx.world th 25;
   let ns = now ctx.world * 10 / 32 in
@@ -379,7 +379,7 @@ let do_execve (ctx : ctx) ~path ~argv ~envp : int =
     charge w th 5000;
     (* the per-proc counter registry resets with the record below, so
        the trace marks the boundary for consumers summing counters *)
-    ktrace_count w p "exec";
+    ktrace_count w "exec";
     ktrace_event w th (K23_obs.Event.Exec { path });
     (* wipe the old address space and per-exec state *)
     p.mem <- Memory.create ();

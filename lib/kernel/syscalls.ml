@@ -343,7 +343,7 @@ let do_prctl (w : world) (th : thread) args =
     charge w th 250;
     if args.(1) = Sysno.pr_sys_dispatch_off then begin
       th.sud <- None;
-      ktrace_count w th.t_proc "sud.disarm";
+      ktrace_count w "sud.disarm";
       ktrace_event w th
         (K23_obs.Event.Sud_toggle { armed = false; sel_addr = 0; allow_lo = 0; allow_hi = 0 });
       0
@@ -351,7 +351,7 @@ let do_prctl (w : world) (th : thread) args =
     else if args.(1) = Sysno.pr_sys_dispatch_on then begin
       th.sud <- Some { sel_addr = args.(4); allow_lo = args.(2); allow_hi = args.(2) + args.(3) };
       w.sud_ever_armed <- true;
-      ktrace_count w th.t_proc "sud.arm";
+      ktrace_count w "sud.arm";
       ktrace_event w th
         (K23_obs.Event.Sud_toggle
            { armed = true; sel_addr = args.(4); allow_lo = args.(2); allow_hi = args.(2) + args.(3) });

@@ -1,9 +1,9 @@
-(** Named-counter registry.
+(** Named-counter registry, kept by the ktrace sink for the whole world.
 
-    Replaces ad-hoc mutable counter fields with a string-keyed registry:
-    any subsystem can mint a counter by incrementing it, and consumers
-    enumerate whatever exists — no record edit per new metric.  Reads of
-    absent counters are 0, so producers and consumers stay decoupled.
+    A string-keyed registry: any subsystem can mint a counter by
+    incrementing it, and consumers enumerate whatever exists — no
+    record edit per new metric.  Reads of absent counters are 0, so
+    producers and consumers stay decoupled.
 
     Naming convention (dotted hierarchy): ["sys.app"], ["sys.nr.<n>"],
     ["sud.block"], ["ptrace.stop"], ["trap.fault"], ... *)
@@ -21,18 +21,9 @@ let get t name = match Hashtbl.find_opt t.tbl name with Some r -> !r | None -> 0
 
 let clear t = Hashtbl.reset t.tbl
 
-(* raw hash-order enumeration; never exposed *)
-let fold_unsorted t = Hashtbl.fold (fun k r acc -> (k, !r) :: acc) t.tbl []
-
 (** All counters, sorted by name at the source — the only enumeration
     order offered, so every consumer (renderers, summaries, reports)
     is deterministic regardless of hash order without sorting
     themselves. *)
-let to_list t = List.sort (fun (a, _) (b, _) -> String.compare a b) (fold_unsorted t)
-
-let to_alist = to_list
-
-(** Merge [src] into [dst] (sum on collision).  Used to aggregate
-    per-process registries into a world summary; addition commutes, so
-    this can skip [to_list]'s sort. *)
-let merge_into ~dst src = List.iter (fun (k, v) -> incr ~by:v dst k) (fold_unsorted src)
+let to_list t =
+  List.sort (fun (a, _) (b, _) -> String.compare a b) (Hashtbl.fold (fun k r acc -> (k, !r) :: acc) t.tbl [])

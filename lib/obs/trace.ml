@@ -18,7 +18,7 @@ type t = {
   ring : Event.t Ring.t;
   counters : Counters.t;
       (** world-level named counters: lifetime totals, never reset by
-          execve (unlike the per-process registry in [Kern.counters]) *)
+          execve (unlike the per-process flat fields in [Kern.counters]) *)
   mutable on_event : (Event.t -> unit) option;
       (** synchronous observer, called after each retained event *)
 }

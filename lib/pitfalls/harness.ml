@@ -9,8 +9,9 @@ open K23_kernel
 open K23_userland
 module I = K23_interpose.Interpose
 module Zp = K23_baselines.Zpoline
-module Lp = K23_baselines.Lazypoline
 module K23 = K23_core.K23
+module Mech = K23_eval.Mech
+module Session = K23_eval.Session
 
 type pitfall = P1a | P1b | P2a | P2b | P3a | P3b | P4a | P4b | P5
 
@@ -51,36 +52,21 @@ type verdict = { handled : bool; detail : string }
 
 (* --- plumbing ------------------------------------------------------- *)
 
-let fresh_world ?quantum ?seed ?predecode () =
-  let w = Sim.create_world ?quantum ?seed ?predecode () in
+(* the hardened variant of each system *)
+let mech_of = function
+  | Zpoline -> Mech.Zpoline_ultra
+  | Lazypoline -> Mech.Lazypoline
+  | K23_sys -> Mech.K23_ultra
+
+(** Run one PoC under one system, as a {!Session}: for K23, the offline
+    phase runs first with benign arguments, then the logs are
+    sealed. *)
+let run_poc sys ?predecode ~path ?argv ?quantum () =
+  let w = Sim.create_world ?quantum ?predecode () in
   Pocs.register_all w;
-  w
-
-let launch_under sys w ~path ?argv () =
-  match sys with
-  | Zpoline -> Zp.launch w ~variant:Zp.Ultra ~path ?argv ()
-  | Lazypoline -> Lp.launch w ~path ?argv ()
-  | K23_sys -> K23.launch w ~variant:K23.Ultra ~path ?argv ()
-
-(** Run one PoC under one system.  For K23, the offline phase runs
-    first with benign arguments, then the logs are sealed.
-    [~ktrace:true] records the run's event stream and named counters
-    (read them back via [w.Kern.ktrace]); recording stays off by
-    default so Table 3 regeneration pays nothing. *)
-let run_poc sys ?predecode ~path ?argv ?quantum ?(ktrace = false) ?(max_steps = 30_000_000) () =
-  let w = fresh_world ?quantum ?predecode () in
-  if ktrace then ignore (Kern.ktrace_enable w);
-  (match sys with
-  | K23_sys ->
-    ignore (K23.offline_run w ~path ());
-    K23.seal_logs w
-  | Zpoline | Lazypoline -> ());
-  match launch_under sys w ~path ?argv () with
+  match Session.run ?argv ~max_steps:30_000_000 w ~mech:(mech_of sys) ~path with
   | Error e -> failwith (Printf.sprintf "PoC %s failed to launch: %d" path e)
-  | Ok (p, stats) ->
-    (try Kern.run ~max_steps ~until:(fun () -> Kern.proc_dead p) w
-     with Kern.Deadlock _ -> ());
-    (w, p, stats)
+  | Ok (p, stats, _) -> (p, Option.get stats)
 
 let count_500 (stats : I.stats) =
   Option.value ~default:0 (Hashtbl.find_opt stats.by_nr Sysno.bench_nonexistent)
@@ -99,7 +85,7 @@ let exit_desc (p : Kern.proc) =
 let check ?predecode sys pitfall : verdict =
   match pitfall with
   | P1a ->
-    let _, _, stats = run_poc sys ?predecode ~path:Pocs.p1a_path () in
+    let _, stats = run_poc sys ?predecode ~path:Pocs.p1a_path () in
     let n = count_500 stats in
     {
       handled = n >= 10;
@@ -107,7 +93,7 @@ let check ?predecode sys pitfall : verdict =
         Printf.sprintf "%d/10 syscalls of the execve'd (empty-env) child interposed" n;
     }
   | P1b ->
-    let _, _, stats = run_poc sys ?predecode ~path:Pocs.p1b_path () in
+    let _, stats = run_poc sys ?predecode ~path:Pocs.p1b_path () in
     let n = count_500 stats in
     if stats.aborts > 0 then
       { handled = true; detail = "prctl(PR_SYS_DISPATCH_OFF) detected; process aborted" }
@@ -117,14 +103,14 @@ let check ?predecode sys pitfall : verdict =
         detail = Printf.sprintf "%d/10 post-disable syscalls interposed" n;
       }
   | P2a ->
-    let _, _, stats = run_poc sys ?predecode ~path:Pocs.p2a_path () in
+    let _, stats = run_poc sys ?predecode ~path:Pocs.p2a_path () in
     let n = count_500 stats in
     {
       handled = n >= 10;
       detail = Printf.sprintf "%d/10 syscalls from JIT-style code interposed" n;
     }
   | P2b ->
-    let _, p, stats = run_poc sys ?predecode ~path:Pocs.p2b_path () in
+    let p, stats = run_poc sys ?predecode ~path:Pocs.p2b_path () in
     let missed = p.counters.c_app - stats.interposed in
     {
       handled = missed = 0 && p.counters.c_vdso = 0;
@@ -133,7 +119,7 @@ let check ?predecode sys pitfall : verdict =
           missed p.counters.c_startup p.counters.c_vdso;
     }
   | P3a ->
-    let _, p, _ = run_poc sys ?predecode ~path:Pocs.p3a_path () in
+    let p, _ = run_poc sys ?predecode ~path:Pocs.p3a_path () in
     {
       handled = p.exit_status = Some 0;
       detail =
@@ -143,7 +129,7 @@ let check ?predecode sys pitfall : verdict =
         | _ -> exit_desc p);
     }
   | P3b ->
-    let _, p, _ =
+    let p, _ =
       run_poc sys ?predecode ~path:Pocs.p3b_path ~argv:[ Pocs.p3b_path; "attack" ] ()
     in
     {
@@ -155,7 +141,7 @@ let check ?predecode sys pitfall : verdict =
         | _ -> exit_desc p);
     }
   | P4a ->
-    let _, p, stats =
+    let p, stats =
       run_poc sys ?predecode ~path:Pocs.p4a_path ~argv:[ Pocs.p4a_path; "attack" ] ()
     in
     if stats.aborts > 0 && p.term_signal = Some 6 then
@@ -164,7 +150,7 @@ let check ?predecode sys pitfall : verdict =
       { handled = false; detail = "NULL call silently misdirected into the trampoline" }
     else { handled = true; detail = exit_desc p }
   | P4b ->
-    let _, p, _ = run_poc sys ?predecode ~path:Pocs.target_path () in
+    let p, _ = run_poc sys ?predecode ~path:Pocs.target_path () in
     let reserved, resident, desc =
       match sys with
       | Zpoline ->
@@ -181,7 +167,7 @@ let check ?predecode sys pitfall : verdict =
         Printf.sprintf "%s: %d bytes reserved, %d resident" desc reserved resident;
     }
   | P5 ->
-    let _, p, _ = run_poc sys ?predecode ~path:Pocs.p5_path ~quantum:1 () in
+    let p, _ = run_poc sys ?predecode ~path:Pocs.p5_path ~quantum:1 () in
     {
       handled = p.exit_status = Some 0;
       detail =

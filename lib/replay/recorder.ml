@@ -6,50 +6,33 @@
     run with the complete event stream retained (rr's insight inverted:
     where rr must capture nondeterministic inputs because the host OS
     is uncontrolled, here the config {e is} the nondeterminism, and
-    the stream is captured as the oracle for replay).  The setup
-    sequence below (register, offline phase, [fault_reset], sink,
-    launch) mirrors [Oracle.launch_in] exactly: the fault schedule's
-    per-nr tick clocks start from zero at the measured run in both
-    places, so a recording of a faulty run replays the same dice. *)
+    the stream is captured as the oracle for replay).  The run is a
+    {!Session}, the same steps the replayer drives: the fault
+    schedule's per-nr tick clocks start from zero at the measured run
+    in both, so a recording of a faulty run replays the same dice. *)
 
-module Mech = K23_eval.Mech
-module K23 = K23_core.K23
+module Session = K23_eval.Session
 open K23_kernel
-open K23_userland
 
 let default_max_steps = 200_000_000
 
-(** Record one run.  [register] installs the app(s) in the fresh
-    world (coreutils for the CLI, the generated program for fuzz);
-    [argv] defaults to the mechanism's own convention.  Returns
-    [Error e] when the mechanism fails to launch. *)
-let record ?(cfg = World.Config.default) ?(max_steps = default_max_steps)
-    ?(register = fun (_ : Kern.world) -> ()) ?(argv = []) ~mech ~path () =
-  (* the recorder owns the sink (unbounded); a config-enabled bounded
-     ring would shadow it and drop events *)
-  let cfg = { cfg with World.Config.ktrace = false } in
-  let w = Sim.create_world_cfg cfg in
-  register w;
-  if Mech.needs_offline mech then begin
-    ignore (K23.offline_run w ~path ());
-    K23.seal_logs w
-  end;
-  (* offline phase consumed fault ticks a native run never sees:
-     rewind so the measured run starts the schedule at tick 0 *)
-  Kern.fault_reset w;
-  let t = Kern.ktrace_enable ~unbounded:true w in
-  match Mech.launch mech w ~path ?argv:(if argv = [] then None else Some argv) () with
+(** Record one run of [path] under [mech] in [w], a world built (or
+    reset) from [cfg] with ktrace off and the app(s) installed: the
+    coreutils for the CLI, the generated program for fuzz.  [argv]
+    defaults to the mechanism's own convention.  Returns [Error e]
+    when the mechanism fails to launch. *)
+let record ?(max_steps = default_max_steps) ?(argv = []) ~cfg w ~mech ~path =
+  match Session.run ~sink:Session.Unbounded ~argv ~max_steps w ~mech ~path with
   | Error e -> Error e
-  | Ok (p, _stats) ->
-    (try World.run_until_exit ~max_steps w p with Kern.Deadlock _ -> ());
+  | Ok (_, _, s) ->
     Ok
       {
         Recording.rc_app = path;
         rc_argv = argv;
         rc_mech = mech;
-        rc_cfg = cfg;
-        rc_root = p.Kern.pid;
-        rc_console = World.stdout_of p;
-        rc_fates = Recording.fates_of_world w;
-        rc_events = K23_obs.Trace.events t;
+        rc_cfg = { cfg with World.Config.ktrace = false };
+        rc_root = s.Session.root;
+        rc_console = s.Session.console;
+        rc_fates = s.Session.fates;
+        rc_events = s.Session.events;
       }

@@ -19,16 +19,14 @@
 
 module Event = K23_obs.Event
 module Mech = K23_eval.Mech
+module Session = K23_eval.Session
 module World = K23_kernel.World
-module Kern = K23_kernel.Kern
 module Faults = K23_faults.Faults
 module Cost = K23_machine.Cost
 
 exception Parse_error of string
 
 let fail fmt = Printf.ksprintf (fun s -> raise (Parse_error s)) fmt
-
-type fate = Exit of int | Killed of int | Running
 
 type t = {
   rc_app : string;  (** registered path of the recorded program *)
@@ -38,28 +36,9 @@ type t = {
       (the recorder/replayer own the sink directly, unbounded) *)
   rc_root : int;  (** raw pid of the launched root process *)
   rc_console : string;  (** root console bytes at end of run *)
-  rc_fates : (int * fate) list;  (** raw pid -> fate, ascending *)
+  rc_fates : (int * Session.fate) list;  (** raw pid -> fate, ascending *)
   rc_events : Event.t list;  (** the full ktrace stream, in order *)
 }
-
-(* ------------------------------------------------------------------ *)
-(* Fates                                                               *)
-
-let fate_to_string = function
-  | Exit n -> Printf.sprintf "exit %d" n
-  | Killed n -> Printf.sprintf "killed %d" n
-  | Running -> "running"
-
-let fate_of_proc (q : Kern.proc) =
-  match (q.Kern.exit_status, q.Kern.term_signal) with
-  | Some s, _ -> Exit s
-  | None, Some s -> Killed s
-  | None, None -> Running
-
-(** Every traced process's fate, by ascending raw pid. *)
-let fates_of_world (w : Kern.world) =
-  List.map (fun (q : Kern.proc) -> (q.Kern.pid, fate_of_proc q)) w.Kern.procs
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
 
 (* ------------------------------------------------------------------ *)
 (* Event line codec                                                    *)
@@ -217,7 +196,7 @@ let to_string r =
   pr "faults: %s\n" (Faults.to_string c.World.Config.faults);
   pr "root: %d\n" r.rc_root;
   pr "console: %s\n" (String.escaped r.rc_console);
-  List.iter (fun (pid, f) -> pr "fate: %d %s\n" pid (fate_to_string f)) r.rc_fates;
+  List.iter (fun (pid, f) -> pr "fate: %d %s\n" pid (Session.fate_to_string f)) r.rc_fates;
   pr "events: %d\n" (List.length r.rc_events);
   pr "---\n";
   List.iter (fun e -> pr "%s\n" (event_to_line e)) r.rc_events;
@@ -270,10 +249,11 @@ let of_string s =
           | "console" -> console := str_field "console" [ v ]
           | "fate" -> (
             match String.split_on_char ' ' v with
-            | [ pid; "exit"; n ] -> fates := (int_field "pid" pid, Exit (int_field "status" n)) :: !fates
+            | [ pid; "exit"; n ] ->
+              fates := (int_field "pid" pid, Session.Exit (int_field "status" n)) :: !fates
             | [ pid; "killed"; n ] ->
-              fates := (int_field "pid" pid, Killed (int_field "signal" n)) :: !fates
-            | [ pid; "running" ] -> fates := (int_field "pid" pid, Running) :: !fates
+              fates := (int_field "pid" pid, Session.Killed (int_field "signal" n)) :: !fates
+            | [ pid; "running" ] -> fates := (int_field "pid" pid, Session.Running) :: !fates
             | _ -> fail "bad fate line: %S" v)
           | "events" -> nevents := Some (iv "events")
           | _ -> () (* unknown header keys are skipped: forward compatibility *)));

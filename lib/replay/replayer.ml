@@ -4,7 +4,9 @@
     Replay rebuilds a world from the recording's config (same seed,
     cost model, fault plan — so ASLR draws, cost skew and fault dice
     re-roll identically), re-launches the app under the recorded
-    mechanism, and installs two live hooks:
+    mechanism through the same {!Session} the recorder ran, and
+    installs two live hooks between [Session.prepare] and
+    [Session.launch]:
 
     - the {e substitution} hook ([Kern.world.replay_exit]): every
       completing syscall's result is replaced by the recorded result
@@ -29,7 +31,7 @@ module Trace = K23_obs.Trace
 module Trace_diff = K23_obs.Trace_diff
 module Render = K23_obs.Render
 module Mech = K23_eval.Mech
-module K23 = K23_core.K23
+module Session = K23_eval.Session
 open K23_kernel
 open K23_userland
 
@@ -122,12 +124,10 @@ let replay ?at ?(max_steps = Recorder.default_max_steps)
     ?(register = fun (_ : Kern.world) -> ()) (r : Recording.t) =
   let w = Sim.create_world_cfg r.Recording.rc_cfg in
   register w;
-  if Mech.needs_offline r.Recording.rc_mech then begin
-    ignore (K23.offline_run w ~path:r.Recording.rc_app ());
-    K23.seal_logs w
-  end;
-  Kern.fault_reset w;
-  let t = Kern.ktrace_enable ~unbounded:true w in
+  let s =
+    Session.prepare ~sink:Session.Unbounded w ~mech:r.Recording.rc_mech ~path:r.Recording.rc_app
+  in
+  let t = Option.get s.Session.trace in
   let expected = Array.of_list r.Recording.rc_events in
   let total = Array.length expected in
   let idx = ref 0 in
@@ -179,9 +179,12 @@ let replay ?at ?(max_steps = Recorder.default_max_steps)
           end
           else div := Some (mismatch expected i (Some ev))
         end);
-  let finish root =
+  let unhook () =
     w.Kern.replay_exit <- None;
-    t.Trace.on_event <- None;
+    t.Trace.on_event <- None
+  in
+  let finish (run : Session.t) =
+    unhook ();
     (* a live stream that ended early (fewer events than recorded) is
        a divergence too: the left side goes on, the right ended *)
     (match !div with
@@ -193,24 +196,16 @@ let replay ?at ?(max_steps = Recorder.default_max_steps)
       o_total = total;
       o_checked = !idx;
       o_divergence = !div;
-      o_console_ok = (not clean_end) || World.stdout_of root = r.Recording.rc_console;
-      o_fates_ok = (not clean_end) || Recording.fates_of_world w = r.Recording.rc_fates;
+      o_console_ok = (not clean_end) || run.Session.console = r.Recording.rc_console;
+      o_fates_ok = (not clean_end) || run.Session.fates = r.Recording.rc_fates;
       o_stop = !stop;
     }
   in
-  match
-    Mech.launch r.Recording.rc_mech w ~path:r.Recording.rc_app
-      ?argv:(if r.Recording.rc_argv = [] then None else Some r.Recording.rc_argv)
-      ()
-  with
+  match Session.launch ~argv:r.Recording.rc_argv ~max_steps ~until:halted s with
   | Error e ->
-    w.Kern.replay_exit <- None;
-    t.Trace.on_event <- None;
+    unhook ();
     Error e
-  | Ok (p, _stats) ->
-    (try Kern.run ~max_steps ~until:(fun () -> halted () || Kern.proc_dead p) w
-     with Kern.Deadlock _ -> ());
-    Ok (finish p)
+  | Ok (_, _, run) -> Ok (finish run)
 
 (* ------------------------------------------------------------------ *)
 (* Rendering                                                           *)

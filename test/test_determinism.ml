@@ -60,7 +60,7 @@ let traced_stream ~mech ~seed =
     let events = K23_obs.Trace.events t in
     let json =
       K23_obs.Render.json_stream ~namer:Sysno.name
-        ~counters:(K23_obs.Counters.to_alist t.K23_obs.Trace.counters)
+        ~counters:(K23_obs.Counters.to_list t.K23_obs.Trace.counters)
         ~dropped:(K23_obs.Trace.dropped t) events
     in
     (events, json)

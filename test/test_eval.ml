@@ -34,6 +34,16 @@ let test_table2_counts_match_paper () =
       Alcotest.(check int) name expected (OC.coreutil_sites name))
     OC.coreutil_expected
 
+let test_table2_server_counts () =
+  (* the servers' offline phase is the one Table 6's K23 columns load,
+     vdso off: nginx and lighttpd log libc's clock_gettime fallback
+     site on top of the paper's 43 and 44 *)
+  let measured = [ ("sqlite", 20); ("nginx", 44); ("lighttpd", 45); ("redis", 92) ] in
+  List.iter
+    (fun (name, spec) ->
+      Alcotest.(check int) name (List.assoc name measured) (OC.app_spec_sites spec))
+    OC.server_specs
+
 (* the single mechanism-name registry: every variant round-trips
    through its canonical name, the short aliases resolve, and parsing
    is case-insensitive *)
@@ -72,6 +82,7 @@ let tests =
     [
       Alcotest.test_case "Table 5 ordering" `Slow test_table5_ordering;
       Alcotest.test_case "Table 2 coreutil counts" `Slow test_table2_counts_match_paper;
+      Alcotest.test_case "Table 2 server counts" `Slow test_table2_server_counts;
       Alcotest.test_case "Figure 3 log format" `Quick test_fig3_format;
       Alcotest.test_case "Mech name registry round-trip" `Quick test_mech_roundtrip;
     ] )

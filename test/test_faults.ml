@@ -108,7 +108,7 @@ let signal_wake_items =
 let test_signal_wakes_blocked_wait () =
   match Oracle.run_raw ~mech:Mech.Native (K23_fuzz.Gen.X86 signal_wake_items) with
   | Error e -> Alcotest.failf "launch error %d" e
-  | Ok (_, p, events) ->
+  | Ok (p, _, { K23_eval.Session.events; _ }) ->
     Alcotest.(check (option int)) "parent exits 0" (Some 0) p.Kern.exit_status;
     (* the parent's stream, in order: park in nanosleep, deliver,
        wake with -EINTR, handler's sigreturn *)
@@ -181,7 +181,7 @@ let restart_cfg =
 let check_restart_reenters mech ~owner_ok =
   match Oracle.run_raw ~cfg:restart_cfg ~mech (K23_fuzz.Gen.X86 restart_items) with
   | Error e -> Alcotest.failf "%s: launch error %d" (Mech.to_string mech) e
-  | Ok (_, p, events) ->
+  | Ok (p, _, { K23_eval.Session.events; _ }) ->
     Alcotest.(check (option int))
       (Mech.to_string mech ^ ": exits 0")
       (Some 0) p.Kern.exit_status;

@@ -50,7 +50,7 @@ let test_programs_terminate () =
       List.iter
         (fun (cpid, fate) ->
           match fate with
-          | Oracle.Running -> Alcotest.failf "seed %d: pid %d still running" seed cpid
+          | K23_eval.Session.Running -> Alcotest.failf "seed %d: pid %d still running" seed cpid
           | _ -> ())
         pr.Oracle.fates
   done

@@ -131,7 +131,7 @@ let test_world_reuse () =
   let run_in ?(max_steps = Oracle.default_max_steps) w items mech =
     match Oracle.launch_in w ~max_steps ~mech items with
     | Error e -> Alcotest.failf "launch failed: %d" e
-    | Ok (p, events) ->
+    | Ok (p, _, { K23_eval.Session.events; _ }) ->
       ( String.concat "\n" (List.map K23_obs.Render.human_event events),
         Oracle.project p w events )
   in

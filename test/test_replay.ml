@@ -22,9 +22,10 @@ let contains ~needle hay =
 let register_coreutils w = K23_apps.Coreutils.register_all w
 
 let record_ls mech =
-  match
-    Recorder.record ~register:register_coreutils ~mech ~path:(K23_apps.Coreutils.path "ls") ()
-  with
+  let cfg = K23_kernel.World.Config.default in
+  let w = K23_userland.Sim.create_world_cfg cfg in
+  register_coreutils w;
+  match Recorder.record ~cfg w ~mech ~path:(K23_apps.Coreutils.path "ls") with
   | Error e -> Alcotest.failf "record ls under %s failed (%d)" (Mech.to_string mech) e
   | Ok r -> r
 
