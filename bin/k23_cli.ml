@@ -250,7 +250,7 @@ let replay_cmd =
   let run file at json =
     let r =
       try R.Recording.load file with
-      | R.Recording.Parse_error m ->
+      | K23_util.Wire.Parse_error m ->
         Printf.eprintf "%s: %s\n" file m;
         Stdlib.exit 2
       | Sys_error m ->

@@ -259,19 +259,6 @@ let run ?(on_finding = fun (_ : finding) -> ()) ?(jobs = 1) config =
 (* ------------------------------------------------------------------ *)
 (* Rendering                                                           *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 (** Deterministic JSON: fixed key order, no timing, no floats. *)
 let render_json (r : report) =
   let buf = Buffer.create 4096 in
@@ -315,7 +302,7 @@ let render_json (r : report) =
            f.f_iter f.f_prog_seed (Mech.to_string f.f_mech)
            (String.concat ", "
               (List.map (fun s -> "\"" ^ Gen.shape_to_string s ^ "\"") f.f_shapes))
-           (json_escape (Oracle.render_divergence f.f_divergence))
+           (K23_obs.Render.json_escape (Oracle.render_divergence f.f_divergence))
            (match f.f_min_insns with
            | None -> ""
            | Some n -> Printf.sprintf ", \"min_insns\": %d" n)

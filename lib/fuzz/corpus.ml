@@ -1,17 +1,18 @@
 (** Corpus of minimized divergence reproducers.
 
-    Each repro is a standalone text file: a small header (mechanism,
-    generator seed, a one-line description of the expected divergence)
-    followed by the minimized program as an assembly listing, one item
-    per line in constructor-token form.  The format round-trips
-    exactly, so files checked in under [test/corpus/] are replayed
-    verbatim by [dune runtest]: the suite re-runs the oracle on each
-    and asserts the divergence is still detected — regression tests
-    distilled from fuzzing campaigns, in the tradition of a crash
-    corpus. *)
+    Each repro is a standalone {!K23_util.Wire} text file: a small
+    header (mechanism, generator seed, the expected divergence,
+    escaped) followed by the minimized program as an assembly listing,
+    one item per body line in constructor-token form.  The format
+    round-trips exactly, so files checked in under [test/corpus/] are
+    replayed verbatim by [dune runtest]: the suite re-runs the oracle
+    on each and asserts the divergence is still detected — regression
+    tests distilled from fuzzing campaigns, in the tradition of a
+    crash corpus. *)
 
 open K23_isa
 module Mech = K23_eval.Mech
+module Wire = K23_util.Wire
 
 type entry = {
   e_mech : Mech.t;  (** mechanism the repro diverges under *)
@@ -23,17 +24,12 @@ type entry = {
   e_items : Gen.items;
 }
 
-exception Parse_error of string
-
 (* ------------------------------------------------------------------ *)
 (* Serialisation                                                       *)
 
 let reg_to_s = Reg.to_string
 
-let reg_of_s s =
-  match List.find_opt (fun r -> Reg.to_string r = s) Reg.all with
-  | Some r -> r
-  | None -> raise (Parse_error ("bad register: " ^ s))
+let reg_of_s = Wire.enum "register" Reg.to_string Reg.all
 
 let cond_to_s : Insn.cond -> string = function
   | Z -> "z"
@@ -43,14 +39,7 @@ let cond_to_s : Insn.cond -> string = function
   | LE -> "le"
   | GT -> "gt"
 
-let cond_of_s : string -> Insn.cond = function
-  | "z" -> Z
-  | "nz" -> NZ
-  | "lt" -> LT
-  | "ge" -> GE
-  | "le" -> LE
-  | "gt" -> GT
-  | s -> raise (Parse_error ("bad condition: " ^ s))
+let cond_of_s = Wire.enum "condition" cond_to_s [ Z; NZ; LT; GE; LE; GT ]
 
 let insn_to_line (i : Insn.t) =
   match i with
@@ -96,11 +85,11 @@ let hex_of_bytes b =
   Buffer.contents buf
 
 let bytes_of_hex s =
-  if String.length s mod 2 <> 0 then raise (Parse_error "odd hex length");
+  if String.length s mod 2 <> 0 then Wire.fail "odd hex length: %S" s;
   Bytes.init (String.length s / 2) (fun i ->
       match int_of_string_opt ("0x" ^ String.sub s (2 * i) 2) with
       | Some v -> Char.chr v
-      | None -> raise (Parse_error ("bad hex: " ^ s)))
+      | None -> Wire.fail "bad hex: %S" s)
 
 let item_to_line (it : Asm.item) =
   match it with
@@ -108,7 +97,7 @@ let item_to_line (it : Asm.item) =
   | Asm.Label l -> "label " ^ l
   | Asm.Blob b -> "blob " ^ hex_of_bytes b
   | Asm.Zeros n -> Printf.sprintf "zeros %d" n
-  | Asm.Strz s -> "strz " ^ String.escaped s
+  | Asm.Strz s -> "strz " ^ Wire.escape s
   | Asm.Quad n -> Printf.sprintf "quad %d" n
   | Asm.J l -> "j " ^ l
   | Asm.Jc (c, l) -> Printf.sprintf "jc %s %s" (cond_to_s c) l
@@ -121,24 +110,26 @@ let item_to_line (it : Asm.item) =
   | Asm.Section `Data -> "section data"
   | Asm.Align n -> Printf.sprintf "align %d" n
 
-let num s =
-  match int_of_string_opt s with
-  | Some v -> v
-  | None -> raise (Parse_error ("bad number: " ^ s))
+let num = Wire.int "number"
 
-let item_of_line line : Asm.item =
-  let line = String.trim line in
+(* an item line is a token, then its space-separated arguments; a
+   [strz] payload is the whole rest of the line, trailing spaces and
+   all, so body lines are never trimmed *)
+let split_item line =
   let tok, rest =
     match String.index_opt line ' ' with
     | None -> (line, "")
     | Some i -> (String.sub line 0 i, String.sub line (i + 1) (String.length line - i - 1))
   in
-  let args () = String.split_on_char ' ' rest |> List.filter (fun s -> s <> "") in
-  match (tok, args ()) with
+  (tok, rest, String.split_on_char ' ' rest |> List.filter (fun s -> s <> ""))
+
+let item_of_line line : Asm.item =
+  let tok, rest, args = split_item line in
+  match (tok, args) with
   | "label", [ l ] -> Asm.Label l
   | "blob", [ h ] -> Asm.Blob (bytes_of_hex h)
   | "zeros", [ n ] -> Asm.Zeros (num n)
-  | "strz", _ -> Asm.Strz (Scanf.unescaped rest)
+  | "strz", _ -> Asm.Strz (Wire.unescape rest)
   | "quad", [ n ] -> Asm.Quad (num n)
   | "j", [ l ] -> Asm.J l
   | "jc", [ c; l ] -> Asm.Jc (cond_of_s c, l)
@@ -186,7 +177,7 @@ let item_of_line line : Asm.item =
   | "jcc", [ c; d ] -> Asm.I (Jcc (cond_of_s c, num d))
   | "jmp_reg", [ r ] -> Asm.I (Jmp_reg (reg_of_s r))
   | "call_reg", [ r ] -> Asm.I (Call_reg (reg_of_s r))
-  | _ -> raise (Parse_error ("bad item line: " ^ line))
+  | _ -> Wire.fail "bad item line: %S" line
 
 
 (* --- the AArch64 item codec ----------------------------------------
@@ -229,7 +220,7 @@ let arm_item_to_line (it : A.item) =
   | A.Label l -> "label " ^ l
   | A.Blob b -> "blob " ^ hex_of_bytes b
   | A.Zeros n -> Printf.sprintf "zeros %d" n
-  | A.Strz s -> "strz " ^ String.escaped s
+  | A.Strz s -> "strz " ^ Wire.escape s
   | A.Quad n -> Printf.sprintf "quad %d" n
   | A.J l -> "j " ^ l
   | A.Jc (c, l) -> Printf.sprintf "jc %s %s" (cond_to_s c) l
@@ -243,18 +234,12 @@ let arm_item_to_line (it : A.item) =
   | A.Align n -> Printf.sprintf "align %d" n
 
 let arm_item_of_line line : A.item =
-  let line = String.trim line in
-  let tok, rest =
-    match String.index_opt line ' ' with
-    | None -> (line, "")
-    | Some i -> (String.sub line 0 i, String.sub line (i + 1) (String.length line - i - 1))
-  in
-  let args () = String.split_on_char ' ' rest |> List.filter (fun s -> s <> "") in
-  match (tok, args ()) with
+  let tok, rest, args = split_item line in
+  match (tok, args) with
   | "label", [ l ] -> A.Label l
   | "blob", [ h ] -> A.Blob (bytes_of_hex h)
   | "zeros", [ n ] -> A.Zeros (num n)
-  | "strz", _ -> A.Strz (Scanf.unescaped rest)
+  | "strz", _ -> A.Strz (Wire.unescape rest)
   | "quad", [ n ] -> A.Quad (num n)
   | "j", [ l ] -> A.J l
   | "jc", [ c; l ] -> A.Jc (cond_of_s c, l)
@@ -291,102 +276,41 @@ let arm_item_of_line line : A.item =
   | "strb", [ t; n; o ] -> A.I (Arm.Strb (num t, num n, num o))
   | "vcall", [ n ] -> A.I (Arm.Vcall (num n))
   | "brk", [ n ] -> A.I (Arm.Brk (num n))
-  | _ -> raise (Parse_error ("bad arm item line: " ^ line))
+  | _ -> Wire.fail "bad arm item line: %S" line
 
 (* ------------------------------------------------------------------ *)
 (* Files                                                               *)
 
 let to_string (e : entry) =
-  let buf = Buffer.create 512 in
-  Buffer.add_string buf "# k23_fuzz minimized reproducer\n";
-  Buffer.add_string buf (Printf.sprintf "mech: %s\n" (Mech.to_string e.e_mech));
-  (* emitted only for non-x86 entries: existing x86 corpus files stay
-     byte-identical, and old readers ignore unknown header keys *)
-  (match e.e_items with
-  | Gen.X86 _ -> ()
-  | Gen.A64 _ -> Buffer.add_string buf (Printf.sprintf "isa: %s\n" (K23_isa.Isa.to_string K23_isa.Isa.Arm64)));
-  Buffer.add_string buf (Printf.sprintf "seed: %d\n" e.e_seed);
-  Buffer.add_string buf (Printf.sprintf "expect: %s\n" e.e_expect);
-  (match e.e_faults with
-  | None -> ()
-  | Some p ->
-    Buffer.add_string buf (Printf.sprintf "faults: %s\n" (K23_faults.Faults.to_string p)));
-  Buffer.add_string buf "---\n";
-  let lines =
+  (* [isa] is emitted only for non-x86 entries: x86 corpus files keep
+     their pre-ISA bytes *)
+  let isa, lines =
     match e.e_items with
-    | Gen.X86 its -> List.map item_to_line its
-    | Gen.A64 its -> List.map arm_item_to_line its
+    | Gen.X86 its -> ([], List.map item_to_line its)
+    | Gen.A64 its -> ([ ("isa", Isa.to_string Isa.Arm64) ], List.map arm_item_to_line its)
   in
-  List.iter
-    (fun l ->
-      Buffer.add_string buf l;
-      Buffer.add_char buf '\n')
-    lines;
-  Buffer.contents buf
+  Wire.render ~head:"# k23_fuzz minimized reproducer"
+    ((("mech", Mech.to_string e.e_mech) :: isa)
+    @ [ ("seed", string_of_int e.e_seed); ("expect", Wire.escape e.e_expect) ]
+    @ Option.fold ~none:[] ~some:(fun p -> [ ("faults", K23_faults.Faults.to_string p) ]) e.e_faults)
+    lines
 
 let of_string s : entry =
-  let lines = String.split_on_char '\n' s in
-  let mech = ref None and seed = ref 0 and expect = ref "" and faults = ref None in
-  let isa = ref K23_isa.Isa.X86_64 in
-  let rec header = function
-    | [] -> raise (Parse_error "missing --- separator")
-    | l :: rest -> (
-      let l = String.trim l in
-      if l = "---" then rest
-      else if l = "" || l.[0] = '#' then header rest
-      else
-        match String.index_opt l ':' with
-        | None -> raise (Parse_error ("bad header line: " ^ l))
-        | Some i ->
-          let k = String.sub l 0 i
-          and v = String.trim (String.sub l (i + 1) (String.length l - i - 1)) in
-          (match k with
-          | "mech" -> (
-            match Mech.of_string v with
-            | Some m -> mech := Some m
-            | None -> raise (Parse_error ("unknown mech: " ^ v)))
-          | "seed" -> seed := num v
-          | "isa" -> (
-            match K23_isa.Isa.of_string v with
-            | Some i -> isa := i
-            | None -> raise (Parse_error ("unknown isa: " ^ v)))
-          | "expect" -> expect := v
-          | "faults" -> (
-            match K23_faults.Faults.of_string v with
-            | Some p -> faults := Some p
-            | None -> raise (Parse_error ("bad fault plan: " ^ v)))
-          | _ -> () (* forward-compatible: ignore unknown keys *));
-          header rest)
-  in
-  let body = header lines in
-  let body =
-    List.filter_map
-      (fun l ->
-        let l = String.trim l in
-        if l = "" || l.[0] = '#' then None else Some l)
-      body
-  in
-  let items =
-    match !isa with
-    | K23_isa.Isa.X86_64 -> Gen.X86 (List.map item_of_line body)
-    | K23_isa.Isa.Arm64 -> Gen.A64 (List.map arm_item_of_line body)
-  in
-  match !mech with
-  | None -> raise (Parse_error "missing mech: header")
-  | Some m ->
-    { e_mech = m; e_seed = !seed; e_expect = !expect; e_faults = !faults; e_items = items }
+  let fields, body = Wire.split s in
+  let faults v = Some (Wire.value "fault plan" K23_faults.Faults.of_string v) in
+  {
+    e_mech = Wire.require fields "mech" (Wire.value "mechanism" Mech.of_string);
+    e_seed = Wire.get fields "seed" (Wire.int "seed") 0;
+    e_expect = Wire.get fields "expect" Wire.unescape "";
+    e_faults = Wire.get fields "faults" faults None;
+    e_items =
+      (match Wire.get fields "isa" (Wire.value "isa" Isa.of_string) Isa.X86_64 with
+      | Isa.X86_64 -> Gen.X86 (List.map item_of_line body)
+      | Isa.Arm64 -> Gen.A64 (List.map arm_item_of_line body));
+  }
 
-let save ~path (e : entry) =
-  let oc = open_out path in
-  output_string oc (to_string e);
-  close_out oc
-
-let load path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  of_string s
+let save ~path e = Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc (to_string e))
+let load path = of_string (In_channel.with_open_bin path In_channel.input_all)
 
 (** All [*.repro] files in [dir], sorted by name (deterministic
     replay order); missing directory = empty corpus. *)

@@ -50,21 +50,50 @@ module Config = struct
   let equal (a : t) (b : t) = a = b
   let hash (t : t) = Hashtbl.hash t
 
-  (** Deterministic one-line key, stable across processes (unlike
-      [hash] it is readable in reports and cache file names). *)
-  let to_string c =
-    let m = c.cost in
-    (* the isa prefix appears only for non-x86 configs so that every
-       pre-existing x86 key (cache file names, reports) is unchanged *)
+  (** The config as wire fields ({!K23_util.Wire}), the header lines a
+      recording carries.  [isa] is emitted only off x86, so every x86
+      artifact keeps its pre-ISA bytes; [ktrace] is not carried (the
+      recorder and replayer own their sink). *)
+  let to_fields c =
     (match c.isa with
-    | K23_isa.Isa.X86_64 -> ""
-    | isa -> Printf.sprintf "isa=%s " (K23_isa.Isa.to_string isa))
-    ^ Printf.sprintf
-        "ncores=%d quantum=%d seed=%d aslr=%b ktrace=%b predecode=%b \
-         cost=%d,%d,%d,%d,%d,%d,%d,%d %s"
-        c.ncores c.quantum c.seed c.aslr c.ktrace c.predecode m.insn m.nop m.syscall_base
-        m.sud_armed_extra m.sigsys_delivery m.sigreturn_extra m.ptrace_stop m.ptrace_mem_op
-        (K23_faults.Faults.to_string c.faults)
+    | K23_isa.Isa.X86_64 -> []
+    | isa -> [ ("isa", K23_isa.Isa.to_string isa) ])
+    @ [
+        ("ncores", string_of_int c.ncores);
+        ("quantum", string_of_int c.quantum);
+        ("seed", string_of_int c.seed);
+        ("aslr", string_of_int (Bool.to_int c.aslr));
+        ("predecode", string_of_int (Bool.to_int c.predecode));
+        ("cost", K23_machine.Cost.to_string c.cost);
+        ("faults", K23_faults.Faults.to_string c.faults);
+      ]
+
+  (** Inverse of {!to_fields}: an absent key keeps its {!default}.  A
+      world needs at least one core and a timeslice of at least one
+      instruction, so smaller values are a parse error. *)
+  let of_fields fields =
+    let module Wire = K23_util.Wire in
+    let get k parse d = Wire.get fields k parse d in
+    let flag k v = Wire.int k v <> 0 in
+    let positive k v =
+      let n = Wire.int k v in
+      if n < 1 then Wire.fail "%s must be at least 1: %d" k n else n
+    in
+    {
+      default with
+      isa = get "isa" (Wire.value "isa" K23_isa.Isa.of_string) default.isa;
+      ncores = get "ncores" (positive "ncores") default.ncores;
+      quantum = get "quantum" (positive "quantum") default.quantum;
+      seed = get "seed" (Wire.int "seed") default.seed;
+      aslr = get "aslr" (flag "aslr") default.aslr;
+      predecode = get "predecode" (flag "predecode") default.predecode;
+      cost = get "cost" (Wire.value "cost model" K23_machine.Cost.of_string) default.cost;
+      faults = get "faults" (Wire.value "fault plan" K23_faults.Faults.of_string) default.faults;
+    }
+
+  (** Deterministic one-line key, stable across processes (unlike
+      [hash] it is readable in reports): {!to_fields} as [k=v] words. *)
+  let to_string c = String.concat " " (List.map (fun (k, v) -> k ^ "=" ^ v) (to_fields c))
 end
 
 (* The wiring shared by {!create_cfg} and {!reset}: dispatch hooks,

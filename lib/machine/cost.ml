@@ -36,6 +36,26 @@ let default =
     ptrace_mem_op = 400;
   }
 
+(** The comma form [insn,nop,syscall_base,...], in field order: the
+    model's wire spelling ([World.Config.to_fields]). *)
+let to_string m =
+  Printf.sprintf "%d,%d,%d,%d,%d,%d,%d,%d" m.insn m.nop m.syscall_base m.sud_armed_extra
+    m.sigsys_delivery m.sigreturn_extra m.ptrace_stop m.ptrace_mem_op
+
+(** Inverse of {!to_string}; [None] on malformed input. *)
+let of_string s =
+  match String.split_on_char ',' s |> List.map int_of_string_opt with
+  | [
+   Some insn; Some nop; Some syscall_base; Some sud_armed_extra; Some sigsys_delivery;
+   Some sigreturn_extra; Some ptrace_stop; Some ptrace_mem_op;
+  ] ->
+    Some
+      {
+        insn; nop; syscall_base; sud_armed_extra; sigsys_delivery; sigreturn_extra; ptrace_stop;
+        ptrace_mem_op;
+      }
+  | _ -> None
+
 (** Per-instruction execution cost (kernel-side trap costs are added by
     the kernel, not here). *)
 let insn_cost m (i : K23_isa.Insn.t) =

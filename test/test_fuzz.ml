@@ -125,6 +125,40 @@ let test_corpus_roundtrip () =
     (Mech.to_string e'.Corpus.e_mech);
   Alcotest.(check bool) "fault plan round-trips" true (e.Corpus.e_faults = e'.Corpus.e_faults)
 
+(* [of_string (to_string e) = e] for every entry: generated x86 and
+   ARM programs, with and without a fault plan, plus [strz] payloads
+   and [expect] strings drawn from printable ASCII with edge spaces and
+   the bytes the format must escape *)
+let gen_wire_text =
+  let open QCheck.Gen in
+  let edge = oneofl [ ""; " "; "  " ] in
+  let ch = frequency [ (6, char_range ' ' '~'); (1, oneofl [ '"'; '\\'; '\t'; '\n' ]) ] in
+  map3 (fun a s b -> a ^ s ^ b) edge (string_size ~gen:ch (int_range 0 12)) edge
+
+let arb_entry =
+  let open QCheck.Gen in
+  let gen =
+    let* isa = oneofl K23_isa.Isa.all in
+    let* seed = int_range 0 1_000_000 in
+    let* mech = oneofl Mech.all in
+    let* expect = gen_wire_text in
+    let* strz = list_size (int_range 0 3) gen_wire_text in
+    let+ faults =
+      opt (oneof [ return K23_faults.Faults.none; map (fun fseed -> K23_faults.Faults.chaos ~fseed ()) nat ])
+    in
+    let items =
+      match (Gen.generate ~shapes:(Gen.all_shapes_for isa) ~isa (Rng.create ~seed)).Gen.items with
+      | Gen.X86 its -> Gen.X86 (its @ List.map (fun s -> K23_isa.Asm.Strz s) strz)
+      | Gen.A64 its -> Gen.A64 (its @ List.map (fun s -> K23_isa_arm.Asm_arm.Strz s) strz)
+    in
+    { Corpus.e_mech = mech; e_seed = seed; e_expect = expect; e_faults = faults; e_items = items }
+  in
+  QCheck.make gen ~print:Corpus.to_string
+
+let prop_corpus_roundtrip =
+  QCheck.Test.make ~name:"corpus: of_string (to_string e) = e" ~count:200 arb_entry (fun e ->
+      Corpus.of_string (Corpus.to_string e) = e)
+
 (* the ARM smoke invariant: the same conformance-safe mix, generated
    by the AArch64 backend, conforms under the ARM mechanism column *)
 let arm_world_cfg =
@@ -233,6 +267,7 @@ let tests =
       Alcotest.test_case "mitigation-off detected (P4a)" `Quick test_mitigation_off_detected;
       Alcotest.test_case "shrinker minimizes repro" `Quick test_shrink_minimizes;
       Alcotest.test_case "corpus round-trip" `Quick test_corpus_roundtrip;
+      QCheck_alcotest.to_alcotest prop_corpus_roundtrip;
       Alcotest.test_case "arm smoke: no divergence (safe shapes)" `Quick
         test_arm_smoke_no_divergence;
       Alcotest.test_case "arm svc-alias detected (P3a)" `Quick test_arm_svc_alias_detected;

@@ -72,8 +72,121 @@ let test_recording_truncation_rejected () =
   let s = Recording.to_string r in
   let cut = String.sub s 0 (String.length s - 40) in
   match Recording.of_string cut with
-  | exception Recording.Parse_error _ -> ()
+  | exception K23_util.Wire.Parse_error _ -> ()
   | _ -> Alcotest.fail "truncated recording parsed"
+
+(* a recording whose config could not run is rejected when it is read,
+   before any replay starts: zero cores divides by zero, negative cores
+   fail allocation, and a timeslice below one never returns *)
+let with_header key value text =
+  String.split_on_char '\n' text
+  |> List.map (fun l -> if String.starts_with ~prefix:(key ^ ": ") l then key ^ ": " ^ value else l)
+  |> String.concat "\n"
+
+let ls_text = lazy (Recording.to_string (record_ls Mech.Zpoline_ultra))
+
+let test_config_rejected key value () =
+  match Recording.of_string (with_header key value (Lazy.force ls_text)) with
+  | exception K23_util.Wire.Parse_error _ -> ()
+  | _ -> Alcotest.failf "recording with %s: %s parsed" key value
+
+(* parsers are total: a mutated corpus repro (checked in or generated)
+   or recording either parses or raises [Wire.Parse_error], never
+   another exception *)
+type mutation = Truncate of int | Overwrite of int * int * char | Delete_line of int | Dup_line of int
+
+let mutate text m =
+  let lines = String.split_on_char '\n' text in
+  let nth i = i mod List.length lines in
+  match m with
+  | Truncate i -> String.sub text 0 (i mod (String.length text + 1))
+  | Overwrite (line, col, c) ->
+    String.concat "\n"
+      (List.mapi
+         (fun j l ->
+           if j <> nth line || l = "" then l
+           else String.mapi (fun k x -> if k = col mod String.length l then c else x) l)
+         lines)
+  | Delete_line i -> String.concat "\n" (List.filteri (fun j _ -> j <> nth i) lines)
+  | Dup_line i ->
+    String.concat "\n" (List.concat (List.mapi (fun j l -> if j = nth i then [ l; l ] else [ l ]) lines))
+
+let mutation_to_string = function
+  | Truncate i -> Printf.sprintf "truncate %d" i
+  | Overwrite (l, c, ch) -> Printf.sprintf "overwrite %d:%d %C" l c ch
+  | Delete_line i -> Printf.sprintf "delete %d" i
+  | Dup_line i -> Printf.sprintf "dup %d" i
+
+let wire_inputs =
+  lazy
+    (let module Corpus = K23_fuzz.Corpus in
+     let module Gen = K23_fuzz.Gen in
+     let corpus name text = (name, text, fun t -> ignore (Corpus.of_string t)) in
+     let repros =
+       List.map
+         (fun (f, _) ->
+           corpus f (In_channel.with_open_bin (Filename.concat "corpus" f) In_channel.input_all))
+         (Corpus.load_dir "corpus")
+     in
+     let generated =
+       List.init 16 (fun seed ->
+           let isa = if seed mod 2 = 0 then K23_isa.Isa.X86_64 else K23_isa.Isa.Arm64 in
+           let prog = Gen.generate ~shapes:(Gen.all_shapes_for isa) ~isa (K23_util.Rng.create ~seed) in
+           corpus
+             (Printf.sprintf "generated %s seed %d" (K23_isa.Isa.to_string isa) seed)
+             (Corpus.to_string
+                {
+                  Corpus.e_mech = Mech.Sud;
+                  e_seed = seed;
+                  e_expect = "x";
+                  e_faults = None;
+                  e_items = prog.Gen.items;
+                }))
+     in
+     let recorded =
+       List.map
+         (fun m ->
+           ( Mech.to_string m ^ " recording",
+             Recording.to_string (record_ls m),
+             fun t -> ignore (Recording.of_string t) ))
+         [ Mech.Zpoline_ultra; Mech.Sud; Mech.Ptrace; Mech.Seccomp ]
+     in
+     Array.of_list (repros @ generated @ recorded))
+
+let wire_input i =
+  let inputs = Lazy.force wire_inputs in
+  inputs.(i mod Array.length inputs)
+
+let arb_mutated =
+  let open QCheck.Gen in
+  (* overwrites favour the bytes the format gives a meaning to *)
+  let byte =
+    frequency [ (3, oneofl [ '"'; '\\' ]); (2, oneofl [ '\n'; ':'; ' '; '#'; '-'; '0' ]); (1, char) ]
+  in
+  (* positions are uniform: [nat] favours small numbers, which would
+     keep the mutations in the first few header lines *)
+  let pos = int_bound (1 lsl 30) in
+  let mutation =
+    oneof
+      [
+        map (fun i -> Truncate i) pos;
+        map3 (fun l c b -> Overwrite (l, c, b)) pos pos byte;
+        map (fun i -> Delete_line i) pos;
+        map (fun i -> Dup_line i) pos;
+      ]
+  in
+  QCheck.make
+    (pair pos (list_size (int_range 1 4) mutation))
+    ~print:(fun (i, ms) ->
+      let name, _, _ = wire_input i in
+      name ^ ": " ^ String.concat ", " (List.map mutation_to_string ms))
+
+let prop_parsers_total =
+  QCheck.Test.make ~name:"corpus/recording parsers raise only Wire.Parse_error" ~count:5000
+    arb_mutated (fun (i, ms) ->
+      let _, text, parse = wire_input i in
+      (try parse (List.fold_left mutate text ms) with K23_util.Wire.Parse_error _ -> ());
+      true)
 
 (* the tentpole invariant: replaying a parsed recording re-drives the
    identical stream, console and fates *)
@@ -233,6 +346,11 @@ let tests =
       Alcotest.test_case "recording round-trip" `Quick test_recording_roundtrip;
       Alcotest.test_case "recording save/load" `Quick test_recording_save_load;
       Alcotest.test_case "truncated recording rejected" `Quick test_recording_truncation_rejected;
+      Alcotest.test_case "ncores: 0 rejected" `Quick (test_config_rejected "ncores" "0");
+      Alcotest.test_case "ncores: -3 rejected" `Quick (test_config_rejected "ncores" "-3");
+      Alcotest.test_case "quantum: 0 rejected" `Quick (test_config_rejected "quantum" "0");
+      Alcotest.test_case "quantum: -1 rejected" `Quick (test_config_rejected "quantum" "-1");
+      QCheck_alcotest.to_alcotest prop_parsers_total;
       Alcotest.test_case "replay identical (zpoline-ultra)" `Quick test_replay_identical_zpoline;
       Alcotest.test_case "replay identical (K23-ultra)" `Quick test_replay_identical_k23;
       Alcotest.test_case "tampered log diverges at cut" `Quick test_replay_detects_tampering;
