@@ -11,9 +11,10 @@
    EXPERIMENTS.md records the paper-vs-measured comparison in full.
 
    --jobs N shards the embarrassingly-parallel sweeps (table5, table6,
-   fuzz, parfuzz) across N domains via K23_par; every table is
-   byte-identical whatever N is.  parfuzz measures the jobs scaling
-   curve itself (--repeat N medians, --check for the CI gate). *)
+   table6-load, table6-chaos, fuzz, parfuzz) across N domains via
+   K23_par; every table is byte-identical whatever N is.  parfuzz
+   measures the jobs scaling curve itself (--repeat N medians, --check
+   for the CI gate). *)
 
 open K23_eval
 
@@ -21,6 +22,27 @@ let section title =
   Printf.printf "\n======================================================================\n";
   Printf.printf "%s\n" title;
   Printf.printf "======================================================================\n%!"
+
+(* Every BENCH_*.json artifact is written here. *)
+let write_artifact path text =
+  Out_channel.with_open_bin path (fun oc -> output_string oc text);
+  Printf.printf "wrote %s\n" path
+
+(* Median wall-clock seconds per call of [f], over [reps] samples of
+   [n] calls each, after the paper's drop-one-min/one-max rule (§6.2
+   methodology, applied to our own harness).  Wall time
+   (Unix.gettimeofday), not Sys.time: CPU time sums across domains and
+   would hide any parallel speedup. *)
+let median_wall ~reps ~n f =
+  let samples =
+    List.init reps (fun _ ->
+        let t0 = Unix.gettimeofday () in
+        for _ = 1 to n do
+          f ()
+        done;
+        (Unix.gettimeofday () -. t0) /. float_of_int n)
+  in
+  K23_util.Stats.median (K23_util.Stats.drop_outliers samples)
 
 let table2 () =
   section "Table 2 - unique syscall instructions logged by the offline phase";
@@ -70,37 +92,19 @@ let table6 ~runs ~jobs () =
 
 (* Open-loop latency campaign: p50/p99/p999 per mechanism (plus the
    mixed per-tenant row) from seeded Poisson arrivals, latency in
-   simulated cycles via the kernel's request stamps.  [--json <path>]
-   (or bare [--json] for BENCH_load.json) writes the machine-readable
-   record; deterministic per seed and byte-identical at any --jobs. *)
-let table6_load ~quick ~jobs ?json () =
-  section "table6-load - open-loop latency campaign (p50/p99/p999 per mechanism)";
-  let rep = Load.campaign ~quick ~jobs () in
-  print_string (Load.render rep);
-  match json with
-  | None -> ()
-  | Some path ->
-    let oc = open_out path in
-    output_string oc (Load.render_json rep);
-    close_out oc;
-    Printf.printf "wrote %s\n" path
-
-(* The chaos row: the same open-loop campaign with the deterministic
+   simulated cycles via the kernel's request stamps.  With a [faults]
+   plan it is the chaos row: the same campaign with the deterministic
    fault plane armed for the load phase (EINTR storms, short I/O,
-   EAGAIN, EMFILE, resets) and fault-tolerant servers/clients.  Tails
-   under faults are the robustness complement to table6-load's clean
-   tails; deterministic per seed and byte-identical at any --jobs. *)
-let table6_chaos ~quick ~jobs ?json () =
-  section "table6-chaos - open-loop latency campaign under fault injection";
-  let rep = Load.campaign ~quick ~jobs ~faults:(K23_faults.Faults.chaos ()) () in
+   EAGAIN, EMFILE, resets) and fault-tolerant servers/clients, the
+   robustness complement to the clean tails.  [--json <path>] (or
+   bare [--json] for BENCH_load.json / BENCH_chaos.json) writes the
+   machine-readable record; deterministic per seed and byte-identical
+   at any --jobs. *)
+let table6_load ~title ~faults ~quick ~jobs ?json () =
+  section title;
+  let rep = Load.campaign ~quick ~jobs ?faults () in
   print_string (Load.render rep);
-  match json with
-  | None -> ()
-  | Some path ->
-    let oc = open_out path in
-    output_string oc (Load.render_json rep);
-    close_out oc;
-    Printf.printf "wrote %s\n" path
+  Option.iter (fun path -> write_artifact path (Load.render_json rep)) json
 
 let startup () =
   section "E7 - startup window (syscalls before the preload library initialises)";
@@ -130,11 +134,7 @@ let simperf ~quick ?json () =
     if quick then Simperf.run ~quota:0.05 ~limit:50 () else Simperf.run ()
   in
   print_string (Simperf.render r);
-  match json with
-  | None -> ()
-  | Some path ->
-    Simperf.write_json r path;
-    Printf.printf "wrote %s\n" path
+  Option.iter (fun path -> write_artifact path (Simperf.render_json r)) json
 
 let ktrace ~quick () =
   section "ktrace - per-mechanism event/counter summaries (stress app)";
@@ -154,10 +154,9 @@ let seccomp () =
    domains), and what the generator's opcode and syscall distributions
    look like.  Timing stays in this harness — the campaign report
    itself is deterministic, and the harness asserts the sequential and
-   parallel reports render identical JSON.  Wall-clock time
-   (Unix.gettimeofday) rather than CPU time: Sys.time sums across
-   domains and would hide any parallel speedup.  The scaling curve and
-   its JSON artifact live in the [parfuzz] experiment. *)
+   parallel reports render identical JSON.  Wall-clock time, as in
+   [median_wall].  The scaling curve and its JSON artifact live in the
+   [parfuzz] experiment. *)
 let fuzz ~quick ~jobs () =
   let module F = K23_fuzz in
   section "fuzz - differential conformance fuzzer (throughput & coverage)";
@@ -193,9 +192,8 @@ let fuzz ~quick ~jobs () =
 
 (* The --jobs scaling curve: the same campaign at jobs = 1, 2, 4, 8,
    asserting every report renders byte-identical JSON.  [--repeat N]
-   runs each point N times and keeps the median after the paper's
-   drop-one-min/one-max outlier rule (§6.2 methodology, applied to our
-   own harness).  [--json <path>] writes BENCH_parfuzz.json;
+   runs each point N times and keeps the [median_wall].  [--json
+   <path>] writes BENCH_parfuzz.json;
    [--check] exits non-zero when the determinism or scaling floor is
    violated — the CI sanity gate. *)
 let parfuzz ~quick ~repeat ~check ~jobs ?json () =
@@ -209,18 +207,19 @@ let parfuzz ~quick ~repeat ~check ~jobs ?json () =
   let reference = ref None in
   let identical = ref true in
   let measure j =
-    let samples =
-      List.init (max 1 repeat) (fun _ ->
-          let t0 = Unix.gettimeofday () in
-          let r = F.Campaign.run ~jobs:j config in
-          let dt = Unix.gettimeofday () -. t0 in
-          let js = F.Campaign.render_json r in
-          (match !reference with
-          | None -> reference := Some (r, js)
-          | Some (_, ref_js) -> if js <> ref_js then identical := false);
-          dt)
+    let reports = ref [] in
+    let dt =
+      median_wall ~reps:(max 1 repeat) ~n:1 (fun () ->
+          reports := F.Campaign.run ~jobs:j config :: !reports)
     in
-    K23_util.Stats.median (K23_util.Stats.drop_outliers samples)
+    List.iter
+      (fun r ->
+        let js = F.Campaign.render_json r in
+        match !reference with
+        | None -> reference := Some (r, js)
+        | Some (_, ref_js) -> if js <> ref_js then identical := false)
+      (List.rev !reports);
+    dt
   in
   let curve = List.map (fun j -> (j, measure j)) jobs_list in
   let r = fst (Option.get !reference) in
@@ -236,33 +235,31 @@ let parfuzz ~quick ~repeat ~check ~jobs ?json () =
       Printf.printf "  %-6d %10.2f %12.1f %8.2fx\n" j dt (eps dt) (dt1 /. dt))
     curve;
   Printf.printf "\nreports byte-identical across all points: %b\n" !identical;
-  (match json with
-  | None -> ()
-  | Some path ->
-    let oc = open_out path in
-    Printf.fprintf oc
-      "{\n\
-      \  \"experiment\": \"parfuzz\",\n\
-      \  \"iters\": %d,\n\
-      \  \"oracle_runs\": %d,\n\
-      \  \"cores\": %d,\n\
-      \  \"repeat\": %d,\n\
-      \  \"reports_identical\": %b,\n\
-      \  \"curve\": [\n%s\n  ]\n\
-       }\n"
-      iters r.F.Campaign.r_runs
-      (Domain.recommended_domain_count ())
-      (max 1 repeat) !identical
-      (String.concat ",\n"
-         (List.map
-            (fun (j, dt) ->
-              Printf.sprintf
-                "    {\"jobs\": %d, \"wall_s\": %.3f, \"execs_per_sec\": %.1f, \
-                 \"speedup\": %.3f}"
-                j dt (eps dt) (dt1 /. dt))
-            curve));
-    close_out oc;
-    Printf.printf "wrote %s\n" path);
+  Option.iter
+    (fun path ->
+      write_artifact path
+        (Printf.sprintf
+           "{\n\
+           \  \"experiment\": \"parfuzz\",\n\
+           \  \"iters\": %d,\n\
+           \  \"oracle_runs\": %d,\n\
+           \  \"cores\": %d,\n\
+           \  \"repeat\": %d,\n\
+           \  \"reports_identical\": %b,\n\
+           \  \"curve\": [\n%s\n  ]\n\
+            }\n"
+           iters r.F.Campaign.r_runs
+           (Domain.recommended_domain_count ())
+           (max 1 repeat) !identical
+           (String.concat ",\n"
+              (List.map
+                 (fun (j, dt) ->
+                   Printf.sprintf
+                     "    {\"jobs\": %d, \"wall_s\": %.3f, \"execs_per_sec\": %.1f, \
+                      \"speedup\": %.3f}"
+                     j dt (eps dt) (dt1 /. dt))
+                 curve))))
+    json;
   if check then begin
     let failed = ref false in
     if not !identical then begin
@@ -297,17 +294,7 @@ let replay_bench ~quick ?json () =
      of ms and scheduler noise stops dominating the overhead ratio *)
   let batch = if quick then 5 else 20 in
   let register w = K23_apps.Coreutils.register_all w in
-  let median_of ?(n = 1) f =
-    let samples =
-      List.init reps (fun _ ->
-          let t0 = Unix.gettimeofday () in
-          for _ = 1 to n do
-            f ()
-          done;
-          (Unix.gettimeofday () -. t0) /. float_of_int n)
-    in
-    K23_util.Stats.median (K23_util.Stats.drop_outliers samples)
-  in
+  let median_of = median_wall ~reps in
   let apps = [ ("ls", Mech.Zpoline_ultra); ("ls", Mech.K23_ultra) ] in
   (* A. record overhead: plain run vs bounded ktrace ring vs full
      recording (unbounded sink + log assembly), each one session *)
@@ -373,7 +360,7 @@ let replay_bench ~quick ?json () =
   let replay_cfg = { live_cfg with F.Campaign.c_oracle = F.Campaign.Replay } in
   let out = ref None in
   let time_campaign cfg =
-    median_of (fun () -> out := Some (F.Campaign.run ~jobs:1 cfg))
+    median_of ~n:1 (fun () -> out := Some (F.Campaign.run ~jobs:1 cfg))
   in
   let live_s = time_campaign live_cfg in
   let live_json = F.Campaign.render_json (Option.get !out) in
@@ -387,96 +374,82 @@ let replay_bench ~quick ?json () =
     (float_of_int runs /. replay_s);
   Printf.printf "  reports byte-identical: %b\n" identical;
   if not identical then failwith "replay bench: live and replay oracle reports differ";
-  match json with
-  | None -> ()
-  | Some path ->
-    let oc = open_out path in
-    Printf.fprintf oc
-      "{\n\
-      \  \"experiment\": \"replay\",\n\
-      \  \"reps\": %d,\n\
-      \  \"record\": [\n%s\n  ],\n\
-      \  \"replay\": [\n%s\n  ],\n\
-      \  \"oracle\": {\"iters\": %d, \"oracle_runs\": %d, \"live_s\": %.3f, \
-       \"replay_s\": %.3f, \"live_execs_per_sec\": %.1f, \"replay_execs_per_sec\": %.1f, \
-       \"reports_identical\": %b}\n\
-       }\n"
-      reps
-      (String.concat ",\n"
-         (List.map
-            (fun (app, mech, events, plain_s, ktrace_s, record_s, _) ->
-              Printf.sprintf
-                "    {\"app\": \"%s\", \"mech\": \"%s\", \"events\": %d, \"plain_s\": %.4f, \
-                 \"ktrace_s\": %.4f, \"record_s\": %.4f, \"record_overhead\": %.3f}"
-                app (Mech.to_string mech) events plain_s ktrace_s record_s
-                (record_s /. plain_s))
-            record_rows))
-      (String.concat ",\n"
-         (List.map
-            (fun (app, mech, events, replay_s, record_s) ->
-              Printf.sprintf
-                "    {\"app\": \"%s\", \"mech\": \"%s\", \"events\": %d, \"replay_s\": %.4f, \
-                 \"events_per_sec\": %.1f, \"replay_vs_record\": %.3f}"
-                app (Mech.to_string mech) events replay_s
-                (float_of_int events /. replay_s)
-                (record_s /. replay_s))
-            replay_rows))
-      iters runs live_s replay_s
-      (float_of_int runs /. live_s)
-      (float_of_int runs /. replay_s)
-      identical;
-    close_out oc;
-    Printf.printf "wrote %s\n" path
+  Option.iter
+    (fun path ->
+      write_artifact path
+        (Printf.sprintf
+           "{\n\
+           \  \"experiment\": \"replay\",\n\
+           \  \"reps\": %d,\n\
+           \  \"record\": [\n%s\n  ],\n\
+           \  \"replay\": [\n%s\n  ],\n\
+           \  \"oracle\": {\"iters\": %d, \"oracle_runs\": %d, \"live_s\": %.3f, \
+            \"replay_s\": %.3f, \"live_execs_per_sec\": %.1f, \"replay_execs_per_sec\": %.1f, \
+            \"reports_identical\": %b}\n\
+            }\n"
+           reps
+           (String.concat ",\n"
+              (List.map
+                 (fun (app, mech, events, plain_s, ktrace_s, record_s, _) ->
+                   Printf.sprintf
+                     "    {\"app\": \"%s\", \"mech\": \"%s\", \"events\": %d, \"plain_s\": %.4f, \
+                      \"ktrace_s\": %.4f, \"record_s\": %.4f, \"record_overhead\": %.3f}"
+                     app (Mech.to_string mech) events plain_s ktrace_s record_s
+                     (record_s /. plain_s))
+                 record_rows))
+           (String.concat ",\n"
+              (List.map
+                 (fun (app, mech, events, replay_s, record_s) ->
+                   Printf.sprintf
+                     "    {\"app\": \"%s\", \"mech\": \"%s\", \"events\": %d, \"replay_s\": %.4f, \
+                      \"events_per_sec\": %.1f, \"replay_vs_record\": %.3f}"
+                     app (Mech.to_string mech) events replay_s
+                     (float_of_int events /. replay_s)
+                     (record_s /. replay_s))
+                 replay_rows))
+           iters runs live_s replay_s
+           (float_of_int runs /. live_s)
+           (float_of_int runs /. replay_s)
+           identical))
+    json
+
+(* [flag name args] takes the first [name VALUE] pair out of [args]:
+   [None] when [name] is absent, [Some None] when it ends the line. *)
+let flag name args =
+  let rec go acc = function
+    | [ x ] when x = name -> (Some None, List.rev acc)
+    | x :: v :: rest when x = name -> (Some (Some v), List.rev_append acc rest)
+    | x :: rest -> go (x :: acc) rest
+    | [] -> (None, List.rev acc)
+  in
+  go [] args
+
+(* [flag] for a positive count; exits 2 on a missing or bad value *)
+let count_flag name ~eg args =
+  match flag name args with
+  | None, args -> (None, args)
+  | Some (Some n), args -> (
+    match int_of_string_opt n with
+    | Some k when k >= 1 -> (Some k, args)
+    | _ ->
+      Printf.eprintf "%s: not a positive integer: %S\n" name n;
+      exit 2)
+  | Some None, _ ->
+    Printf.eprintf "%s requires a count (e.g. %s %d)\n" name name eg;
+    exit 2
 
 let () =
   let args = List.tl (Array.to_list Sys.argv) in
   let quick = List.mem "--quick" args in
   let check = List.mem "--check" args in
   let args = List.filter (fun a -> a <> "--quick" && a <> "--check") args in
-  let repeat, args =
-    let rec go acc = function
-      | [ "--repeat" ] ->
-        prerr_endline "--repeat requires a count (e.g. --repeat 5)";
-        exit 2
-      | "--repeat" :: n :: rest -> (
-        match int_of_string_opt n with
-        | Some k when k >= 1 -> (k, List.rev_append acc rest)
-        | _ ->
-          Printf.eprintf "--repeat: not a positive integer: %S\n" n;
-          exit 2)
-      | x :: rest -> go (x :: acc) rest
-      | [] -> (1, List.rev acc)
-    in
-    go [] args
-  in
-  let json, args =
-    let rec go acc = function
-      (* bare trailing --json: each experiment picks its default
-         artifact name (BENCH_load.json, BENCH_simperf.json, ...) *)
-      | [ "--json" ] -> (Some "", List.rev acc)
-      | "--json" :: path :: rest -> (Some path, List.rev_append acc rest)
-      | x :: rest -> go (x :: acc) rest
-      | [] -> (None, List.rev acc)
-    in
-    go [] args
-  in
-  let json_or default = match json with Some "" -> Some default | v -> v in
-  let jobs, args =
-    let rec go acc = function
-      | [ "--jobs" ] ->
-        prerr_endline "--jobs requires a count (e.g. --jobs 4)";
-        exit 2
-      | "--jobs" :: n :: rest -> (
-        match int_of_string_opt n with
-        | Some j when j >= 1 -> (Some j, List.rev_append acc rest)
-        | _ ->
-          Printf.eprintf "--jobs: not a positive integer: %S\n" n;
-          exit 2)
-      | x :: rest -> go (x :: acc) rest
-      | [] -> (None, List.rev acc)
-    in
-    go [] args
-  in
+  let repeat, args = count_flag "--repeat" ~eg:5 args in
+  let repeat = Option.value repeat ~default:1 in
+  (* bare trailing --json: each experiment picks its default artifact
+     name (BENCH_load.json, BENCH_simperf.json, ...) *)
+  let json, args = flag "--json" args in
+  let json_or default = Option.map (Option.value ~default) json in
+  let jobs, args = count_flag "--jobs" ~eg:4 args in
   let experiments =
     if args = [] then
       [
@@ -505,12 +478,15 @@ let () =
       | "parfuzz" -> parfuzz ~quick ~repeat ~check ~jobs ?json:(json_or "BENCH_parfuzz.json") ()
       | "replay" -> replay_bench ~quick ?json:(json_or "BENCH_replay.json") ()
       | "table6-load" ->
-        table6_load ~quick
+        table6_load
+          ~title:"table6-load - open-loop latency campaign (p50/p99/p999 per mechanism)"
+          ~faults:None ~quick
           ~jobs:(Option.value jobs ~default:1)
           ?json:(json_or "BENCH_load.json") ()
       | "table6-chaos" ->
-        table6_chaos ~quick
+        table6_load ~title:"table6-chaos - open-loop latency campaign under fault injection"
+          ~quick
           ~jobs:(Option.value jobs ~default:1)
-          ?json:(json_or "BENCH_chaos.json") ()
+          ~faults:(Some (K23_faults.Faults.chaos ())) ?json:(json_or "BENCH_chaos.json") ()
       | other -> Printf.eprintf "unknown experiment %S\n" other)
     experiments

@@ -35,6 +35,32 @@ let print_sym sym len =
 let exit_with code =
   [ Asm.I (Insn.Mov_ri (RDI, code)); Asm.Call_sym "exit" ]
 
+(** The resilient servers' retry snippets.  Backoff before a retry is
+    nanosleep(200); RSI must be 0, since the kernel stashes the wake
+    deadline in arg 1. *)
+let backoff_items =
+  [
+    Asm.I (Insn.Mov_ri (RDI, 200));
+    Asm.I (Insn.Mov_ri (RSI, 0));
+    Asm.Call_sym "nanosleep";
+  ]
+
+(** rax <= 0 after a read/write: jump to [retry] on EINTR/EAGAIN, give
+    the connection up (label [close_conn]) otherwise.  ECONNRESET also
+    retries: the fault plane injects it as errno noise on an intact
+    connection, so closing would orphan every later request the client
+    sends on it. *)
+let retry_or_close ~retry =
+  [
+    Asm.I (Insn.Cmp_ri (RAX, -Errno.eintr));
+    Asm.Jc (Insn.Z, retry);
+    Asm.I (Insn.Cmp_ri (RAX, -Errno.eagain));
+    Asm.Jc (Insn.Z, retry);
+    Asm.I (Insn.Cmp_ri (RAX, -Errno.econnreset));
+    Asm.Jc (Insn.Z, retry);
+    Asm.J "close_conn";
+  ]
+
 (** Host-function helpers. *)
 let ret (ctx : Kern.ctx) v = K23_machine.Regs.set ctx.thread.regs RAX v
 

@@ -33,29 +33,6 @@ let default ?(io_threads = 1) ?(resilient = false) () =
     resilient;
   }
 
-(* shared retry snippets for the resilient variant, mirroring
-   {!Webserver}: backoff is nanosleep(200) with RSI = 0 (arg 1 is the
-   kernel's wake-deadline stash slot) *)
-let backoff_items =
-  [
-    Asm.I (Insn.Mov_ri (RDI, 200));
-    Asm.I (Insn.Mov_ri (RSI, 0));
-    Asm.Call_sym "nanosleep";
-  ]
-
-let retry_or_close ~retry =
-  [
-    Asm.I (Insn.Cmp_ri (RAX, -K23_kernel.Errno.eintr));
-    Asm.Jc (Insn.Z, retry);
-    Asm.I (Insn.Cmp_ri (RAX, -K23_kernel.Errno.eagain));
-    Asm.Jc (Insn.Z, retry);
-    (* injected reset noise on an intact connection: retry, as in
-       {!Webserver.retry_or_close} *)
-    Asm.I (Insn.Cmp_ri (RAX, -K23_kernel.Errno.econnreset));
-    Asm.Jc (Insn.Z, retry);
-    Asm.J "close_conn";
-  ]
-
 let items cfg =
   [ Asm.Label "main" ]
   @ Appkit.init_sites cfg.init_site_count
@@ -122,13 +99,13 @@ let items cfg =
          Asm.I (Insn.Cmp_ri (RAX, 0));
          Asm.Jc (Insn.GT, "rq_got");
        ]
-       @ retry_or_close ~retry:"rq_retry"
+       @ Appkit.retry_or_close ~retry:"rq_retry"
        @ [
            Asm.Label "rq_retry";
            Asm.I (Insn.Sub_ri (R15, 1));
            Asm.Jc (Insn.LE, "close_conn");
          ]
-       @ backoff_items
+       @ Appkit.backoff_items
        @ [
            Asm.J "rq_read";
            Asm.Label "rq_got";
@@ -175,9 +152,9 @@ let items cfg =
          Asm.I (Insn.Cmp_ri (RAX, 0));
          Asm.Jc (Insn.GT, "wr_ok");
        ]
-       @ retry_or_close ~retry:"wr_retry"
+       @ Appkit.retry_or_close ~retry:"wr_retry"
        @ [ Asm.Label "wr_retry" ]
-       @ backoff_items
+       @ Appkit.backoff_items
        @ [
            Asm.J "wr_loop";
            Asm.Label "wr_ok";

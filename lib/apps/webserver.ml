@@ -80,30 +80,6 @@ let lighttpd ?(workers = 1) ?(file_size = 0) ?(resilient = false) () =
     resilient;
   }
 
-(* Backoff before a retry: nanosleep(200).  RSI must be 0 — the
-   kernel stashes the wake deadline in arg 1. *)
-let backoff_items =
-  [
-    Asm.I (Insn.Mov_ri (RDI, 200));
-    Asm.I (Insn.Mov_ri (RSI, 0));
-    Asm.Call_sym "nanosleep";
-  ]
-
-(* rax <= 0 after a read/write: jump to [retry] on EINTR/EAGAIN, give
-   the connection up otherwise.  ECONNRESET also retries: the fault
-   plane injects it as errno noise on an intact connection, so closing
-   would orphan every later request the client sends on it. *)
-let retry_or_close ~retry =
-  [
-    Asm.I (Insn.Cmp_ri (RAX, -Errno.eintr));
-    Asm.Jc (Insn.Z, retry);
-    Asm.I (Insn.Cmp_ri (RAX, -Errno.eagain));
-    Asm.Jc (Insn.Z, retry);
-    Asm.I (Insn.Cmp_ri (RAX, -Errno.econnreset));
-    Asm.Jc (Insn.Z, retry);
-    Asm.J "close_conn";
-  ]
-
 let op_items cfg = function
   | Read_req when cfg.resilient ->
     (* framed read: accumulate the fixed 64-byte request in r13,
@@ -122,13 +98,13 @@ let op_items cfg = function
       Asm.I (Insn.Cmp_ri (RAX, 0));
       Asm.Jc (Insn.GT, "rq_got");
     ]
-    @ retry_or_close ~retry:"rq_retry"
+    @ Appkit.retry_or_close ~retry:"rq_retry"
     @ [
         Asm.Label "rq_retry";
         Asm.I (Insn.Sub_ri (R15, 1));
         Asm.Jc (Insn.LE, "close_conn");
       ]
-    @ backoff_items
+    @ Appkit.backoff_items
     @ [
         Asm.J "rq_read";
         Asm.Label "rq_got";
@@ -166,9 +142,9 @@ let op_items cfg = function
       Asm.I (Insn.Cmp_ri (RAX, 0));
       Asm.Jc (Insn.GT, "wr_ok");
     ]
-    @ retry_or_close ~retry:"wr_retry"
+    @ Appkit.retry_or_close ~retry:"wr_retry"
     @ [ Asm.Label "wr_retry" ]
-    @ backoff_items
+    @ Appkit.backoff_items
     @ [
         Asm.J "wr_loop";
         Asm.Label "wr_ok";

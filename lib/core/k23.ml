@@ -108,7 +108,7 @@ let launch w ~variant ?inner ~path ?argv ?(env = []) () =
       (* P1b guard: an attempt to silently disable SUD-based
          interposition aborts the process (Section 5.2) *)
       stats.aborts <- stats.aborts + 1;
-      abort ctx ~why:"K23: attempt to disable SUD-based interposition (P1b)";
+      abort ctx;
       Emulate (Errno.ret Errno.eperm)
     end
     else begin

@@ -80,7 +80,7 @@ let online_tracer w ~(stats : stats) ~(handler : handler) ~lib_path () : tracer 
                loader (Section 5.3) *)
             if owner <> Interposer then begin
               stats.aborts <- stats.aborts + 1;
-              abort ctx ~why:"k23: fake handoff syscall from untrusted code";
+              abort ctx;
               `Skip (Errno.ret Errno.eperm)
             end
             else begin
@@ -89,9 +89,10 @@ let online_tracer w ~(stats : stats) ~(handler : handler) ~lib_path () : tracer 
               `Skip 0
             end
           else if nr = Sysno.k23_detach then
+            (* likewise for the fake detach syscall *)
             if owner <> Interposer then begin
               stats.aborts <- stats.aborts + 1;
-              abort ctx ~why:"k23: fake detach syscall from untrusted code";
+              abort ctx;
               `Skip (Errno.ret Errno.eperm)
             end
             else begin

@@ -137,35 +137,13 @@ let render_arm_study (x86, arm) =
 
 (* ------------------------------------------------------------------ *)
 
+(* the Table 5 slope ({!Micro.sample}), over its own seeds *)
 let seccomp_micro ?(runs = 6) () =
-  let open K23_userland in
-  let run_one ~seed ~iters ~interposed =
-    let w = Sim.create_world ~seed () in
-    ignore (Sim.register_app w ~path:Micro.app_path (Micro.app_items iters));
-    let p =
-      if interposed then (
-        match K23_baselines.Seccomp_interposer.launch w ~path:Micro.app_path () with
-        | Ok (p, _) -> p
-        | Error e -> failwith (string_of_int e))
-      else
-        match K23_kernel.World.spawn w ~path:Micro.app_path () with
-        | Ok p -> p
-        | Error e -> failwith (string_of_int e)
-    in
-    let core = (List.hd p.threads).K23_kernel.Kern.core in
-    let before = w.core_cycles.(core) in
-    K23_kernel.World.run_until_exit w p;
-    w.core_cycles.(core) - before
-  in
-  let per_iter ~seed ~interposed =
-    let lo = run_one ~seed ~iters:Micro.lo_iters ~interposed in
-    let hi = run_one ~seed ~iters:Micro.hi_iters ~interposed in
-    float_of_int (hi - lo) /. float_of_int (Micro.hi_iters - Micro.lo_iters)
-  in
   let samples =
     List.init runs (fun i ->
         let seed = 4_000 + (i * 3) in
-        per_iter ~seed ~interposed:true /. per_iter ~seed ~interposed:false)
+        Micro.cycles_per_iter ~mech:Mech.Seccomp ~seed
+        /. Micro.cycles_per_iter ~mech:Mech.Native ~seed)
   in
   let kept = K23_util.Stats.drop_outliers samples in
   (K23_util.Stats.geomean kept, K23_util.Stats.stddev_pct kept)

@@ -21,9 +21,9 @@
       so a heavyweight interposer on one tenant shows up in the
       others' tails.
 
-    Every (row, seed) pair is an independent {!K23_par.Run_spec} task:
-    results merge in submission order, so the report is byte-identical
-    at any [--jobs]. *)
+    Every (row, seed) pair is an independent cell of a
+    {!K23_par.Pool.grid}: each row folds its seeds in order, so the
+    report is byte-identical at any [--jobs]. *)
 
 open K23_kernel
 open K23_userland
@@ -31,7 +31,6 @@ module F = K23_faults.Faults
 module Stats = K23_util.Stats
 module Apps = K23_apps
 module K23 = K23_core.K23
-module Rs = K23_par.Run_spec
 
 type workload = Web | Redis
 
@@ -333,34 +332,17 @@ let assemble rs (outs : (string * tenant_out) list list) =
 
 let seeds runs = List.init runs (fun i -> 4_000 + (i * 17))
 
-(** Run the campaign: one Run-spec task per (row, seed), sharded over
-    [jobs] domains, merged in submission order — the report (and its
-    JSON rendering) is byte-identical whatever [jobs] is. *)
+(** Run the campaign: one {!run_one} per (row, seed) cell of a
+    {!K23_par.Pool.grid}, sharded over [jobs] domains.  Each row gets
+    its runs back in seed order, so the report (and its JSON
+    rendering) is byte-identical whatever [jobs] is. *)
 let campaign ?(quick = false) ?(jobs = 1) ?runs ?requests ?(specs = all_specs) ?faults () =
   let runs = match runs with Some r -> r | None -> if quick then 1 else 3 in
   let requests = match requests with Some r -> r | None -> if quick then 64 else 400 in
-  let tasks = List.concat_map (fun rs -> List.map (fun seed -> (rs, seed)) (seeds runs)) specs in
-  let rlist =
-    List.mapi
-      (fun idx (rs, seed) ->
-        (* the per-seed derived plan goes into the Run-spec world key
-           too, so a chaos task never shares a scratch world with a
-           clean one *)
-        let wcfg =
-          match faults with
-          | None -> World.Config.make ~quantum:8 ~seed ()
-          | Some p ->
-            World.Config.make ~quantum:8 ~seed ~faults:{ p with F.fseed = p.F.fseed + seed } ()
-        in
-        Rs.v ~world:wcfg ~mech:rs.rs_mech_label ~index:idx (fun () ->
-            run_one ~requests ~seed ?faults rs))
-      tasks
+  let outs =
+    K23_par.Pool.grid ~jobs (fun rs seed -> run_one ~requests ~seed ?faults rs) specs (seeds runs)
   in
-  let outs = List.map snd (Rs.run_all ~jobs rlist) in
-  (* regroup row-major: spec i owns outs [i*runs, (i+1)*runs) *)
-  let rows =
-    List.mapi (fun i rs -> assemble rs (List.filteri (fun j _ -> j / runs = i) outs)) specs
-  in
+  let rows = List.map2 assemble specs outs in
   {
     rep_quick = quick;
     rep_runs = runs;

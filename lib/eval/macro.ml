@@ -227,39 +227,19 @@ let assemble_row spec native mech_raws =
   in
   { spec; native_mean; cells }
 
-(** Benchmark one spec across all Table 6 mechanisms, sequentially. *)
-let bench_spec ?(runs = 5) spec =
-  assemble_row spec
-    (measure_cell ~runs spec None)
-    (List.map (fun m -> measure_cell ~runs spec (Some m)) Mech.table6_cols)
-
-(** Table 6, with one run-spec per (spec, column) cell — the native
-    column included.  Cells come back in submission order whatever
-    [jobs] is and the fold into rows is the same [assemble_row] the
-    sequential path uses, so the rendered table is identical. *)
+(** Table 6: one {!measure_cell} per (spec, column) cell of a
+    {!K23_par.Pool.grid}, the native column first.  Each row comes back
+    in column order whatever [jobs] is and folds through the same
+    [assemble_row] a sequential sweep would use, so the rendered table
+    is identical. *)
 let table6 ?(runs = 5) ?(specs = all_specs) ?(jobs = 1) () =
-  let module Rs = K23_par.Run_spec in
   let cols = None :: List.map Option.some Mech.table6_cols in
-  let cell_world = K23_kernel.World.Config.make ~quantum:8 ~seed:2_000 () in
-  let tasks = List.concat_map (fun spec -> List.map (fun m -> (spec, m)) cols) specs in
-  let rs =
-    List.mapi
-      (fun idx (spec, m) ->
-        Rs.v ~world:cell_world
-          ~mech:(match m with None -> "native" | Some m -> Mech.to_string m)
-          ~index:idx
-          (fun () -> measure_cell ~runs spec m))
-      tasks
-  in
-  let cells = List.map snd (Rs.run_all ~jobs rs) in
-  (* regroup row-major: spec i owns cells [i*ncols, (i+1)*ncols) *)
-  let ncols = List.length cols in
-  List.mapi
-    (fun i spec ->
-      match List.filteri (fun j _ -> j / ncols = i) cells with
+  List.map2
+    (fun spec -> function
       | native :: mech_raws -> assemble_row spec native mech_raws
       | [] -> assert false)
     specs
+    (K23_par.Pool.grid ~jobs (measure_cell ~runs) specs cols)
 
 let render rows =
   let buf = Buffer.create 2048 in

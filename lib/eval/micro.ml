@@ -86,26 +86,15 @@ let row_of_samples mech samples =
     measured sequentially. *)
 let overhead_row ?(runs = 10) mech = row_of_samples mech (List.init runs (sample ~mech))
 
-(** Table 5, with one run-spec per (row, repetition) pair.  Samples
-    come back in submission order whatever [jobs] is, so the rendered
-    table is byte-identical to the sequential sweep. *)
+(** Table 5: one {!sample} per (row, repetition) cell of a
+    {!K23_par.Pool.grid}.  The grid hands back each row's samples in
+    repetition order whatever [jobs] is, so the rendered table is
+    byte-identical to the sequential sweep. *)
 let table5 ?(runs = 10) ?(jobs = 1) () =
-  let module Rs = K23_par.Run_spec in
-  let specs =
-    List.concat_map
-      (fun mech ->
-        List.init runs (fun i ->
-            Rs.v
-              ~world:(K23_kernel.World.Config.make ~seed:(run_seed i) ())
-              ~mech:(Mech.to_string mech) ~index:i
-              (fun () -> sample ~mech i)))
-      Mech.table5_rows
+  let samples =
+    K23_par.Pool.grid ~jobs (fun mech i -> sample ~mech i) Mech.table5_rows (List.init runs Fun.id)
   in
-  let samples = List.map snd (Rs.run_all ~jobs specs) in
-  (* regroup row-major: row i owns samples [i*runs, (i+1)*runs) *)
-  List.mapi
-    (fun i mech -> row_of_samples mech (List.filteri (fun j _ -> j / runs = i) samples))
-    Mech.table5_rows
+  List.map2 row_of_samples Mech.table5_rows samples
 
 let render rows =
   let buf = Buffer.create 256 in

@@ -19,8 +19,8 @@
       spent budget: the fates show what was left [Running].
 
     Sites whose sequence really differs keep their own:
-    - [Micro.run_one] and [Contrast] read the root's core cycles
-      between the launch and the run;
+    - [Micro.run_one] reads the root's core cycles between the launch
+      and the run;
     - [Ktrace_summary] traces the offline phase too;
     - [Macro] and [Load] run servers, then a client against them;
     - [Startup_bench], and [k23 trace]'s legacy listing, launch with an

@@ -137,15 +137,15 @@ let render r =
        r.steps_per_sec r.steps_per_run);
   Buffer.contents buf
 
-let write_json r path =
-  let oc = open_out path in
-  Printf.fprintf oc "{\n  \"experiment\": \"simperf\",\n  \"ns_per_op\": {\n";
+let render_json r =
   let rows = List.filter (fun (_, est) -> not (Float.is_nan est)) r.ns_per_op in
-  List.iteri
-    (fun i (name, est) ->
-      Printf.fprintf oc "    %S: %.1f%s\n" name est
-        (if i = List.length rows - 1 then "" else ","))
-    rows;
-  Printf.fprintf oc "  },\n  \"step_loop\": { \"steps_per_run\": %d, \"steps_per_sec\": %.0f }\n}\n"
-    r.steps_per_run r.steps_per_sec;
-  close_out oc
+  Printf.sprintf
+    "{\n  \"experiment\": \"simperf\",\n  \"ns_per_op\": {\n%s  },\n\
+    \  \"step_loop\": { \"steps_per_run\": %d, \"steps_per_sec\": %.0f }\n}\n"
+    (String.concat ""
+       (List.mapi
+          (fun i (name, est) ->
+            Printf.sprintf "    %S: %.1f%s\n" name est
+              (if i = List.length rows - 1 then "" else ","))
+          rows))
+    r.steps_per_run r.steps_per_sec

@@ -2,8 +2,8 @@
 
     A fault {e plan} is pure data — a seed plus per-channel per-mille
     rates — so it can live inside {!K23_kernel.World.Config} and keep
-    worlds structurally hashable, Run-spec parallel-safe, and
-    byte-identical at any [--jobs].
+    every world a pure function of its config, byte-identical at any
+    [--jobs].
 
     Decisions are a pure function of [(fseed, nr, tick)] where [tick]
     counts {e fault-eligible} dispatches of syscall number [nr] in the

@@ -11,8 +11,8 @@
 
     Iterations are fully independent (each one builds fresh worlds
     from [c_world]), so {!run} shards them across a domain pool when
-    [~jobs] is above 1: one run-spec per iteration, results merged in
-    iteration order, shrinking kept sequential in the merge phase.
+    [~jobs] is above 1: results come back in iteration order, and
+    shrinking stays sequential in the merge phase.
     The report is byte-identical whatever [jobs] is — dune runtest
     pins [--jobs 1] against [--jobs 4] on the CLI's JSON output. *)
 
@@ -43,7 +43,7 @@ type config = {
   c_mechs : Mech.t list;
   c_shapes : Gen.shape list;
   c_minimize : bool;  (** shrink each divergence to a minimal repro *)
-  c_world : World.Config.t;  (** recipe for every oracle world (the run-spec key) *)
+  c_world : World.Config.t;  (** recipe for every oracle world *)
   c_max_steps : int;
   c_oracle : oracle_mode;
 }
@@ -157,46 +157,27 @@ let gen_native config i : Gen.prog * Oracle.projected =
     is byte-identical for every value of [jobs] — dune runtest pins
     [--jobs 1] against [--jobs 4] on the CLI's JSON output. *)
 let run ?(on_finding = fun (_ : finding) -> ()) ?(jobs = 1) config =
-  (* phase A: one run-spec per iteration — generate + native column *)
-  let gen_specs =
-    List.init config.c_iters (fun i ->
-        K23_par.Run_spec.v ~world:(iter_world config i) ~mech:"native" ~index:i (fun () ->
-            gen_native config i))
-  in
-  let natives = Array.of_list (List.map snd (K23_par.Run_spec.run_all ~jobs gen_specs)) in
-  (* phase B: one run-spec per (iteration × mechanism); [diverges
-     ~native] reuses phase A's projection instead of re-running it *)
-  let mechs = Array.of_list config.c_mechs in
-  let nmechs = Array.length mechs in
-  let cmp_specs =
-    List.concat
-      (List.init config.c_iters (fun i ->
-           let prog, native = natives.(i) in
-           List.map
-             (fun mech ->
-               K23_par.Run_spec.v ~world:(iter_world config i) ~mech:(Mech.to_string mech)
-                 ~index:i (fun () ->
-                   Oracle.diverges ~cfg:(iter_world config i) ~max_steps:config.c_max_steps
-                     ~native ~mech prog.Gen.items))
-             config.c_mechs))
-  in
-  (* chunk = one iteration's mechanism row: a single queue claim per
-     iteration, and consecutive compares share the domain's scratch
-     world while it is cache-hot *)
-  let cmp =
-    Array.of_list
-      (List.map snd (K23_par.Run_spec.run_all ~jobs ~chunk:(max 1 nmechs) cmp_specs))
+  (* phase A: generate + native column, one task per iteration *)
+  let natives = K23_par.Pool.map ~jobs (gen_native config) (List.init config.c_iters Fun.id) in
+  (* phase B: one (iteration x mechanism) grid cell per compare;
+     [diverges ~native] reuses phase A's projection instead of
+     re-running it.  chunk = one iteration's mechanism row: a single
+     queue claim per iteration, and consecutive compares share the
+     domain's scratch world while it is cache-hot *)
+  let divs =
+    K23_par.Pool.grid ~jobs
+      ~chunk:(max 1 (List.length config.c_mechs))
+      (fun (i, (prog, native)) mech ->
+        Oracle.diverges ~cfg:(iter_world config i) ~max_steps:config.c_max_steps ~native ~mech
+          prog.Gen.items
+        |> Option.map (fun d -> (mech, d)))
+      (List.mapi (fun i n -> (i, n)) natives)
+      config.c_mechs
   in
   let outs =
-    List.init config.c_iters (fun i ->
-        let prog, _ = natives.(i) in
-        let divs = ref [] in
-        for j = nmechs - 1 downto 0 do
-          match cmp.((i * nmechs) + j) with
-          | None -> ()
-          | Some d -> divs := (mechs.(j), d) :: !divs
-        done;
-        { io_prog = prog; io_divs = !divs })
+    List.map2
+      (fun (prog, _) row -> { io_prog = prog; io_divs = List.filter_map Fun.id row })
+      natives divs
   in
   (* sequential merge, in (iteration, mechanism) order: counts,
      findings, shrinking *)

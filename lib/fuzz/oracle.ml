@@ -77,8 +77,7 @@ let default_world_seed = 97
 let default_max_steps = 3_000_000
 
 (** The oracle's world recipe: the fixed fuzz seed over the default
-    configuration.  Campaigns carry (and may override) this record —
-    it is the [k_world] half of every run-spec's key. *)
+    configuration.  Campaigns carry (and may override) this record. *)
 let default_world_cfg = { World.Config.default with World.Config.seed = default_world_seed }
 
 (* Register the target and the execve helper. *)

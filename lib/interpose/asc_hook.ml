@@ -84,7 +84,7 @@ let alloc_near (p : proc) ~near ~len =
 
 (** Build, map and wire one trampoline slab serving [sites] (addresses
     of svc-pattern words inside one region), then atomically patch each
-    reachable site.  Returns the number of sites actually patched. *)
+    reachable site. *)
 let install_slab (ctx : ctx) (cfg : config) ~region_name sites =
   let th = ctx.thread in
   let p = th.t_proc in
@@ -154,7 +154,6 @@ let install_slab (ctx : ctx) (cfg : config) ~region_name sites =
     };
   charge w th 800;
   (* the patches themselves: one aligned store per site *)
-  let patched = ref 0 in
   Array.iteri
     (fun i site ->
       let slot = base + (i * slot_len) in
@@ -169,11 +168,9 @@ let install_slab (ctx : ctx) (cfg : config) ~region_name sites =
         | Some perm -> Memory.set_perm p.mem ~addr:site ~len:4 ~perm
         | None -> ());
         code_write_barrier w ~addr:site ~len:4;
-        charge w th 400;
-        incr patched
+        charge w th 400
       end)
-    sites;
-  !patched
+    sites
 
 (** Patch every svc-pattern word of every scannable region.  Site
     discovery {e is} the offline validation: on a fixed-width ISA the
@@ -188,10 +185,8 @@ let patch_all (ctx : ctx) (cfg : config) =
       match Arm.raw_svc_pattern_sites bytes ~base:r.r_start with
       | [] -> ()
       | sites ->
-        let n = install_slab ctx cfg ~region_name:r.r_name sites in
-        Kern.ktrace_count w "asc.patch";
-        if w.trace then
-          Printf.eprintf "[asc-hook] %s: %d/%d sites patched\n%!" r.r_name n (List.length sites))
+        install_slab ctx cfg ~region_name:r.r_name sites;
+        Kern.ktrace_count w "asc.patch")
     (scannable_regions p)
 
 let image ~handler ~stats () : image =

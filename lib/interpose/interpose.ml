@@ -52,9 +52,7 @@ let counting_handler ?inner stats : handler =
 
 (** Abort the target process (SIGABRT), as K23/zpoline do on failed
     runtime checks. *)
-let abort ctx ~why =
-  if ctx.world.trace then Printf.eprintf "[interpose] abort pid %d: %s\n%!" ctx.thread.t_proc.pid why;
-  kill_proc ctx.thread.t_proc ~signal:6
+let abort ctx = kill_proc ctx.thread.t_proc ~signal:6
 
 (** Add a library to LD_PRELOAD in an environment list. *)
 let add_preload env path =
@@ -125,8 +123,9 @@ let tramp_pre (cfg : config) (ctx : ctx) =
   | Some check ->
     charge w th cfg.null_check_cost;
     if not (check ctx ~site) then begin
+      (* a call into the trampoline from a site the check does not know *)
       cfg.stats.aborts <- cfg.stats.aborts + 1;
-      abort ctx ~why:(Printf.sprintf "%s: call into trampoline from unknown site %#x" cfg.cfg_name site)
+      abort ctx
     end
   | None -> ());
   if proc_dead p then ()
@@ -291,7 +290,7 @@ let sigsys_pre (cfg : config) ~(im : image Lazy.t) ?(on_sigsys = fun _ ~site:_ ~
   let w = ctx.world in
   charge w th (cfg.pre_cost + 40);
   match th.frames with
-  | [] -> abort ctx ~why:"sigsys_pre outside signal handler"
+  | [] -> abort ctx (* sigsys_pre outside a signal handler *)
   | frame :: _ ->
     let nr = frame.fr_sysno and site = frame.fr_site and args = frame.fr_args in
     set_selector th cfg selector_allow;
@@ -321,7 +320,7 @@ let sigsys_post (cfg : config) (ctx : ctx) =
   let th = ctx.thread in
   charge ctx.world th cfg.post_cost;
   match th.frames with
-  | [] -> abort ctx ~why:"sigsys_post outside signal handler"
+  | [] -> abort ctx (* sigsys_post outside a signal handler *)
   | frame :: _ ->
     (* store the result into the saved context; the saved rip already
        points past the trapping instruction, so sigreturn resumes

@@ -1,7 +1,7 @@
 (** The ISA as a first-class, pure-data parameter.
 
-    Everything that keys worlds — [World.Config], Run-spec sharding,
-    corpus entries, recordings — carries one of these.  It is a plain
+    Everything that describes a world — [World.Config], corpus
+    entries, recordings — carries one of these.  It is a plain
     variant (no functions, no modules) so structural equality,
     [Hashtbl.hash] and the text wire formats keep working unchanged;
     behavioural dispatch happens with [match] at the few ABI seams

@@ -200,7 +200,6 @@ and world = {
   rng : Rng.t;
   quantum : int;
   mutable steps : int;
-  mutable trace : bool;  (** print a line per syscall (debugging) *)
   mutable aslr : bool;
   mutable sud_ever_armed : bool;
   mutable ktrace : K23_obs.Trace.t option;
@@ -250,8 +249,7 @@ let sigsys = 31
 (* ------------------------------------------------------------------ *)
 (* World construction                                                  *)
 
-let create_world ?(isa = K23_isa.Isa.X86_64) ?(ncores = 12) ?(quantum = 64) ?(seed = 23)
-    ?(aslr = true) ?(cost = Cost.default) ?(predecode = true) () =
+let create_world ~isa ~ncores ~quantum ~seed ~aslr ~(cost : Cost.model) ~predecode =
   let rng = Rng.create ~seed in
   (* per-run machine-state skew (~±0.7% on the kernel path): repeated
      runs with different seeds show realistic standard deviations *)
@@ -275,7 +273,6 @@ let create_world ?(isa = K23_isa.Isa.X86_64) ?(ncores = 12) ?(quantum = 64) ?(se
     rng;
     quantum;
     steps = 0;
-    trace = false;
     aslr;
     sud_ever_armed = false;
     ktrace = None;
@@ -805,19 +802,13 @@ let note_syscall (w : world) (th : thread) ~nr ~site ~args =
       ktrace_count w "sys.startup"
     end;
     ktrace_count w ("sys.nr." ^ string_of_int nr));
-  (* one event serves both consumers: the structured ring and the
-     legacy [w.trace] stderr line (same bytes as the historical
-     Printf, now produced by the ktrace renderer) *)
-  match (w.ktrace, w.trace) with
-  | None, false -> ()
-  | kt, tr ->
-    let ev =
-      K23_obs.Event.make ~cycles:w.core_cycles.(th.core) ~pid:p.pid ~tid:th.tid
-        (K23_obs.Event.Syscall_enter
-           { nr; site; owner = owner_to_string owner; args = Array.copy args })
-    in
-    (match kt with Some t -> K23_obs.Trace.push t ev | None -> ());
-    if tr then Printf.eprintf "%s\n%!" (K23_obs.Render.human_event ~namer:Sysno.name ev)
+  match w.ktrace with
+  | None -> ()
+  | Some t ->
+    K23_obs.Trace.push t
+      (K23_obs.Event.make ~cycles:w.core_cycles.(th.core) ~pid:p.pid ~tid:th.tid
+         (K23_obs.Event.Syscall_enter
+            { nr; site; owner = owner_to_string owner; args = Array.copy args }))
 
 (** Per-thread selector slot.  Real interposers keep the SUD selector
     byte in TLS so each thread toggles its own; we model TLS with a
@@ -1070,21 +1061,14 @@ let switch_address_space (w : world) (th : thread) =
     w.core_resident.(th.core) <- th.t_proc.pid
   end
 
-(** Record a fault-class trap ({!Cpu.trap_name} keys the counter) and
-    reproduce the historical [w.trace] stderr line via the renderer. *)
+(** Record a fault-class trap ({!Cpu.trap_name} keys the counter). *)
 let emit_trap_event (w : world) (th : thread) trap payload =
   ktrace_count w ("trap." ^ Cpu.trap_name trap);
-  match (w.ktrace, w.trace) with
-  | None, false -> ()
-  | kt, tr ->
-    let ev =
-      K23_obs.Event.make ~cycles:w.core_cycles.(th.core) ~pid:th.t_proc.pid ~tid:th.tid payload
-    in
-    (match kt with Some t -> K23_obs.Trace.push t ev | None -> ());
-    if tr then (
-      match payload with
-      | K23_obs.Event.Fault { access = "BP"; _ } -> () (* int3 was never traced *)
-      | _ -> Printf.eprintf "%s\n%!" (K23_obs.Render.human_event ev))
+  match w.ktrace with
+  | None -> ()
+  | Some t ->
+    K23_obs.Trace.push t
+      (K23_obs.Event.make ~cycles:w.core_cycles.(th.core) ~pid:th.t_proc.pid ~tid:th.tid payload)
 
 let step_thread (w : world) (th : thread) =
   switch_address_space w th;

@@ -192,10 +192,14 @@ let do_open (w : world) (th : thread) path flags =
          resolves against *)
       alloc_fd p (Fd_file { file = Vfs.pseudo_file ""; pos = 0; path })
     else
+      let trunc = flags land o_trunc <> 0 && flags land o_wronly <> 0 in
       match Vfs.open_file w.vfs path with
       | Error e -> vfs_err e
+      | Ok _ when trunc && Vfs.path_immutable w.vfs path ->
+        (* a sealed log is as immutable to O_TRUNC as to write/ftruncate *)
+        Errno.ret Errno.eperm
       | Ok f ->
-        if flags land o_trunc <> 0 && flags land o_wronly <> 0 then ignore (Vfs.truncate f 0);
+        if trunc then ignore (Vfs.truncate f 0);
         alloc_fd p (Fd_file { file = f; pos = 0; path }))
 
 (* ------------------------------------------------------------------ *)

@@ -4,14 +4,10 @@
 
 open Kern
 
-(** The complete recipe for one world, as a plain record.
-
-    This is the unit of work of the domain pool ({!K23_par}): every
-    run-spec embeds a [Config.t], two equal configs (plus equal
-    programs) produce byte-identical worlds, and the record is
-    structurally hashable/serialisable — so it doubles as the task
-    descriptor that campaign reports and caches key on.  Prefer
-    {!create_cfg} over the legacy optional-argument {!create}. *)
+(** The complete recipe for one world, as a plain record: two equal
+    configs (plus equal programs) produce byte-identical worlds, which
+    is what lets the domain pool ({!K23_par}) shard seeded runs, and
+    recordings and corpus repros carry it as wire fields. *)
 module Config = struct
   type t = {
     isa : K23_isa.Isa.t;  (** instruction set of every image this world loads *)
@@ -20,7 +16,6 @@ module Config = struct
     seed : int;  (** world RNG seed: ASLR draws + cost skew *)
     aslr : bool;
     cost : K23_machine.Cost.model;
-    ktrace : bool;  (** enable the ktrace ring at creation *)
     predecode : bool;  (** per-line decode memo in every I-cache *)
     faults : K23_faults.Faults.plan;  (** fault-injection schedule; {!K23_faults.Faults.none} = off *)
   }
@@ -33,7 +28,6 @@ module Config = struct
       seed = 23;
       aslr = true;
       cost = K23_machine.Cost.default;
-      ktrace = false;
       predecode = true;
       faults = K23_faults.Faults.none;
     }
@@ -42,18 +36,12 @@ module Config = struct
       optional-argument world constructors. *)
   let make ?(isa = default.isa) ?(ncores = default.ncores) ?(quantum = default.quantum)
       ?(seed = default.seed) ?(aslr = default.aslr) ?(cost = default.cost)
-      ?(ktrace = default.ktrace) ?(predecode = default.predecode) ?(faults = default.faults) () =
-    { isa; ncores; quantum; seed; aslr; cost; ktrace; predecode; faults }
-
-  (* every field is immutable ints/bools, so structural equality and
-     the polymorphic hash are exact *)
-  let equal (a : t) (b : t) = a = b
-  let hash (t : t) = Hashtbl.hash t
+      ?(predecode = default.predecode) ?(faults = default.faults) () =
+    { isa; ncores; quantum; seed; aslr; cost; predecode; faults }
 
   (** The config as wire fields ({!K23_util.Wire}), the header lines a
       recording carries.  [isa] is emitted only off x86, so every x86
-      artifact keeps its pre-ISA bytes; [ktrace] is not carried (the
-      recorder and replayer own their sink). *)
+      artifact keeps its pre-ISA bytes. *)
   let to_fields c =
     (match c.isa with
     | K23_isa.Isa.X86_64 -> []
@@ -80,7 +68,6 @@ module Config = struct
       if n < 1 then Wire.fail "%s must be at least 1: %d" k n else n
     in
     {
-      default with
       isa = get "isa" (Wire.value "isa" K23_isa.Isa.of_string) default.isa;
       ncores = get "ncores" (positive "ncores") default.ncores;
       quantum = get "quantum" (positive "quantum") default.quantum;
@@ -90,10 +77,6 @@ module Config = struct
       cost = get "cost" (Wire.value "cost model" K23_machine.Cost.of_string) default.cost;
       faults = get "faults" (Wire.value "fault plan" K23_faults.Faults.of_string) default.faults;
     }
-
-  (** Deterministic one-line key, stable across processes (unlike
-      [hash] it is readable in reports): {!to_fields} as [k=v] words. *)
-  let to_string c = String.concat " " (List.map (fun (k, v) -> k ^ "=" ^ v) (to_fields c))
 end
 
 (* The wiring shared by {!create_cfg} and {!reset}: dispatch hooks,
@@ -116,8 +99,7 @@ let wire (w : world) (cfg : Config.t) =
   ignore (Vfs.write_file w.vfs "/etc/ld.so.cache" "ld.so cache\n");
   ignore (Vfs.write_file w.vfs "/etc/hostname" "sim\n");
   w.faults <- (if K23_faults.Faults.enabled cfg.faults then Some cfg.faults else None);
-  Hashtbl.reset w.fault_ticks;
-  if cfg.ktrace then ignore (ktrace_enable w)
+  Hashtbl.reset w.fault_ticks
 
 (** Create a fully wired world from a {!Config.t}: syscall dispatch,
     execve, the dynamic linker, the vdso and a minimal filesystem
@@ -125,7 +107,7 @@ let wire (w : world) (cfg : Config.t) =
 let create_cfg (cfg : Config.t) =
   let w =
     create_world ~isa:cfg.isa ~ncores:cfg.ncores ~quantum:cfg.quantum ~seed:cfg.seed
-      ~aslr:cfg.aslr ~cost:cfg.cost ~predecode:cfg.predecode ()
+      ~aslr:cfg.aslr ~cost:cfg.cost ~predecode:cfg.predecode
   in
   wire w cfg;
   w
@@ -169,7 +151,6 @@ let reset (w : world) (cfg : Config.t) =
   w.syscall_impl <- None;
   w.execve_impl <- None;
   w.steps <- 0;
-  w.trace <- false;
   w.aslr <- cfg.aslr;
   w.sud_ever_armed <- false;
   w.ktrace <- None;

@@ -2,10 +2,7 @@
     machine-readable JSON stream.
 
     [namer] maps syscall numbers to names (the kernel passes
-    [Sysno.name]); the default prints raw numbers.  The human format
-    for [Syscall_enter] reproduces the simulator's historical
-    [w.trace] stderr line byte-for-byte, so routing the legacy debug
-    path through this renderer changed no CLI output.
+    [Sysno.name]); the default prints raw numbers.
 
     JSON is emitted by hand (fixed key order, no dependency): every
     value is an int or an escaped string, so a seeded run renders to a

@@ -25,7 +25,11 @@
     down — is that nothing observable depends on domain scheduling.
 
     Tasks must not share mutable state; the simulator's audit
-    (DESIGN.md §4f) keeps the tree free of domain-visible globals. *)
+    (DESIGN.md §4f) keeps the tree free of domain-visible globals.
+
+    Every sweep in the tree (Tables 5 and 6, the load campaign, both
+    phases of a fuzz campaign) fans out and folds back through {!map}
+    or {!grid}: no caller regroups a flat result list itself. *)
 
 (** Natural parallelism of the host ([Domain.recommended_domain_count],
     which accounts for the machine's cores). *)
@@ -87,6 +91,19 @@ let map ~jobs ?(chunk = 1) (f : 'a -> 'b) (tasks : 'a list) : 'b list =
         match results.(i) with Some (Ok v) -> v | Some (Error _) | None -> assert false)
   end
 
-(** [mapi] with the task index, same ordering/exception contract. *)
-let mapi ~jobs ?chunk f tasks =
-  map ~jobs ?chunk (fun (i, t) -> f i t) (List.mapi (fun i t -> (i, t)) tasks)
+(** [grid ~jobs ?chunk f rows cols] is the sweep engine: one task
+    [f row col] per cell of the [rows] x [cols] grid, submitted
+    row-major to {!map}, and the results folded back into one list per
+    row, cells in [cols] order.  {!map}'s contract carries over: the
+    rows do not depend on [jobs] or [chunk], and when several cells
+    raise, the first one in row-major order wins.  [~chunk:(List.length
+    cols)] claims one row per queue pop. *)
+let grid ~jobs ?chunk f rows cols =
+  let cells =
+    Array.of_list
+      (map ~jobs ?chunk
+         (fun (r, c) -> f r c)
+         (List.concat_map (fun r -> List.map (fun c -> (r, c)) cols) rows))
+  in
+  let ncols = List.length cols in
+  List.mapi (fun i _ -> Array.to_list (Array.sub cells (i * ncols) ncols)) rows

@@ -1,7 +1,7 @@
 (** Per-domain scratch-world cache.
 
     Building a fully wired world is cheap but not free, and under the
-    domain pool every run-spec used to pay it.  This cache keeps {e one}
+    domain pool every task used to pay it.  This cache keeps {e one}
     world per domain (via [Domain.DLS], so no locking and no
     cross-domain sharing — the seed-determinism audit of DESIGN.md §4f
     stays intact) and recycles it between runs with an in-place reset
@@ -21,17 +21,10 @@ open K23_kernel
 type slot = {
   mutable world : Kern.world option;
   mutable in_use : bool;  (** re-entrancy guard: nested calls build fresh *)
-  mutable hits : int;
-  mutable misses : int;
 }
 
 let slot_key : slot Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> { world = None; in_use = false; hits = 0; misses = 0 })
-
-(** [(hits, misses)] of the calling domain's slot — bench visibility. *)
-let stats () =
-  let s = Domain.DLS.get slot_key in
-  (s.hits, s.misses)
+  Domain.DLS.new_key (fun () -> { world = None; in_use = false })
 
 (** Run [f] with a world observably equal to [build cfg], reusing the
     domain's cached world when possible.  The world must not escape
@@ -51,16 +44,8 @@ let with_world ~(build : World.Config.t -> Kern.world)
           | Some w
             when w.Kern.ncores = cfg.World.Config.ncores
                  && w.Kern.quantum = cfg.World.Config.quantum -> (
-            match reset w cfg with
-            | () ->
-              s.hits <- s.hits + 1;
-              w
-            | exception _ ->
-              s.misses <- s.misses + 1;
-              build cfg)
-          | _ ->
-            s.misses <- s.misses + 1;
-            build cfg
+            match reset w cfg with () -> w | exception _ -> build cfg)
+          | _ -> build cfg
         in
         s.world <- Some w;
         f w)

@@ -12,12 +12,11 @@
     in both, so a recording of a faulty run replays the same dice. *)
 
 module Session = K23_eval.Session
-open K23_kernel
 
 let default_max_steps = 200_000_000
 
 (** Record one run of [path] under [mech] in [w], a world built (or
-    reset) from [cfg] with ktrace off and the app(s) installed: the
+    reset) from [cfg] with the app(s) installed: the
     coreutils for the CLI, the generated program for fuzz.  [argv]
     defaults to the mechanism's own convention.  Returns [Error e]
     when the mechanism fails to launch. *)
@@ -30,7 +29,7 @@ let record ?(max_steps = default_max_steps) ?(argv = []) ~cfg w ~mech ~path =
         Recording.rc_app = path;
         rc_argv = argv;
         rc_mech = mech;
-        rc_cfg = { cfg with World.Config.ktrace = false };
+        rc_cfg = cfg;
         rc_root = s.Session.root;
         rc_console = s.Session.console;
         rc_fates = s.Session.fates;

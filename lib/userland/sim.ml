@@ -11,8 +11,7 @@ let populate w =
   ignore (Vfs.write_file w.vfs "/usr/lib/locale/locale-archive" (String.make 1024 'L'))
 
 (** A wired world with libc, the stub libraries, and the files the
-    startup sequence touches, built from a {!World.Config.t} — the
-    run-spec form used by the domain pool ({!K23_par}). *)
+    startup sequence touches, built from a {!World.Config.t}. *)
 let create_world_cfg cfg =
   let w = World.create_cfg cfg in
   populate w;
@@ -27,9 +26,8 @@ let reset_world_cfg w cfg =
   populate w
 
 (** Legacy optional-argument constructor (thin wrapper). *)
-let create_world ?isa ?ncores ?quantum ?seed ?aslr ?cost ?ktrace ?predecode () =
-  create_world_cfg
-    (World.Config.make ?isa ?ncores ?quantum ?seed ?aslr ?cost ?ktrace ?predecode ())
+let create_world ?isa ?ncores ?quantum ?seed ?aslr ?cost ?predecode () =
+  create_world_cfg (World.Config.make ?isa ?ncores ?quantum ?seed ?aslr ?cost ?predecode ())
 
 (** Define and register an application binary.
 

@@ -1,7 +1,9 @@
 (* Evaluation-harness sanity: the headline shapes of Tables 2 and 5
-   must hold on every test run (full repetitions live in bench/). *)
+   must hold on every test run (full repetitions live in bench/), and
+   Table 6's sharded sweep must fold into the sequential table. *)
 
 module Micro = K23_eval.Micro
+module Macro = K23_eval.Macro
 module Mech = K23_eval.Mech
 module OC = K23_eval.Offline_counts
 
@@ -44,6 +46,33 @@ let test_table2_server_counts () =
       Alcotest.(check int) name (List.assoc name measured) (OC.app_spec_sites spec))
     OC.server_specs
 
+(* a two-row Table 6 renders the same bytes whatever [jobs] is, and
+   the same as rows folded by hand from the per-run measurements: the
+   native column at each run seed, every mechanism at seed + 1 *)
+let test_table6_fanout () =
+  let specs =
+    List.map
+      (fun s -> { s with Macro.rounds = 2 })
+      [ Macro.lighttpd ~workers:1 ~kb:0; Macro.redis ~io_threads:1 ]
+  in
+  let runs = 2 in
+  let table jobs = Macro.render (Macro.table6 ~runs ~specs ~jobs ()) in
+  let by_hand =
+    let seeds = Macro.run_seeds runs in
+    Macro.render
+      (List.map
+         (fun spec ->
+           Macro.assemble_row spec
+             (List.map (fun seed -> Macro.run_spec spec Mech.Native ~seed) seeds)
+             (List.map
+                (fun m -> List.map (fun seed -> Macro.run_spec spec m ~seed:(seed + 1)) seeds)
+                Mech.table6_cols))
+         specs)
+  in
+  let j1 = table 1 in
+  Alcotest.(check string) "jobs=1 == rows folded by hand" by_hand j1;
+  Alcotest.(check string) "jobs=3 == jobs=1" j1 (table 3)
+
 (* the single mechanism-name registry: every variant round-trips
    through its canonical name, the short aliases resolve, and parsing
    is case-insensitive *)
@@ -83,6 +112,7 @@ let tests =
       Alcotest.test_case "Table 5 ordering" `Slow test_table5_ordering;
       Alcotest.test_case "Table 2 coreutil counts" `Slow test_table2_counts_match_paper;
       Alcotest.test_case "Table 2 server counts" `Slow test_table2_server_counts;
+      Alcotest.test_case "Table 6 fan-out: any jobs == folded by hand" `Slow test_table6_fanout;
       Alcotest.test_case "Figure 3 log format" `Quick test_fig3_format;
       Alcotest.test_case "Mech name registry round-trip" `Quick test_mech_roundtrip;
     ] )

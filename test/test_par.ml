@@ -1,10 +1,8 @@
-(* Domain pool and Run-spec API: results in input order whatever the
+(* Domain pool and its grid map: results in input order whatever the
    scheduling, deterministic exception choice, and the headline
    guarantee — a parallel fuzz campaign renders byte-identical JSON. *)
 
 module Pool = K23_par.Pool
-module Rs = K23_par.Run_spec
-module Config = K23_kernel.World.Config
 module Campaign = K23_fuzz.Campaign
 
 let squares n = List.init n (fun i -> i * i)
@@ -27,10 +25,6 @@ let test_jobs_exceed_tasks () =
   Alcotest.(check (list int)) "jobs=0 clamps to sequential" (squares 5)
     (Pool.map ~jobs:0 (fun x -> x * x) (List.init 5 Fun.id));
   Alcotest.(check (list int)) "empty task list" [] (Pool.map ~jobs:4 (fun x -> x) [])
-
-let test_mapi () =
-  Alcotest.(check (list int)) "mapi passes positions" [ 10; 12; 14 ]
-    (Pool.mapi ~jobs:4 (fun i x -> i + x) [ 10; 11; 12 ])
 
 (* chunked claiming is a scheduling detail: results, order and the
    exception contract are unchanged for every (jobs, chunk) pair *)
@@ -55,9 +49,7 @@ let test_chunked_map () =
    sequential path instead of spawning domains with no work *)
 let test_single_task_large_chunk () =
   Alcotest.(check (list int)) "tasks=1 jobs=8 chunk=16" [ 49 ]
-    (Pool.map ~jobs:8 ~chunk:16 (fun x -> x * x) [ 7 ]);
-  Alcotest.(check (list int)) "mapi tasks=1 jobs=8 chunk=16" [ 107 ]
-    (Pool.mapi ~jobs:8 ~chunk:16 (fun i x -> i + x) [ 107 ])
+    (Pool.map ~jobs:8 ~chunk:16 (fun x -> x * x) [ 7 ])
 
 exception Boom of int
 
@@ -82,36 +74,32 @@ let test_exception_lowest_index () =
   | _ -> Alcotest.fail "chunked: expected an exception"
   | exception Boom n -> Alcotest.(check int) "chunked lowest index" 3 n
 
-let test_run_spec_keys () =
-  let specs =
-    List.init 5 (fun i ->
-        Rs.v ~world:(Config.make ~seed:(100 + i) ()) ~mech:"native" ~index:i (fun () -> i * 3))
-  in
-  let out = Rs.run_all ~jobs:3 specs in
-  List.iteri
-    (fun i (k, v) ->
-      Alcotest.(check int) "index" i k.Rs.k_index;
-      Alcotest.(check int) "seed" (100 + i) k.Rs.k_world.Config.seed;
-      Alcotest.(check int) "value" (i * 3) v)
-    out
-
-(* the run-spec key is pure data: structural equality, stable hash,
-   readable rendering *)
-let test_config_key () =
-  let a = Config.make ~seed:7 () and b = Config.make ~seed:7 () in
-  Alcotest.(check bool) "equal configs" true (Config.equal a b);
-  Alcotest.(check int) "equal hashes" (Config.hash a) (Config.hash b);
-  Alcotest.(check bool) "seed differs" false (Config.equal a (Config.make ~seed:8 ()));
-  let contains s needle =
-    let ls = String.length s and ln = String.length needle in
-    let rec go i = i + ln <= ls && (String.sub s i ln = needle || go (i + 1)) in
-    go 0
-  in
-  let k = { Rs.k_world = a; k_mech = "seccomp"; k_index = 4 } in
-  let s = Rs.key_to_string k in
+(* the sweep engine: a rows x cols grid comes back as one list per
+   row, cells in column order, at any jobs — with chunk 1 and with
+   chunk = the row width (one row per claim, as a fuzz campaign's
+   phase B) — and when cells in several rows raise, the first cell in
+   row-major order wins, even against a lower column of a later row *)
+let test_grid () =
+  let rows = List.init 7 Fun.id and cols = List.init 5 Fun.id in
+  let cell r c = (10 * r) + c in
+  let expected = List.map (fun r -> List.map (cell r) cols) rows in
   List.iter
-    (fun needle -> Alcotest.(check bool) ("key renders " ^ needle) true (contains s needle))
-    [ "seed=7"; "mech=seccomp"; "index=4" ]
+    (fun chunk ->
+      List.iter
+        (fun jobs ->
+          let name = Printf.sprintf "jobs=%d chunk=%d" jobs chunk in
+          Alcotest.(check (list (list int))) name expected (Pool.grid ~jobs ~chunk cell rows cols);
+          let boom r c =
+            if List.mem (r, c) [ (2, 4); (3, 0); (5, 1) ] then raise (Boom (cell r c)) else 0
+          in
+          match Pool.grid ~jobs ~chunk boom rows cols with
+          | _ -> Alcotest.failf "%s: expected an exception" name
+          | exception Boom n -> Alcotest.(check int) (name ^ ": first row-major cell") 24 n)
+        [ 1; 2; 4 ])
+    [ 1; List.length cols ];
+  Alcotest.(check (list (list int))) "no columns: one empty row each" [ []; [] ]
+    (Pool.grid ~jobs:2 cell [ 0; 1 ] []);
+  Alcotest.(check (list (list int))) "no rows" [] (Pool.grid ~jobs:2 cell [] cols)
 
 (* the tentpole invariant of the scratch-world cache: a world that ran
    a different program and was then reset in place is observationally
@@ -174,10 +162,8 @@ let tests =
       Alcotest.test_case "jobs exceed tasks" `Quick test_jobs_exceed_tasks;
       Alcotest.test_case "chunked map: same results, any (jobs, chunk)" `Quick test_chunked_map;
       Alcotest.test_case "single task, jobs=8 chunk=16" `Quick test_single_task_large_chunk;
-      Alcotest.test_case "mapi indexes" `Quick test_mapi;
       Alcotest.test_case "world reuse == fresh world" `Quick test_world_reuse;
       Alcotest.test_case "lowest-index exception wins" `Quick test_exception_lowest_index;
-      Alcotest.test_case "run-spec keys in submission order" `Quick test_run_spec_keys;
-      Alcotest.test_case "config is a pure-data key" `Quick test_config_key;
+      Alcotest.test_case "grid: row-major rows at any (jobs, chunk)" `Quick test_grid;
       Alcotest.test_case "campaign jobs=1 == jobs=4" `Slow test_campaign_jobs_identical;
     ] )

@@ -118,6 +118,23 @@ let test_fstat_and_seek_end_logical_size () =
   Alcotest.(check int) "lseek(SEEK_END)" 6 (e.sys Sysno.lseek [ fd; 0; seek_end ]);
   Alcotest.(check int) "lseek(SEEK_END, -2)" 4 (e.sys Sysno.lseek [ fd; -2; seek_end ])
 
+(* K23 seals its offline logs (§5.3).  open(O_WRONLY|O_TRUNC) without
+   O_CREAT must refuse a sealed log, as write and ftruncate do, and
+   leave its bytes intact. *)
+let test_sealed_log_refuses_o_trunc () =
+  let e = setup () in
+  let path = "/k23/logs/ls.log" in
+  let fd = open_file e path in
+  ignore (write e fd "sealed");
+  ignore (e.sys Sysno.close [ fd ]);
+  let vfs = e.p.Kern.w.Kern.vfs in
+  Alcotest.(check bool) "seal" true (Vfs.set_immutable vfs "/k23/logs" true = Ok ());
+  Memory.write_cstr e.p.mem scratch path;
+  let o_wronly_trunc = 0x201 in
+  Alcotest.(check int) "open(O_WRONLY|O_TRUNC)" (Errno.ret Errno.eperm)
+    (e.sys Sysno.open_ [ scratch; o_wronly_trunc ]);
+  Alcotest.(check bool) "bytes intact" true (Vfs.read_file vfs path = Ok "sealed")
+
 (* Random writes and truncates against a string model: contents and
    size always agree, whatever the capacity buffer holds. *)
 let prop_file_model =
@@ -175,5 +192,6 @@ let tests =
       Alcotest.test_case "truncate shorter, then extend: zeros" `Quick test_truncate_then_extend;
       Alcotest.test_case "fstat / lseek(SEEK_END) report the logical size" `Quick
         test_fstat_and_seek_end_logical_size;
+      Alcotest.test_case "O_TRUNC on a sealed log is -EPERM" `Quick test_sealed_log_refuses_o_trunc;
       QCheck_alcotest.to_alcotest prop_file_model;
     ] )
