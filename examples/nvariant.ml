@@ -23,7 +23,7 @@ let app =
     Asm.Label "loop";
     Asm.Call_sym "getpid";
     Asm.I (Insn.Mov_ri (RDI, 1));
-    Asm.Mov_sym (RSI, "msg");
+    Asm.Mov_sym (Reg.RSI, "msg");
     Asm.I (Insn.Mov_ri (RDX, 6));
     Asm.Call_sym "write";
     Asm.I (Insn.Sub_ri (R13, 1));

@@ -21,11 +21,11 @@ let app =
   [
     Asm.Label "main";
     Asm.I (Insn.Mov_ri (RDI, 1));
-    Asm.Mov_sym (RSI, "greeting");
+    Asm.Mov_sym (Reg.RSI, "greeting");
     Asm.I (Insn.Mov_ri (RDX, 30));
     Asm.Call_sym "write";
     Asm.I (Insn.Mov_ri (RDI, -100));
-    Asm.Mov_sym (RSI, "cfg");
+    Asm.Mov_sym (Reg.RSI, "cfg");
     Asm.I (Insn.Mov_ri (RDX, 0));
     Asm.Call_sym "openat";
     Asm.I (Insn.Mov_rr (RDI, RAX));

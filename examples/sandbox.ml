@@ -21,17 +21,17 @@ let sneaky =
     Asm.Label "main";
     (* try to create /etc/passwd *)
     Asm.I (Insn.Mov_ri (RDI, -100));
-    Asm.Mov_sym (RSI, "etc");
+    Asm.Mov_sym (Reg.RSI, "etc");
     Asm.I (Insn.Mov_ri (RDX, 0x41));
     Asm.Call_sym "openat";
     (* legitimate temp file *)
     Asm.I (Insn.Mov_ri (RDI, -100));
-    Asm.Mov_sym (RSI, "tmp");
+    Asm.Mov_sym (Reg.RSI, "tmp");
     Asm.I (Insn.Mov_ri (RDX, 0x41));
     Asm.Call_sym "openat";
     Asm.I (Insn.Mov_rr (R14, RAX));
     Asm.I (Insn.Mov_rr (RDI, R14));
-    Asm.Mov_sym (RSI, "msg");
+    Asm.Mov_sym (Reg.RSI, "msg");
     Asm.I (Insn.Mov_ri (RDX, 7));
     Asm.Call_sym "write";
     Asm.I (Insn.Xor_rr (RDI, RDI));

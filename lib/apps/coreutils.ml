@@ -18,7 +18,7 @@ let prologue =
     Asm.I (Insn.Xor_rr (RDI, RDI));
     Asm.Call_sym "brk";
     Asm.I (Insn.Mov_ri (RDI, 1));
-    Asm.Mov_sym (RSI, "statbuf");
+    Asm.Mov_sym (Reg.RSI, "statbuf");
     Asm.Call_sym "fstat";
   ]
 
@@ -49,12 +49,12 @@ let data =
 let pwd_items =
   [ Asm.Label "main" ] @ prologue
   @ [
-      Asm.Mov_sym (RDI, "buf");
+      Asm.Mov_sym (Reg.RDI, "buf");
       Asm.I (Insn.Mov_ri (RSI, 4096));
       Asm.Call_sym "getcwd";
       (* write the cwd (we print a fixed-size prefix for simplicity) *)
       Asm.I (Insn.Mov_ri (RDI, 1));
-      Asm.Mov_sym (RSI, "buf");
+      Asm.Mov_sym (Reg.RSI, "buf");
       Asm.I (Insn.Mov_ri (RDX, 1));
       Asm.Call_sym "write";
       Asm.I (Insn.Mov_ri (RDI, 0x7100_0000));
@@ -70,20 +70,20 @@ let touch_items =
   [ Asm.Label "main" ] @ prologue
   @ [
       Asm.I (Insn.Mov_ri (RDI, -100));
-      Asm.Mov_sym (RSI, "touch_path");
+      Asm.Mov_sym (Reg.RSI, "touch_path");
       Asm.I (Insn.Mov_ri (RDX, 0x40));  (* O_CREAT *)
       Asm.Call_sym "openat";
       Asm.I (Insn.Mov_rr (R14, RAX));
       Asm.I (Insn.Mov_rr (RDI, R14));
       Asm.Call_sym "dup";
-      Asm.Mov_sym (RDI, "touch_path");
+      Asm.Mov_sym (Reg.RDI, "touch_path");
       Asm.I (Insn.Mov_ri (RSI, 0o644));
       Asm.Call_sym "chmod";
       Asm.I (Insn.Mov_rr (RDI, R14));
       Asm.Call_sym "close";
       Asm.Call_sym "getpid";
       Asm.I (Insn.Mov_ri (RDI, 1));
-      Asm.Mov_sym (RSI, "nl");
+      Asm.Mov_sym (Reg.RSI, "nl");
       Asm.I (Insn.Mov_ri (RDX, 0));
       Asm.Call_sym "write";
     ]
@@ -99,8 +99,8 @@ let ls_items =
       Asm.I (Insn.Mov_ri (RSI, 0x5413));
       Asm.Call_sym "ioctl";
       (* stat(".") *)
-      Asm.Mov_sym (RDI, "dot");
-      Asm.Mov_sym (RSI, "statbuf");
+      Asm.Mov_sym (Reg.RDI, "dot");
+      Asm.Mov_sym (Reg.RSI, "statbuf");
       Asm.Call_sym "stat";
       (* scratch arena like glibc's readdir buffer *)
       Asm.I (Insn.Mov_ri (RDI, 0));
@@ -112,17 +112,17 @@ let ls_items =
       Asm.Call_sym "mmap";
       (* opendir(".") + getdents + print *)
       Asm.I (Insn.Mov_ri (RDI, -100));
-      Asm.Mov_sym (RSI, "dot");
+      Asm.Mov_sym (Reg.RSI, "dot");
       Asm.I (Insn.Mov_ri (RDX, 0));
       Asm.Call_sym "openat";
       Asm.I (Insn.Mov_rr (R14, RAX));
       Asm.I (Insn.Mov_rr (RDI, R14));
-      Asm.Mov_sym (RSI, "buf");
+      Asm.Mov_sym (Reg.RSI, "buf");
       Asm.I (Insn.Mov_ri (RDX, 4096));
       Asm.Call_sym "getdents64";
       Asm.I (Insn.Mov_rr (RDX, RAX));
       Asm.I (Insn.Mov_ri (RDI, 1));
-      Asm.Mov_sym (RSI, "buf");
+      Asm.Mov_sym (Reg.RSI, "buf");
       Asm.Call_sym "write";
       Asm.I (Insn.Mov_rr (RDI, R14));
       Asm.Call_sym "close";
@@ -146,7 +146,7 @@ let cat_items =
       Asm.Call_sym "mmap";
       Asm.I (Insn.Mov_rr (R12, RAX));
       Asm.I (Insn.Mov_ri (RDI, -100));
-      Asm.Mov_sym (RSI, "cat_path");
+      Asm.Mov_sym (Reg.RSI, "cat_path");
       Asm.I (Insn.Mov_ri (RDX, 0));
       Asm.Call_sym "openat";
       Asm.I (Insn.Mov_rr (R14, RAX));
@@ -186,14 +186,14 @@ let clear_items =
   [ Asm.Label "main" ] @ prologue
   @ [
       (* terminfo lookup *)
-      Asm.Mov_sym (RDI, "terminfo");
+      Asm.Mov_sym (Reg.RDI, "terminfo");
       Asm.I (Insn.Mov_ri (RSI, 4));
       Asm.Call_sym "access";
-      Asm.Mov_sym (RDI, "terminfo");
-      Asm.Mov_sym (RSI, "statbuf");
+      Asm.Mov_sym (Reg.RDI, "terminfo");
+      Asm.Mov_sym (Reg.RSI, "statbuf");
       Asm.Call_sym "stat";
       Asm.I (Insn.Mov_ri (RDI, -100));
-      Asm.Mov_sym (RSI, "terminfo");
+      Asm.Mov_sym (Reg.RSI, "terminfo");
       Asm.I (Insn.Mov_ri (RDX, 0));
       Asm.Call_sym "openat";
       Asm.I (Insn.Mov_rr (R14, RAX));
@@ -219,7 +219,7 @@ let clear_items =
       Asm.I (Insn.Mov_ri (RSI, 0x5401));
       Asm.Call_sym "ioctl";
       Asm.I (Insn.Mov_ri (RDI, 1));
-      Asm.Mov_sym (RSI, "clear_seq");
+      Asm.Mov_sym (Reg.RSI, "clear_seq");
       Asm.I (Insn.Mov_ri (RDX, 7));
       Asm.Call_sym "write";
     ]

@@ -64,7 +64,7 @@ let items cfg =
       Asm.I (Insn.Mov_rr (RSI, RAX));
       Asm.I (Insn.Mov_ri (R9, 0xf000));
       Asm.I (Insn.Add_rr (RSI, R9));
-      Asm.Mov_sym (RDI, "io_worker");
+      Asm.Mov_sym (Reg.RDI, "io_worker");
       Asm.I (Insn.Mov_rr (RDX, RBX));  (* pass the listening fd *)
       Asm.Call_sym "clone";
       Asm.I (Insn.Sub_ri (R15, 1));
@@ -91,7 +91,7 @@ let items cfg =
          Asm.I (Insn.Mov_ri (R15, 8));
          Asm.Label "rq_read";
          Asm.I (Insn.Mov_rr (RDI, R14));
-         Asm.Mov_sym (RSI, "buf");
+         Asm.Mov_sym (Reg.RSI, "buf");
          Asm.I (Insn.Add_rr (RSI, R13));
          Asm.I (Insn.Mov_ri (RDX, 64));
          Asm.I (Insn.Sub_rr (RDX, R13));
@@ -116,7 +116,7 @@ let items cfg =
      else
        [
          Asm.I (Insn.Mov_rr (RDI, R14));
-         Asm.Mov_sym (RSI, "buf");
+         Asm.Mov_sym (Reg.RSI, "buf");
          Asm.I (Insn.Mov_ri (RDX, 64));
          Asm.Call_sym "read";
          Asm.I (Insn.Cmp_ri (RAX, 0));
@@ -143,7 +143,7 @@ let items cfg =
          Asm.I (Insn.Mov_ri (R13, 64));
          Asm.Label "wr_loop";
          Asm.I (Insn.Mov_rr (RDI, R14));
-         Asm.Mov_sym (RSI, "resp");
+         Asm.Mov_sym (Reg.RSI, "resp");
          Asm.I (Insn.Mov_ri (RDX, 64));
          Asm.I (Insn.Add_rr (RSI, RDX));
          Asm.I (Insn.Sub_rr (RSI, R13));
@@ -165,7 +165,7 @@ let items cfg =
      else
        [
          Asm.I (Insn.Mov_rr (RDI, R14));
-         Asm.Mov_sym (RSI, "resp");
+         Asm.Mov_sym (Reg.RSI, "resp");
          Asm.I (Insn.Mov_ri (RDX, 64));
          Asm.Call_sym "write";
        ])

@@ -25,12 +25,12 @@ let items cfg =
   @ [
       (* open the database and its WAL *)
       Asm.I (Insn.Mov_ri (RDI, -100));
-      Asm.Mov_sym (RSI, "dbp");
+      Asm.Mov_sym (Reg.RSI, "dbp");
       Asm.I (Insn.Mov_ri (RDX, 0x40));
       Asm.Call_sym "openat";
       Asm.I (Insn.Mov_rr (R12, RAX));
       Asm.I (Insn.Mov_ri (RDI, -100));
-      Asm.Mov_sym (RSI, "walp");
+      Asm.Mov_sym (Reg.RSI, "walp");
       Asm.I (Insn.Mov_ri (RDX, 0x40));
       Asm.Call_sym "openat";
       Asm.I (Insn.Mov_rr (RBX, RAX));
@@ -40,7 +40,7 @@ let items cfg =
       Asm.Vcall_named "sq_work";
       (* commit: append a WAL frame *)
       Asm.I (Insn.Mov_rr (RDI, RBX));
-      Asm.Mov_sym (RSI, "frame");
+      Asm.Mov_sym (Reg.RSI, "frame");
       Asm.I (Insn.Mov_ri (RDX, 128));
       Asm.Call_sym "write";
       (* read back a page *)
@@ -49,7 +49,7 @@ let items cfg =
       Asm.I (Insn.Mov_ri (RDX, 0));
       Asm.Call_sym "lseek";
       Asm.I (Insn.Mov_rr (RDI, R12));
-      Asm.Mov_sym (RSI, "page");
+      Asm.Mov_sym (Reg.RSI, "page");
       Asm.I (Insn.Mov_ri (RDX, 512));
       Asm.Call_sym "read";
       Asm.I (Insn.Sub_ri (R13, 1));

@@ -90,7 +90,7 @@ let op_items cfg = function
       Asm.I (Insn.Mov_ri (R15, 8));
       Asm.Label "rq_read";
       Asm.I (Insn.Mov_rr (RDI, R14));
-      Asm.Mov_sym (RSI, "buf");
+      Asm.Mov_sym (Reg.RSI, "buf");
       Asm.I (Insn.Add_rr (RSI, R13));
       Asm.I (Insn.Mov_ri (RDX, 64));
       Asm.I (Insn.Sub_rr (RDX, R13));
@@ -115,7 +115,7 @@ let op_items cfg = function
   | Read_req ->
     [
       Asm.I (Insn.Mov_rr (RDI, R14));
-      Asm.Mov_sym (RSI, "buf");
+      Asm.Mov_sym (Reg.RSI, "buf");
       (* requests are fixed 64-byte frames *)
       Asm.I (Insn.Mov_ri (RDX, 64));
       Asm.Call_sym "read";
@@ -133,7 +133,7 @@ let op_items cfg = function
       Asm.I (Insn.Mov_ri (R13, len));
       Asm.Label "wr_loop";
       Asm.I (Insn.Mov_rr (RDI, R14));
-      Asm.Mov_sym (RSI, "resp");
+      Asm.Mov_sym (Reg.RSI, "resp");
       Asm.I (Insn.Mov_ri (RDX, len));
       Asm.I (Insn.Add_rr (RSI, RDX));
       Asm.I (Insn.Sub_rr (RSI, R13));
@@ -155,20 +155,20 @@ let op_items cfg = function
   | Write_resp ->
     [
       Asm.I (Insn.Mov_rr (RDI, R14));
-      Asm.Mov_sym (RSI, "resp");
+      Asm.Mov_sym (Reg.RSI, "resp");
       Asm.I (Insn.Mov_ri (RDX, header_len + cfg.file_size));
       Asm.Call_sym "write";
     ]
   | Stat_file ->
     [
-      Asm.Mov_sym (RDI, "fpath");
-      Asm.Mov_sym (RSI, "statbuf");
+      Asm.Mov_sym (Reg.RDI, "fpath");
+      Asm.Mov_sym (Reg.RSI, "statbuf");
       Asm.Call_sym "stat";
     ]
   | Fstat_conn ->
     [
       Asm.I (Insn.Mov_rr (RDI, R14));
-      Asm.Mov_sym (RSI, "statbuf");
+      Asm.Mov_sym (Reg.RSI, "statbuf");
       Asm.Call_sym "fstat";
     ]
   | Ioctl_conn ->
@@ -176,11 +176,11 @@ let op_items cfg = function
   | Fcntl_conn ->
     [ Asm.I (Insn.Mov_rr (RDI, R14)); Asm.I (Insn.Mov_ri (RSI, 4)); Asm.Call_sym "fcntl" ]
   | Clock ->
-    [ Asm.I (Insn.Mov_ri (RDI, 0)); Asm.Mov_sym (RSI, "ts"); Asm.Call_sym "clock_gettime" ]
+    [ Asm.I (Insn.Mov_ri (RDI, 0)); Asm.Mov_sym (Reg.RSI, "ts"); Asm.Call_sym "clock_gettime" ]
   | Open_file ->
     [
       Asm.I (Insn.Mov_ri (RDI, -100));
-      Asm.Mov_sym (RSI, "fpath");
+      Asm.Mov_sym (Reg.RSI, "fpath");
       Asm.I (Insn.Mov_ri (RDX, 0));
       Asm.Call_sym "openat";
       Asm.I (Insn.Mov_rr (R12, RAX));
@@ -188,7 +188,7 @@ let op_items cfg = function
   | Read_file ->
     [
       Asm.I (Insn.Mov_rr (RDI, R12));
-      Asm.Mov_sym (RSI, "fbuf");
+      Asm.Mov_sym (Reg.RSI, "fbuf");
       Asm.I (Insn.Mov_ri (RDX, 4096));
       Asm.Call_sym "read";
     ]

@@ -46,9 +46,6 @@ let offline_run w ~path ?argv ?env ?(max_steps = 50_000_000) () =
   World.run_until_exit ~max_steps w (offline_spawn w ~path ?argv ?env ());
   Log_store.read w ~app:path
 
-(** Number of unique logged sites for [app] — the Table 2 metric. *)
-let unique_sites w ~app = List.length (Log_store.read w ~app)
-
 (** Future-work prototype (Section 7: "combine dynamic and static
     analysis to reliably identify syscall/sysenter instructions during
     the offline phase"): augment the offline logs with sites found by

@@ -157,7 +157,7 @@ let image ~variant ~handler ~stats () : image =
       Asm.Vcall_named "k23_init1";
       (* fake syscall #1: request the ptracer's state (Section 5.3) *)
       Asm.I (Insn.Mov_ri (RAX, Sysno.k23_handoff));
-      Asm.Mov_sym (RDI, "k23_handoff_buf");
+      Asm.Mov_sym (Reg.RDI, "k23_handoff_buf");
       Asm.I Insn.Syscall;
       Asm.Vcall_named "k23_init2";
       (* fake syscall #2: tell the ptracer to detach *)

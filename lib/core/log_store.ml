@@ -60,6 +60,4 @@ let seal w =
     ignore (Vfs.mkdir_p w.Kern.vfs dir);
     ignore (Vfs.set_immutable w.Kern.vfs dir true)
 
-let unseal w = ignore (Vfs.set_immutable w.Kern.vfs dir false)
-
 let sealed w = Vfs.path_immutable w.Kern.vfs (dir ^ "/x")

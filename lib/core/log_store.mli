@@ -20,5 +20,4 @@ val append : K23_kernel.Kern.world -> app:string -> entry list -> unit
 (** Merge (multiple offline runs improve coverage). *)
 
 val seal : K23_kernel.Kern.world -> unit
-val unseal : K23_kernel.Kern.world -> unit
 val sealed : K23_kernel.Kern.world -> bool

@@ -332,12 +332,7 @@ let render_text (r : report) =
         add
           (Printf.sprintf "    minimized to %d insns:\n"
              (Option.value ~default:0 f.f_min_insns));
-        let lines =
-          match e.Corpus.e_items with
-          | Gen.X86 its -> List.map Corpus.item_to_line its
-          | Gen.A64 its -> List.map Corpus.arm_item_to_line its
-        in
-        List.iter (fun l -> add ("      " ^ l ^ "\n")) lines)
+        List.iter (fun l -> add ("      " ^ l ^ "\n")) (Corpus.item_lines e.Corpus.e_items))
     r.r_findings;
   add
     (Printf.sprintf "total: %d divergence%s\n" (total_divergences r)

@@ -91,25 +91,6 @@ let bytes_of_hex s =
       | Some v -> Char.chr v
       | None -> Wire.fail "bad hex: %S" s)
 
-let item_to_line (it : Asm.item) =
-  match it with
-  | Asm.I i -> insn_to_line i
-  | Asm.Label l -> "label " ^ l
-  | Asm.Blob b -> "blob " ^ hex_of_bytes b
-  | Asm.Zeros n -> Printf.sprintf "zeros %d" n
-  | Asm.Strz s -> "strz " ^ Wire.escape s
-  | Asm.Quad n -> Printf.sprintf "quad %d" n
-  | Asm.J l -> "j " ^ l
-  | Asm.Jc (c, l) -> Printf.sprintf "jc %s %s" (cond_to_s c) l
-  | Asm.Calll l -> "calll " ^ l
-  | Asm.Call_sym s -> "call_sym " ^ s
-  | Asm.Jmp_sym s -> "jmp_sym " ^ s
-  | Asm.Mov_sym (r, s) -> Printf.sprintf "mov_sym %s %s" (reg_to_s r) s
-  | Asm.Vcall_named s -> "vcall_named " ^ s
-  | Asm.Section `Text -> "section text"
-  | Asm.Section `Data -> "section data"
-  | Asm.Align n -> Printf.sprintf "align %d" n
-
 let num = Wire.int "number"
 
 (* an item line is a token, then its space-separated arguments; a
@@ -123,68 +104,49 @@ let split_item line =
   in
   (tok, rest, String.split_on_char ' ' rest |> List.filter (fun s -> s <> ""))
 
-let item_of_line line : Asm.item =
-  let tok, rest, args = split_item line in
+let insn_of_line line tok args : Insn.t =
   match (tok, args) with
-  | "label", [ l ] -> Asm.Label l
-  | "blob", [ h ] -> Asm.Blob (bytes_of_hex h)
-  | "zeros", [ n ] -> Asm.Zeros (num n)
-  | "strz", _ -> Asm.Strz (Wire.unescape rest)
-  | "quad", [ n ] -> Asm.Quad (num n)
-  | "j", [ l ] -> Asm.J l
-  | "jc", [ c; l ] -> Asm.Jc (cond_of_s c, l)
-  | "calll", [ l ] -> Asm.Calll l
-  | "call_sym", [ s ] -> Asm.Call_sym s
-  | "jmp_sym", [ s ] -> Asm.Jmp_sym s
-  | "mov_sym", [ r; s ] -> Asm.Mov_sym (reg_of_s r, s)
-  | "vcall_named", [ s ] -> Asm.Vcall_named s
-  | "section", [ "text" ] -> Asm.Section `Text
-  | "section", [ "data" ] -> Asm.Section `Data
-  | "align", [ n ] -> Asm.Align (num n)
-  (* instructions *)
-  | "nop", [] -> Asm.I Nop
-  | "ret", [] -> Asm.I Ret
-  | "int3", [] -> Asm.I Int3
-  | "hlt", [] -> Asm.I Hlt
-  | "syscall", [] -> Asm.I Syscall
-  | "sysenter", [] -> Asm.I Sysenter
-  | "ud2", [] -> Asm.I Ud2
-  | "cpuid", [] -> Asm.I Cpuid
-  | "mfence", [] -> Asm.I Mfence
-  | "wrpkru", [] -> Asm.I Wrpkru
-  | "rdpkru", [] -> Asm.I Rdpkru
-  | "vcall", [ n ] -> Asm.I (Vcall (num n))
-  | "push", [ r ] -> Asm.I (Push (reg_of_s r))
-  | "pop", [ r ] -> Asm.I (Pop (reg_of_s r))
-  | "mov_ri", [ r; v ] -> Asm.I (Mov_ri (reg_of_s r, num v))
-  | "mov_ri32", [ r; v ] -> Asm.I (Mov_ri32 (reg_of_s r, num v))
-  | "mov_rr", [ d; s ] -> Asm.I (Mov_rr (reg_of_s d, reg_of_s s))
-  | "add_rr", [ d; s ] -> Asm.I (Add_rr (reg_of_s d, reg_of_s s))
-  | "sub_rr", [ d; s ] -> Asm.I (Sub_rr (reg_of_s d, reg_of_s s))
-  | "xor_rr", [ d; s ] -> Asm.I (Xor_rr (reg_of_s d, reg_of_s s))
-  | "test_rr", [ a; b ] -> Asm.I (Test_rr (reg_of_s a, reg_of_s b))
-  | "cmp_rr", [ a; b ] -> Asm.I (Cmp_rr (reg_of_s a, reg_of_s b))
-  | "add_ri", [ r; v ] -> Asm.I (Add_ri (reg_of_s r, num v))
-  | "sub_ri", [ r; v ] -> Asm.I (Sub_ri (reg_of_s r, num v))
-  | "cmp_ri", [ r; v ] -> Asm.I (Cmp_ri (reg_of_s r, num v))
-  | "load", [ d; b; o ] -> Asm.I (Load (reg_of_s d, reg_of_s b, num o))
-  | "store", [ b; o; s ] -> Asm.I (Store (reg_of_s b, num o, reg_of_s s))
-  | "load8", [ d; b; o ] -> Asm.I (Load8 (reg_of_s d, reg_of_s b, num o))
-  | "store8", [ b; o; s ] -> Asm.I (Store8 (reg_of_s b, num o, reg_of_s s))
-  | "lea", [ d; b; o ] -> Asm.I (Lea (reg_of_s d, reg_of_s b, num o))
-  | "jmp_rel", [ d ] -> Asm.I (Jmp_rel (num d))
-  | "call_rel", [ d ] -> Asm.I (Call_rel (num d))
-  | "jcc", [ c; d ] -> Asm.I (Jcc (cond_of_s c, num d))
-  | "jmp_reg", [ r ] -> Asm.I (Jmp_reg (reg_of_s r))
-  | "call_reg", [ r ] -> Asm.I (Call_reg (reg_of_s r))
+  | "nop", [] -> Nop
+  | "ret", [] -> Ret
+  | "int3", [] -> Int3
+  | "hlt", [] -> Hlt
+  | "syscall", [] -> Syscall
+  | "sysenter", [] -> Sysenter
+  | "ud2", [] -> Ud2
+  | "cpuid", [] -> Cpuid
+  | "mfence", [] -> Mfence
+  | "wrpkru", [] -> Wrpkru
+  | "rdpkru", [] -> Rdpkru
+  | "vcall", [ n ] -> Vcall (num n)
+  | "push", [ r ] -> Push (reg_of_s r)
+  | "pop", [ r ] -> Pop (reg_of_s r)
+  | "mov_ri", [ r; v ] -> Mov_ri (reg_of_s r, num v)
+  | "mov_ri32", [ r; v ] -> Mov_ri32 (reg_of_s r, num v)
+  | "mov_rr", [ d; s ] -> Mov_rr (reg_of_s d, reg_of_s s)
+  | "add_rr", [ d; s ] -> Add_rr (reg_of_s d, reg_of_s s)
+  | "sub_rr", [ d; s ] -> Sub_rr (reg_of_s d, reg_of_s s)
+  | "xor_rr", [ d; s ] -> Xor_rr (reg_of_s d, reg_of_s s)
+  | "test_rr", [ a; b ] -> Test_rr (reg_of_s a, reg_of_s b)
+  | "cmp_rr", [ a; b ] -> Cmp_rr (reg_of_s a, reg_of_s b)
+  | "add_ri", [ r; v ] -> Add_ri (reg_of_s r, num v)
+  | "sub_ri", [ r; v ] -> Sub_ri (reg_of_s r, num v)
+  | "cmp_ri", [ r; v ] -> Cmp_ri (reg_of_s r, num v)
+  | "load", [ d; b; o ] -> Load (reg_of_s d, reg_of_s b, num o)
+  | "store", [ b; o; s ] -> Store (reg_of_s b, num o, reg_of_s s)
+  | "load8", [ d; b; o ] -> Load8 (reg_of_s d, reg_of_s b, num o)
+  | "store8", [ b; o; s ] -> Store8 (reg_of_s b, num o, reg_of_s s)
+  | "lea", [ d; b; o ] -> Lea (reg_of_s d, reg_of_s b, num o)
+  | "jmp_rel", [ d ] -> Jmp_rel (num d)
+  | "call_rel", [ d ] -> Call_rel (num d)
+  | "jcc", [ c; d ] -> Jcc (cond_of_s c, num d)
+  | "jmp_reg", [ r ] -> Jmp_reg (reg_of_s r)
+  | "call_reg", [ r ] -> Call_reg (reg_of_s r)
   | _ -> Wire.fail "bad item line: %S" line
 
-
-(* --- the AArch64 item codec ----------------------------------------
+(* --- the AArch64 instruction codec ---------------------------------
    Selected by the [isa:] header key; token names may overlap with the
    x86 codec because a file is parsed under exactly one of them. *)
 
-module A = K23_isa_arm.Asm_arm
 module Arm = K23_isa_arm.Arm
 
 let arm_insn_to_line (i : Arm.insn) =
@@ -214,69 +176,81 @@ let arm_insn_to_line (i : Arm.insn) =
   | Arm.Vcall n -> Printf.sprintf "vcall %d" n
   | Arm.Brk n -> Printf.sprintf "brk %d" n
 
-let arm_item_to_line (it : A.item) =
-  match it with
-  | A.I i -> arm_insn_to_line i
-  | A.Label l -> "label " ^ l
-  | A.Blob b -> "blob " ^ hex_of_bytes b
-  | A.Zeros n -> Printf.sprintf "zeros %d" n
-  | A.Strz s -> "strz " ^ Wire.escape s
-  | A.Quad n -> Printf.sprintf "quad %d" n
-  | A.J l -> "j " ^ l
-  | A.Jc (c, l) -> Printf.sprintf "jc %s %s" (cond_to_s c) l
-  | A.Calll l -> "calll " ^ l
-  | A.Call_sym s -> "call_sym " ^ s
-  | A.Jmp_sym s -> "jmp_sym " ^ s
-  | A.Mov_sym (r, s) -> Printf.sprintf "mov_sym %d %s" r s
-  | A.Vcall_named s -> "vcall_named " ^ s
-  | A.Section `Text -> "section text"
-  | A.Section `Data -> "section data"
-  | A.Align n -> Printf.sprintf "align %d" n
+let arm_insn_of_line line tok args : Arm.insn =
+  match (tok, args) with
+  | "svc", [ n ] -> Arm.Svc (num n)
+  | "bl", [ o ] -> Arm.Bl (num o)
+  | "b", [ o ] -> Arm.B (num o)
+  | "b_cond", [ c; o ] -> Arm.B_cond (cond_of_s c, num o)
+  | "br", [ r ] -> Arm.Br (num r)
+  | "blr", [ r ] -> Arm.Blr (num r)
+  | "ret", [] -> Arm.Ret
+  | "nop", [] -> Arm.Nop
+  | "movz", [ r; v ] -> Arm.Movz (num r, num v)
+  | "movk", [ r; v; hw ] -> Arm.Movk (num r, num v, num hw)
+  | "movn", [ r; v; hw ] -> Arm.Movn (num r, num v, num hw)
+  | "mov_rr", [ d; m ] -> Arm.Mov_rr (num d, num m)
+  | "add_imm", [ d; n; v ] -> Arm.Add_imm (num d, num n, num v)
+  | "subs_imm", [ d; n; v ] -> Arm.Subs_imm (num d, num n, num v)
+  | "add_rr", [ d; n; m ] -> Arm.Add_rr (num d, num n, num m)
+  | "sub_rr", [ d; n; m ] -> Arm.Sub_rr (num d, num n, num m)
+  | "subs_rr", [ d; n; m ] -> Arm.Subs_rr (num d, num n, num m)
+  | "ldr_lit", [ r; o ] -> Arm.Ldr_lit (num r, num o)
+  | "ldr", [ t; n; o ] -> Arm.Ldr (num t, num n, num o)
+  | "str", [ t; n; o ] -> Arm.Str (num t, num n, num o)
+  | "ldrb", [ t; n; o ] -> Arm.Ldrb (num t, num n, num o)
+  | "strb", [ t; n; o ] -> Arm.Strb (num t, num n, num o)
+  | "vcall", [ n ] -> Arm.Vcall (num n)
+  | "brk", [ n ] -> Arm.Brk (num n)
+  | _ -> Wire.fail "bad arm item line: %S" line
 
-let arm_item_of_line line : A.item =
+(* --- the item codec ------------------------------------------------
+   The pseudo-items' tokens are the same on both ISAs; an ISA supplies
+   its instruction codec and the register token of [mov_sym]. *)
+
+let item_to_line insn reg (it : (_, _) Asm.t) =
+  match it with
+  | Asm.I i -> insn i
+  | Asm.Label l -> "label " ^ l
+  | Asm.Blob b -> "blob " ^ hex_of_bytes b
+  | Asm.Zeros n -> Printf.sprintf "zeros %d" n
+  | Asm.Strz s -> "strz " ^ Wire.escape s
+  | Asm.Quad n -> Printf.sprintf "quad %d" n
+  | Asm.J l -> "j " ^ l
+  | Asm.Jc (c, l) -> Printf.sprintf "jc %s %s" (cond_to_s c) l
+  | Asm.Calll l -> "calll " ^ l
+  | Asm.Call_sym s -> "call_sym " ^ s
+  | Asm.Jmp_sym s -> "jmp_sym " ^ s
+  | Asm.Mov_sym (r, s) -> Printf.sprintf "mov_sym %s %s" (reg r) s
+  | Asm.Vcall_named s -> "vcall_named " ^ s
+  | Asm.Section `Text -> "section text"
+  | Asm.Section `Data -> "section data"
+  | Asm.Align n -> Printf.sprintf "align %d" n
+
+let item_of_line insn reg line : (_, _) Asm.t =
   let tok, rest, args = split_item line in
   match (tok, args) with
-  | "label", [ l ] -> A.Label l
-  | "blob", [ h ] -> A.Blob (bytes_of_hex h)
-  | "zeros", [ n ] -> A.Zeros (num n)
-  | "strz", _ -> A.Strz (Wire.unescape rest)
-  | "quad", [ n ] -> A.Quad (num n)
-  | "j", [ l ] -> A.J l
-  | "jc", [ c; l ] -> A.Jc (cond_of_s c, l)
-  | "calll", [ l ] -> A.Calll l
-  | "call_sym", [ s ] -> A.Call_sym s
-  | "jmp_sym", [ s ] -> A.Jmp_sym s
-  | "mov_sym", [ r; s ] -> A.Mov_sym (num r, s)
-  | "vcall_named", [ s ] -> A.Vcall_named s
-  | "section", [ "text" ] -> A.Section `Text
-  | "section", [ "data" ] -> A.Section `Data
-  | "align", [ n ] -> A.Align (num n)
-  (* instructions *)
-  | "svc", [ n ] -> A.I (Arm.Svc (num n))
-  | "bl", [ o ] -> A.I (Arm.Bl (num o))
-  | "b", [ o ] -> A.I (Arm.B (num o))
-  | "b_cond", [ c; o ] -> A.I (Arm.B_cond (cond_of_s c, num o))
-  | "br", [ r ] -> A.I (Arm.Br (num r))
-  | "blr", [ r ] -> A.I (Arm.Blr (num r))
-  | "ret", [] -> A.I Arm.Ret
-  | "nop", [] -> A.I Arm.Nop
-  | "movz", [ r; v ] -> A.I (Arm.Movz (num r, num v))
-  | "movk", [ r; v; hw ] -> A.I (Arm.Movk (num r, num v, num hw))
-  | "movn", [ r; v; hw ] -> A.I (Arm.Movn (num r, num v, num hw))
-  | "mov_rr", [ d; m ] -> A.I (Arm.Mov_rr (num d, num m))
-  | "add_imm", [ d; n; v ] -> A.I (Arm.Add_imm (num d, num n, num v))
-  | "subs_imm", [ d; n; v ] -> A.I (Arm.Subs_imm (num d, num n, num v))
-  | "add_rr", [ d; n; m ] -> A.I (Arm.Add_rr (num d, num n, num m))
-  | "sub_rr", [ d; n; m ] -> A.I (Arm.Sub_rr (num d, num n, num m))
-  | "subs_rr", [ d; n; m ] -> A.I (Arm.Subs_rr (num d, num n, num m))
-  | "ldr_lit", [ r; o ] -> A.I (Arm.Ldr_lit (num r, num o))
-  | "ldr", [ t; n; o ] -> A.I (Arm.Ldr (num t, num n, num o))
-  | "str", [ t; n; o ] -> A.I (Arm.Str (num t, num n, num o))
-  | "ldrb", [ t; n; o ] -> A.I (Arm.Ldrb (num t, num n, num o))
-  | "strb", [ t; n; o ] -> A.I (Arm.Strb (num t, num n, num o))
-  | "vcall", [ n ] -> A.I (Arm.Vcall (num n))
-  | "brk", [ n ] -> A.I (Arm.Brk (num n))
-  | _ -> Wire.fail "bad arm item line: %S" line
+  | "label", [ l ] -> Asm.Label l
+  | "blob", [ h ] -> Asm.Blob (bytes_of_hex h)
+  | "zeros", [ n ] -> Asm.Zeros (num n)
+  | "strz", _ -> Asm.Strz (Wire.unescape rest)
+  | "quad", [ n ] -> Asm.Quad (num n)
+  | "j", [ l ] -> Asm.J l
+  | "jc", [ c; l ] -> Asm.Jc (cond_of_s c, l)
+  | "calll", [ l ] -> Asm.Calll l
+  | "call_sym", [ s ] -> Asm.Call_sym s
+  | "jmp_sym", [ s ] -> Asm.Jmp_sym s
+  | "mov_sym", [ r; s ] -> Asm.Mov_sym (reg r, s)
+  | "vcall_named", [ s ] -> Asm.Vcall_named s
+  | "section", [ "text" ] -> Asm.Section `Text
+  | "section", [ "data" ] -> Asm.Section `Data
+  | "align", [ n ] -> Asm.Align (num n)
+  | _ -> Asm.I (insn line tok args)
+
+(** A program's body lines, in its ISA's codec. *)
+let item_lines = function
+  | Gen.X86 its -> List.map (item_to_line insn_to_line reg_to_s) its
+  | Gen.A64 its -> List.map (item_to_line arm_insn_to_line string_of_int) its
 
 (* ------------------------------------------------------------------ *)
 (* Files                                                               *)
@@ -284,16 +258,12 @@ let arm_item_of_line line : A.item =
 let to_string (e : entry) =
   (* [isa] is emitted only for non-x86 entries: x86 corpus files keep
      their pre-ISA bytes *)
-  let isa, lines =
-    match e.e_items with
-    | Gen.X86 its -> ([], List.map item_to_line its)
-    | Gen.A64 its -> ([ ("isa", Isa.to_string Isa.Arm64) ], List.map arm_item_to_line its)
-  in
+  let isa = match e.e_items with Gen.X86 _ -> [] | Gen.A64 _ -> [ ("isa", Isa.to_string Isa.Arm64) ] in
   Wire.render ~head:"# k23_fuzz minimized reproducer"
     ((("mech", Mech.to_string e.e_mech) :: isa)
     @ [ ("seed", string_of_int e.e_seed); ("expect", Wire.escape e.e_expect) ]
     @ Option.fold ~none:[] ~some:(fun p -> [ ("faults", K23_faults.Faults.to_string p) ]) e.e_faults)
-    lines
+    (item_lines e.e_items)
 
 let of_string s : entry =
   let fields, body = Wire.split s in
@@ -305,8 +275,8 @@ let of_string s : entry =
     e_faults = Wire.get fields "faults" faults None;
     e_items =
       (match Wire.get fields "isa" (Wire.value "isa" Isa.of_string) Isa.X86_64 with
-      | Isa.X86_64 -> Gen.X86 (List.map item_of_line body)
-      | Isa.Arm64 -> Gen.A64 (List.map arm_item_of_line body));
+      | Isa.X86_64 -> Gen.X86 (List.map (item_of_line insn_of_line reg_of_s) body)
+      | Isa.Arm64 -> Gen.A64 (List.map (item_of_line arm_insn_of_line num) body));
   }
 
 let save ~path e = Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc (to_string e))

@@ -122,12 +122,13 @@ let sigtrap = 5
    RAX, execute SYSCALL or SYSENTER *)
 let trap_insn rng = if Rng.int rng 4 = 0 then Insn.Sysenter else Insn.Syscall
 
-(* labels must be unique per program *)
-type st = {
+(* one generator state for both ISAs; labels must be unique per
+   program *)
+type ('insn, 'reg) st = {
   rng : Rng.t;
   mutable uid : int;
-  mutable data : Asm.item list;  (** accumulated data-section items *)
-  mutable tail : Asm.item list;  (** code placed after the epilogue *)
+  mutable data : ('insn, 'reg) Asm.t list;  (** accumulated data-section items *)
+  mutable tail : ('insn, 'reg) Asm.t list;  (** code placed after the epilogue *)
   mutable used : shape list;
   mutable sysnrs : int list;
 }
@@ -152,7 +153,7 @@ let write_items st =
   note_nr st Sysno.write;
   [
     Asm.I (Insn.Mov_ri (RDI, 1));
-    Asm.Mov_sym (RSI, lbl);
+    Asm.Mov_sym (Reg.RSI, lbl);
     Asm.I (Insn.Mov_ri (RDX, len));
     Asm.I (Insn.Mov_ri (RAX, Sysno.write));
     Asm.I (trap_insn st.rng);
@@ -316,7 +317,7 @@ let sig_block st =
   st.tail <- st.tail @ [ Asm.Label handler ] @ handler_code;
   [
     Asm.I (Insn.Mov_ri (RDI, signo));
-    Asm.Mov_sym (RSI, handler);
+    Asm.Mov_sym (Reg.RSI, handler);
     Asm.I (Insn.Mov_ri (RAX, Sysno.rt_sigaction));
     Asm.I Insn.Syscall;
     trigger;
@@ -373,8 +374,8 @@ let execve_scrub_block st =
     Asm.I Insn.Syscall;
     Asm.J join;
     Asm.Label child;
-    Asm.Mov_sym (RDI, epath);
-    Asm.Mov_sym (RSI, argvv);
+    Asm.Mov_sym (Reg.RDI, epath);
+    Asm.Mov_sym (Reg.RSI, argvv);
     Asm.I (Insn.Xor_rr (RDX, RDX));
     Asm.I (Insn.Mov_ri (RAX, Sysno.execve));
     Asm.I Insn.Syscall;
@@ -416,35 +417,6 @@ let pick_shape rng shapes =
   in
   go 0 shapes
 
-(* Structure: 1-4 shape blocks, a final exit_group, plus any handler
-   code and the data section.  At most one straddle and one terminal
-   (signal) block per program; the terminal block, if drawn, goes
-   last. *)
-let generate_x86 ~shapes rng =
-  let st = { rng; uid = 0; data = []; tail = []; used = []; sysnrs = [] } in
-  let nblocks = 1 + Rng.int rng 4 in
-  let straddled = ref false and terminal = ref false in
-  let body = ref [] in
-  for _ = 1 to nblocks do
-    if not !terminal then begin
-      let s = ref (pick_shape rng shapes) in
-      if !s = Straddle && !straddled then s := Raw;
-      if !s = Straddle then straddled := true;
-      if !s = Sigheavy then terminal := true;
-      st.used <- st.used @ [ !s ];
-      body := !body @ block_of_shape st !s
-    end
-  done;
-  let items =
-    [ Asm.Label "main" ]
-    @ !body
-    @ (if !terminal then [] else exit_items st (Rng.int st.rng 64))
-    @ st.tail
-    @ (match st.data with [] -> [] | d -> Asm.Section `Data :: d)
-  in
-  { items = X86 items; shapes = st.used; nrs = List.rev st.sysnrs }
-
-
 (* --- the AArch64 generator ----------------------------------------- *)
 
 (* The same shape mix realised in the fixed-width ISA.  Register
@@ -458,23 +430,9 @@ let generate_x86 ~shapes rng =
 module A = K23_isa_arm.Asm_arm
 module Arm = K23_isa_arm.Arm
 
-type st_arm = {
-  arng : Rng.t;
-  mutable auid : int;
-  mutable adata : A.item list;
-  mutable atail : A.item list;
-  mutable aused : shape list;
-  mutable asysnrs : int list;
-}
-
-let afresh st prefix =
-  st.auid <- st.auid + 1;
-  Printf.sprintf "%s%d" prefix st.auid
-
-let anote st nr = st.asysnrs <- nr :: st.asysnrs
 let ascratch = [| 9; 10; 11; 12; 13; 15 |]
 let li rd v = List.map (fun i -> A.I i) (Arm.li rd v)
-let svc st = A.I (Arm.Svc (Rng.int st.arng 8))
+let svc st = A.I (Arm.Svc (Rng.int st.rng 8))
 
 (* an executable sled of [nwords] nops (Blob keeps the item count and
    therefore the page-offset arithmetic exact) *)
@@ -487,42 +445,42 @@ let nop_pad nwords =
   A.Blob b
 
 let exit_items_arm st code =
-  anote st Sysno.exit_group;
+  note_nr st Sysno.exit_group;
   li 0 code @ li 8 Sysno.exit_group @ [ A.I (Arm.Svc 0) ]
 
-let write_const_arm st msg =
-  let lbl = afresh st "m" in
-  st.adata <- st.adata @ [ A.Label lbl; A.Strz msg ];
-  anote st Sysno.write;
+let write_msg_arm st msg =
+  let lbl = fresh st "m" in
+  st.data <- st.data @ [ A.Label lbl; A.Strz msg ];
+  note_nr st Sysno.write;
   li 0 1 @ [ A.Mov_sym (1, lbl) ] @ li 2 (String.length msg) @ li 8 Sysno.write @ [ svc st ]
 
 let write_items_arm st =
-  let len = 1 + Rng.int st.arng 8 in
-  let msg = String.init len (fun _ -> Char.chr (Char.code 'a' + Rng.int st.arng 26)) in
-  write_const_arm st msg
+  let len = 1 + Rng.int st.rng 8 in
+  let msg = String.init len (fun _ -> Char.chr (Char.code 'a' + Rng.int st.rng 26)) in
+  write_msg_arm st msg
 
 let raw_syscall_items_arm st =
-  match Rng.int st.arng 6 with
+  match Rng.int st.rng 6 with
   | 0 ->
-    anote st Sysno.getpid;
+    note_nr st Sysno.getpid;
     li 8 Sysno.getpid @ [ svc st ]
   | 1 ->
-    anote st Sysno.gettid;
+    note_nr st Sysno.gettid;
     li 8 Sysno.gettid @ [ svc st ]
   | 2 ->
     (* -ENOSYS whatever the registers hold; [Arm.li] materialises any
        OCaml int exactly (movz/movk field reassembly), so the x86
        boundary values carry over unchanged *)
-    anote st Sysno.bench_nonexistent;
-    List.concat (List.init 6 (fun i -> li i (pick st.arng boundary_args)))
+    note_nr st Sysno.bench_nonexistent;
+    List.concat (List.init 6 (fun i -> li i (pick st.rng boundary_args)))
     @ li 8 Sysno.bench_nonexistent
     @ [ svc st ]
   | 3 ->
-    anote st Sysno.brk;
+    note_nr st Sysno.brk;
     li 0 0 @ li 8 Sysno.brk @ [ svc st ]
   | 4 ->
-    anote st Sysno.close;
-    li 0 (99 + Rng.int st.arng 100) @ li 8 Sysno.close @ [ svc st ]
+    note_nr st Sysno.close;
+    li 0 (99 + Rng.int st.rng 100) @ li 8 Sysno.close @ [ svc st ]
   | _ -> write_items_arm st
 
 (* immediates and register values that contain the [svc] word pattern:
@@ -530,51 +488,51 @@ let raw_syscall_items_arm st =
    aligned sweep never treats them as sites; only in-text {e data}
    words can alias (the [Svc_alias] shape). *)
 let embedded_filler_arm st =
-  let r = pick st.arng ascratch in
-  let alias = Arm.encode (Arm.Svc (Rng.int st.arng 0x10000)) in
-  match Rng.int st.arng 4 with
+  let r = pick st.rng ascratch in
+  let alias = Arm.encode (Arm.Svc (Rng.int st.rng 0x10000)) in
+  match Rng.int st.rng 4 with
   | 0 -> [ A.I (Arm.Movz (r, alias land 0xffff)) ]
   | 1 -> li r alias
   | 2 ->
-    let r2 = pick st.arng ascratch in
+    let r2 = pick st.rng ascratch in
     li r alias @ [ A.I (Arm.Add_rr (r, r, r2)) ]
   | _ -> [ A.I (Arm.Movz (r, alias land 0xffff)); A.I (Arm.Movk (r, (alias lsr 16) land 0xffff, 1)) ]
 
 let raw_block_arm st =
   let one () = raw_syscall_items_arm st in
-  if Rng.int st.arng 3 = 0 then begin
+  if Rng.int st.rng 3 = 0 then begin
     (* bounded counted loop around one syscall (x21 is reserved) *)
-    let n = 2 + Rng.int st.arng 4 in
-    let lbl = afresh st "loop" in
+    let n = 2 + Rng.int st.rng 4 in
+    let lbl = fresh st "loop" in
     let body = one () in
     li 21 n @ [ A.Label lbl ] @ body
     @ [ A.I (Arm.Subs_imm (21, 21, 1)); A.Jc (Insn.NZ, lbl) ]
   end
-  else List.concat (List.init (1 + Rng.int st.arng 3) (fun _ -> one ()))
+  else List.concat (List.init (1 + Rng.int st.rng 3) (fun _ -> one ()))
 
 let embedded_block_arm st =
-  let fillers = List.concat (List.init (2 + Rng.int st.arng 3) (fun _ -> embedded_filler_arm st)) in
+  let fillers = List.concat (List.init (2 + Rng.int st.rng 3) (fun _ -> embedded_filler_arm st)) in
   fillers @ raw_syscall_items_arm st
 
 (* no instruction can straddle a page on a fixed-width ISA; the shape
    instead parks genuine [svc] sites on both edges of a page boundary,
    where a patcher's permission and barrier handling must span pages *)
 let straddle_block_arm st =
-  anote st Sysno.getpid;
-  if Rng.int st.arng 2 = 0 then
+  note_nr st Sysno.getpid;
+  if Rng.int st.rng 2 = 0 then
     (* svc in the last word of a page *)
     li 8 Sysno.getpid @ [ A.Align 4096; nop_pad 1023; A.I (Arm.Svc 0) ]
   else begin
     (* back-to-back sites bracketing the boundary: last word of one
        page, first word of the next (x8 survives the first svc) *)
-    anote st Sysno.getpid;
+    note_nr st Sysno.getpid;
     li 8 Sysno.getpid @ [ A.Align 4096; nop_pad 1023; A.I (Arm.Svc 0); A.I (Arm.Svc 1) ]
   end
 
 let smc_block_arm st =
-  let nr = pick_l st.arng [ Sysno.getpid; Sysno.gettid; Sysno.bench_nonexistent ] in
-  anote st Sysno.mmap;
-  anote st nr;
+  let nr = pick_l st.rng [ Sysno.getpid; Sysno.gettid; Sysno.bench_nonexistent ] in
+  note_nr st Sysno.mmap;
+  note_nr st nr;
   let stub = Arm.assemble (Arm.li 8 nr @ [ Arm.Svc 0; Arm.Ret ]) in
   let stores = ref [] in
   Bytes.iteri
@@ -586,13 +544,13 @@ let smc_block_arm st =
   @ [ A.I (Arm.Blr 14) ]
 
 let forky_block_arm st =
-  let child = afresh st "child" and join = afresh st "join" in
-  anote st Sysno.fork;
-  anote st Sysno.wait4;
+  let child = fresh st "child" and join = fresh st "join" in
+  note_nr st Sysno.fork;
+  note_nr st Sysno.wait4;
   let child_body =
-    List.concat (List.init (1 + Rng.int st.arng 2) (fun _ -> raw_syscall_items_arm st))
-    @ (if Rng.int st.arng 2 = 0 then write_items_arm st else [])
-    @ exit_items_arm st (Rng.int st.arng 32)
+    List.concat (List.init (1 + Rng.int st.rng 2) (fun _ -> raw_syscall_items_arm st))
+    @ (if Rng.int st.rng 2 = 0 then write_items_arm st else [])
+    @ exit_items_arm st (Rng.int st.rng 32)
   in
   li 8 Sysno.fork
   @ [ A.I (Arm.Svc 0); A.I (Arm.Subs_imm (31, 0, 0)); A.Jc (Insn.Z, child) ]
@@ -602,14 +560,14 @@ let forky_block_arm st =
   @ [ A.Label join ]
 
 let sig_block_arm st =
-  let handler = afresh st "handler" in
+  let handler = fresh st "handler" in
   let signo, trigger =
-    if Rng.int st.arng 2 = 0 then (sigill, A.Blob (Bytes.make 4 '\x00')) (* zero word: undefined *)
+    if Rng.int st.rng 2 = 0 then (sigill, A.Blob (Bytes.make 4 '\x00')) (* zero word: undefined *)
     else (sigtrap, A.I (Arm.Brk 0))
   in
-  anote st Sysno.rt_sigaction;
-  let handler_code = write_items_arm st @ exit_items_arm st (32 + Rng.int st.arng 32) in
-  st.atail <- st.atail @ [ A.Label handler ] @ handler_code;
+  note_nr st Sysno.rt_sigaction;
+  let handler_code = write_items_arm st @ exit_items_arm st (32 + Rng.int st.rng 32) in
+  st.tail <- st.tail @ [ A.Label handler ] @ handler_code;
   li 0 signo @ [ A.Mov_sym (1, handler) ] @ li 8 Sysno.rt_sigaction @ [ A.I (Arm.Svc 0); trigger ]
 
 (* P3a as a shape: a literal-pool word whose value aliases the [svc]
@@ -617,14 +575,14 @@ let sig_block_arm st =
    tell it from code, so ASC-Hook patches it and the program observes
    the rewrite — native and rewriting runs diverge by design. *)
 let svc_alias_block st =
-  let cont = afresh st "cont" and patched = afresh st "patched" and fin = afresh st "fin" in
-  let alias = Arm.encode (Arm.Svc (1 + Rng.int st.arng 0x7fff)) in
+  let cont = fresh st "cont" and patched = fresh st "patched" and fin = fresh st "fin" in
+  let alias = Arm.encode (Arm.Svc (1 + Rng.int st.rng 0x7fff)) in
   [ A.I (Arm.Ldr_lit (9, 2)) (* x9 := the quad two words below *); A.J cont; A.Quad alias; A.Label cont ]
   @ li 10 alias
   @ [ A.I (Arm.Subs_rr (31, 9, 10)); A.Jc (Insn.NZ, patched) ]
-  @ write_const_arm st "literal-intact"
+  @ write_msg_arm st "literal-intact"
   @ [ A.J fin; A.Label patched ]
-  @ write_const_arm st "literal-PATCHED"
+  @ write_msg_arm st "literal-PATCHED"
   @ [ A.Label fin ]
 
 let exec_child_items_arm =
@@ -637,13 +595,13 @@ let exec_child_items_arm =
   @ [ A.I (Arm.Svc 0) ]
 
 let execve_scrub_block_arm st =
-  let child = afresh st "xchild" and join = afresh st "xjoin" in
-  let epath = afresh st "epath" and argvv = afresh st "argvv" in
-  st.adata <-
-    st.adata @ [ A.Label epath; A.Strz exec_child_path; A.Align 8; A.Label argvv; A.Quad 0 ];
-  anote st Sysno.fork;
-  anote st Sysno.wait4;
-  anote st Sysno.execve;
+  let child = fresh st "xchild" and join = fresh st "xjoin" in
+  let epath = fresh st "epath" and argvv = fresh st "argvv" in
+  st.data <-
+    st.data @ [ A.Label epath; A.Strz exec_child_path; A.Align 8; A.Label argvv; A.Quad 0 ];
+  note_nr st Sysno.fork;
+  note_nr st Sysno.wait4;
+  note_nr st Sysno.execve;
   li 8 Sysno.fork
   @ [ A.I (Arm.Svc 0); A.I (Arm.Subs_imm (31, 0, 0)); A.Jc (Insn.Z, child) ]
   @ li 0 (-1) @ li 1 0 @ li 2 0 @ li 3 0 @ li 8 Sysno.wait4
@@ -665,8 +623,13 @@ let block_of_shape_arm st = function
   | Svc_alias -> svc_alias_block st
   | Execve_scrub -> execve_scrub_block_arm st
 
-let generate_arm ~shapes rng =
-  let st = { arng = rng; auid = 0; adata = []; atail = []; aused = []; asysnrs = [] } in
+(* Structure: 1-4 shape blocks, a final exit_group, plus any handler
+   code and the data section.  At most one straddle and one terminal
+   (signal) block per program; the terminal block, if drawn, goes
+   last.  Both ISAs share this loop, so they draw the rng in the same
+   order. *)
+let draw ~shapes ~block_of_shape ~exit_items ~wrap rng =
+  let st = { rng; uid = 0; data = []; tail = []; used = []; sysnrs = [] } in
   let nblocks = 1 + Rng.int rng 4 in
   let straddled = ref false and terminal = ref false in
   let body = ref [] in
@@ -676,26 +639,27 @@ let generate_arm ~shapes rng =
       if !s = Straddle && !straddled then s := Raw;
       if !s = Straddle then straddled := true;
       if !s = Sigheavy then terminal := true;
-      st.aused <- st.aused @ [ !s ];
-      body := !body @ block_of_shape_arm st !s
+      st.used <- st.used @ [ !s ];
+      body := !body @ block_of_shape st !s
     end
   done;
   let items =
-    [ A.Label "main" ]
+    [ Asm.Label "main" ]
     @ !body
-    @ (if !terminal then [] else exit_items_arm st (Rng.int st.arng 64))
-    @ st.atail
-    @ (match st.adata with [] -> [] | d -> A.Section `Data :: d)
+    @ (if !terminal then [] else exit_items st (Rng.int st.rng 64))
+    @ st.tail
+    @ (match st.data with [] -> [] | d -> Asm.Section `Data :: d)
   in
-  { items = A64 items; shapes = st.aused; nrs = List.rev st.asysnrs }
+  { items = wrap items; shapes = st.used; nrs = List.rev st.sysnrs }
 
 (** Generate one program for [isa].  Same seed, same ISA => the same
     program byte-for-byte; the two ISAs draw from the rng in different
     orders and are unrelated streams. *)
 let generate ?(shapes = default_shapes) ?(isa = K23_isa.Isa.X86_64) rng =
   match isa with
-  | K23_isa.Isa.X86_64 -> generate_x86 ~shapes rng
-  | K23_isa.Isa.Arm64 -> generate_arm ~shapes rng
+  | K23_isa.Isa.X86_64 -> draw ~shapes ~block_of_shape ~exit_items ~wrap:(fun i -> X86 i) rng
+  | K23_isa.Isa.Arm64 ->
+    draw ~shapes ~block_of_shape:block_of_shape_arm ~exit_items:exit_items_arm ~wrap:(fun i -> A64 i) rng
 
 (* --- coverage accounting ------------------------------------------- *)
 
@@ -711,32 +675,26 @@ let insn_name (i : Insn.t) =
   | Store8 _ -> "store8" | Lea _ -> "lea" | Jmp_rel _ -> "jmp_rel" | Call_rel _ -> "call_rel"
   | Jcc _ -> "jcc" | Jmp_reg _ -> "jmp_reg" | Call_reg _ -> "call_reg"
 
+(* executable instructions in [items]: a symbol load is [mov_sym]
+   instructions, a symbol call or jump [call_sym]; data items count
+   zero *)
+let count_insns ~mov_sym ~call_sym items =
+  List.fold_left
+    (fun acc (item : (_, _) Asm.t) ->
+      acc
+      +
+      match item with
+      | I _ | J _ | Jc _ | Calll _ | Vcall_named _ -> 1
+      | Mov_sym _ -> mov_sym
+      | Call_sym _ | Jmp_sym _ -> call_sym
+      | Label _ | Blob _ | Zeros _ | Strz _ | Quad _ | Section _ | Align _ -> 0)
+    0 items
+
 (** Count the executable instructions of a program's items (pseudo-
     items count as what they assemble to; data items count zero). *)
 let insn_count = function
-  | X86 items ->
-    List.fold_left
-      (fun acc item ->
-        acc
-        +
-        match (item : Asm.item) with
-        | Asm.I _ | Asm.J _ | Asm.Jc _ | Asm.Calll _ | Asm.Mov_sym _ | Asm.Vcall_named _ -> 1
-        | Asm.Call_sym _ | Asm.Jmp_sym _ -> 2
-        | Asm.Label _ | Asm.Blob _ | Asm.Zeros _ | Asm.Strz _ | Asm.Quad _ | Asm.Section _
-        | Asm.Align _ ->
-          0)
-      0 items
-  | A64 items ->
-    List.fold_left
-      (fun acc item ->
-        acc
-        +
-        match (item : A.item) with
-        | A.I _ | A.J _ | A.Jc _ | A.Calll _ | A.Vcall_named _ -> 1
-        | A.Mov_sym _ -> 2 (* ldr + skip-branch (the pool quad is data) *)
-        | A.Call_sym _ | A.Jmp_sym _ -> 3
-        | A.Label _ | A.Blob _ | A.Zeros _ | A.Strz _ | A.Quad _ | A.Section _ | A.Align _ -> 0)
-      0 items
+  | X86 items -> count_insns ~mov_sym:1 ~call_sym:2 items
+  | A64 items -> count_insns ~mov_sym:2 (* ldr + skip-branch (the pool quad is data) *) ~call_sym:3 items
 
 let add_hist tbl key by =
   Hashtbl.replace tbl key (by + Option.value ~default:0 (Hashtbl.find_opt tbl key))
@@ -750,6 +708,19 @@ let arm_insn_name (i : Arm.insn) =
   | Ldr _ -> "ldr" | Str _ -> "str" | Ldrb _ -> "ldrb" | Strb _ -> "strb" | Vcall _ -> "vcall"
   | Brk _ -> "brk"
 
+(* count each item under the opcode it assembles to first *)
+let hist_items tbl name ~jmp ~jcc ~call ~load items =
+  List.iter
+    (fun (item : (_, _) Asm.t) ->
+      match item with
+      | I i -> add_hist tbl (name i) 1
+      | J _ -> add_hist tbl jmp 1
+      | Jc _ -> add_hist tbl jcc 1
+      | Calll _ -> add_hist tbl call 1
+      | Mov_sym _ | Call_sym _ | Jmp_sym _ -> add_hist tbl load 1
+      | _ -> ())
+    items
+
 (** Opcode histogram over programs' items (sorted by name); x86 and
     ARM opcode names never collide, so mixed populations are fine. *)
 let insn_histogram progs =
@@ -757,30 +728,8 @@ let insn_histogram progs =
   List.iter
     (fun p ->
       match p.items with
-      | X86 items ->
-        List.iter
-          (fun item ->
-            match (item : Asm.item) with
-            | Asm.I i -> add_hist tbl (insn_name i) 1
-            | Asm.J _ -> add_hist tbl "jmp_rel" 1
-            | Asm.Jc _ -> add_hist tbl "jcc" 1
-            | Asm.Calll _ -> add_hist tbl "call_rel" 1
-            | Asm.Mov_sym _ -> add_hist tbl "mov_ri" 1
-            | Asm.Call_sym _ | Asm.Jmp_sym _ -> add_hist tbl "mov_ri" 1
-            | _ -> ())
-          items
-      | A64 items ->
-        List.iter
-          (fun item ->
-            match (item : A.item) with
-            | A.I i -> add_hist tbl (arm_insn_name i) 1
-            | A.J _ -> add_hist tbl "b" 1
-            | A.Jc _ -> add_hist tbl "b_cond" 1
-            | A.Calll _ -> add_hist tbl "bl" 1
-            | A.Mov_sym _ -> add_hist tbl "ldr_lit" 1
-            | A.Call_sym _ | A.Jmp_sym _ -> add_hist tbl "ldr_lit" 1
-            | _ -> ())
-          items)
+      | X86 items -> hist_items tbl insn_name ~jmp:"jmp_rel" ~jcc:"jcc" ~call:"call_rel" ~load:"mov_ri" items
+      | A64 items -> hist_items tbl arm_insn_name ~jmp:"b" ~jcc:"b_cond" ~call:"bl" ~load:"ldr_lit" items)
     progs;
   Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)

@@ -1,11 +1,17 @@
-(** Two-pass assembler DSL.
+(** Two-pass assembler DSL, shared by both ISAs.
 
-    Programs for the simulated machine are written as lists of {!item}s
+    Programs for the simulated machine are written as lists of items
     mixing instructions, labels, raw data blobs (the "embedded data in
     code pages" of pitfall P3), and host-function escapes.  The
-    assembler resolves local labels to rel32 branches and records
+    assembler resolves local labels to pc-relative branches and records
     {e relocations} for external symbols; the dynamic loader patches
     those at load time, exactly like ELF R_X86_64_64 relocations.
+
+    The item vocabulary and the layout (section offsets, symbol table,
+    relocation list, vcall numbering) are ISA-neutral; an ISA supplies
+    a {!backend}: the sizes and encodings of its instruction-bearing
+    items and its text padding.  {!assemble} is the x86-64 backend;
+    [K23_isa_arm.Asm_arm] is the AArch64 one.
 
     Sections: [`Text] (mapped r-x) and [`Data] (mapped rw-).  Placing
     [Blob]s in [`Text] is how test programs embed data in executable
@@ -13,22 +19,24 @@
 
 type section = [ `Text | `Data ]
 
-type item =
-  | I of Insn.t  (** a literal instruction *)
+type ('insn, 'reg) t =
+  | I of 'insn  (** a literal instruction *)
   | Label of string  (** local label; also exported as a symbol *)
   | Blob of bytes  (** raw bytes (data, jump tables, shellcode...) *)
   | Zeros of int  (** reserve n zero bytes *)
   | Strz of string  (** NUL-terminated string *)
   | Quad of int  (** 8-byte little-endian literal *)
-  | J of string  (** jmp to label (rel32 form, 5 bytes) *)
-  | Jc of Insn.cond * string  (** conditional jump to label (6 bytes) *)
-  | Calll of string  (** call to local label (rel32 form, 5 bytes) *)
-  | Call_sym of string  (** call external symbol: mov r11, imm64(reloc); call *r11 *)
-  | Jmp_sym of string  (** tail-jump to external symbol via r11 *)
-  | Mov_sym of Reg.t * string  (** reg := absolute address of symbol (reloc) *)
+  | J of string  (** jump to label *)
+  | Jc of Insn.cond * string  (** conditional jump to label *)
+  | Calll of string  (** call to local label *)
+  | Call_sym of string  (** call external symbol: load its reloc slot, call through the register *)
+  | Jmp_sym of string  (** tail-jump to external symbol, like [Call_sym] *)
+  | Mov_sym of 'reg * string  (** reg := absolute address of symbol (reloc) *)
   | Vcall_named of string  (** host-function escape, resolved per-image *)
   | Section of section  (** switch emission section *)
-  | Align of int  (** pad current section with nops/zeros to a multiple *)
+  | Align of int  (** pad current section to a multiple *)
+
+type item = (Insn.t, Reg.t) t
 
 type reloc = { reloc_section : section; reloc_offset : int; reloc_symbol : string }
 (** An 8-byte absolute slot at [reloc_offset] to be patched with the
@@ -46,25 +54,25 @@ exception Asm_error of string
 
 let err fmt = Printf.ksprintf (fun s -> raise (Asm_error s)) fmt
 
-(* Fixed sizes of the pseudo-items (two-pass with constant sizes keeps
-   the assembler simple and the layout predictable). *)
-let item_size = function
-  | I i -> Encode.length i
-  | Label _ | Section _ -> 0
-  | Blob b -> Bytes.length b
+type ('insn, 'reg) backend = {
+  size : ('insn, 'reg) t -> int;
+  slot : int;
+  encode : Bytes.t -> section -> int -> int -> ('insn, 'reg) t -> unit;
+  pad : Bytes.t -> int -> int -> unit;
+}
+
+(* Every item has a constant size (two passes with constant sizes keep
+   the assembler simple and the layout predictable); [Align] is
+   variable and handled in the layout itself. *)
+let size b = function
+  | Label _ | Section _ | Align _ -> 0
+  | Blob bs -> Bytes.length bs
   | Zeros n -> n
   | Strz s -> String.length s + 1
   | Quad _ -> 8
-  | J _ -> 5
-  | Jc _ -> 6
-  | Calll _ -> 5
-  | Call_sym _ -> 10 + 3 (* mov r11, imm64 ; call *r11 (0x41 prefix) *)
-  | Jmp_sym _ -> 10 + 3
-  | Mov_sym _ -> 10
-  | Vcall_named _ -> 6
-  | Align _ -> 0 (* variable; handled specially in layout *)
+  | item -> b.size item
 
-let assemble (items : item list) : program =
+let assemble_with b items =
   (* Pass 1: compute per-section offsets for every item and the symbol
      table. *)
   let text_len = ref 0 and data_len = ref 0 in
@@ -81,13 +89,15 @@ let assemble (items : item list) : program =
           let pad = (n - (here mod n)) mod n in
           (off_of !sec) := here + pad
         | Label name -> symbols := (name, (!sec, here)) :: !symbols
-        | other -> (off_of !sec) := here + item_size other);
+        | other -> (off_of !sec) := here + size b other);
         (item, !sec, here))
       items
   in
-  let find_label name =
+  let label_off name sec =
     match List.assoc_opt name !symbols with
-    | Some (s, o) -> (s, o)
+    | Some (tsec, toff) ->
+      if tsec <> sec then err "cross-section branch to %S" name;
+      toff
     | None -> err "undefined label %S" name
   in
   (* Pass 2: emit. *)
@@ -102,56 +112,61 @@ let assemble (items : item list) : program =
       vcalls := !vcalls @ [ name ];
       List.length !vcalls - 1
   in
-  let put sec off b =
-    let target = match sec with `Text -> text | `Data -> data in
-    Bytes.blit b 0 target off (Bytes.length b)
-  in
-  let label_rel name sec here len =
-    (* rel32 displacement from the end of the branch instruction *)
-    let tsec, toff = find_label name in
-    if tsec <> sec then err "cross-section branch to %S" name;
-    toff - (here + len)
-  in
   List.iter
     (fun (item, sec, here) ->
+      let buf = match sec with `Text -> text | `Data -> data in
       match item with
-      | Section _ | Label _ -> ()
-      | Align n ->
-        (* pad bytes were reserved during layout as zeros in data /
-           nops are not needed in text because zeros decode as invalid;
-           we fill text padding with nops for cleanliness *)
-        let pad = (n - (here mod n)) mod n in
-        if sec = `Text then
-          for i = 0 to pad - 1 do
-            Bytes.set text (here + i) '\x90'
-          done
-      | I insn -> put sec here (Encode.to_bytes insn)
-      | Blob b -> put sec here b
-      | Zeros _ -> ()
-      | Strz s ->
-        put sec here (Bytes.of_string s)
-        (* trailing NUL already zero *)
+      | Section _ | Label _ | Zeros _ -> ()
+      | Align n -> if sec = `Text then b.pad text here ((n - (here mod n)) mod n)
+      | Blob bs -> Bytes.blit bs 0 buf here (Bytes.length bs)
+      | Strz s -> Bytes.blit_string s 0 buf here (String.length s) (* trailing NUL already zero *)
       | Quad v ->
-        let b = Bytes.create 8 in
         for i = 0 to 7 do
-          Bytes.set b i (Char.chr ((v lsr (8 * i)) land 0xff))
-        done;
-        put sec here b
-      | J name -> put sec here (Encode.to_bytes (Jmp_rel (label_rel name sec here 5)))
-      | Jc (c, name) -> put sec here (Encode.to_bytes (Jcc (c, label_rel name sec here 6)))
-      | Calll name -> put sec here (Encode.to_bytes (Call_rel (label_rel name sec here 5)))
-      | Call_sym name ->
-        put sec here (Encode.to_bytes (Mov_ri (R11, 0)));
-        put sec (here + 10) (Encode.to_bytes (Call_reg R11));
-        relocs := { reloc_section = sec; reloc_offset = here + 2; reloc_symbol = name } :: !relocs
-      | Jmp_sym name ->
-        put sec here (Encode.to_bytes (Mov_ri (R11, 0)));
-        put sec (here + 10) (Encode.to_bytes (Jmp_reg R11));
-        relocs := { reloc_section = sec; reloc_offset = here + 2; reloc_symbol = name } :: !relocs
-      | Mov_sym (r, name) ->
-        put sec here (Encode.to_bytes (Mov_ri (r, 0)));
-        (* mov r, imm64 is always 2 bytes of prefix+opcode, then imm *)
-        relocs := { reloc_section = sec; reloc_offset = here + 2; reloc_symbol = name } :: !relocs
-      | Vcall_named name -> put sec here (Encode.to_bytes (Vcall (vcall_index name))))
+          Bytes.set buf (here + i) (Char.chr ((v lsr (8 * i)) land 0xff))
+        done
+      | J name | Jc (_, name) | Calll name -> b.encode buf sec here (label_off name sec) item
+      | Vcall_named name -> b.encode buf sec here (vcall_index name) item
+      | Call_sym name | Jmp_sym name | Mov_sym (_, name) ->
+        b.encode buf sec here 0 item;
+        relocs := { reloc_section = sec; reloc_offset = here + b.slot; reloc_symbol = name } :: !relocs
+      | I _ -> b.encode buf sec here 0 item)
     layout;
   { text; data; symbols = List.rev !symbols; relocs = List.rev !relocs; vcalls = !vcalls }
+
+(* x86-64: rel32 branches, measured from the end of the branch; symbol
+   loads are [mov r, imm64] with the reloc slot as the immediate. *)
+let put buf here insn =
+  let bs = Encode.to_bytes insn in
+  Bytes.blit bs 0 buf here (Bytes.length bs)
+
+let x86 =
+  {
+    size =
+      (function
+      | I i -> Encode.length i
+      | J _ | Calll _ -> 5
+      | Jc _ -> 6
+      | Call_sym _ | Jmp_sym _ -> 10 + 3 (* mov r11, imm64 ; call/jmp *r11 (0x41 prefix) *)
+      | Mov_sym _ -> 10
+      | Vcall_named _ -> 6
+      | _ -> 0);
+    slot = 2 (* mov r, imm64 is always 2 bytes of prefix+opcode, then imm *);
+    encode =
+      (fun buf _ here arg -> function
+        | I i -> put buf here i
+        | J _ -> put buf here (Jmp_rel (arg - (here + 5)))
+        | Jc (c, _) -> put buf here (Jcc (c, arg - (here + 6)))
+        | Calll _ -> put buf here (Call_rel (arg - (here + 5)))
+        | Call_sym _ ->
+          put buf here (Mov_ri (R11, 0));
+          put buf (here + 10) (Call_reg R11)
+        | Jmp_sym _ ->
+          put buf here (Mov_ri (R11, 0));
+          put buf (here + 10) (Jmp_reg R11)
+        | Mov_sym (r, _) -> put buf here (Mov_ri (r, 0))
+        | Vcall_named _ -> put buf here (Vcall arg)
+        | _ -> ());
+    pad = (fun buf off len -> Bytes.fill buf off len '\x90');
+  }
+
+let assemble items = assemble_with x86 items

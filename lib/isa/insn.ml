@@ -112,10 +112,3 @@ let to_string = function
   | Jcc (c, d) -> Printf.sprintf "%s %+d" (cond_to_string c) d
   | Jmp_reg r -> Printf.sprintf "jmp *%s" (Reg.to_string r)
   | Call_reg r -> Printf.sprintf "call *%s" (Reg.to_string r)
-
-(** Byte values that identify the first byte of a system call
-    instruction; shared by rewriters and the disassembler. *)
-let syscall_opcode = (0x0f, 0x05)
-
-let sysenter_opcode = (0x0f, 0x34)
-let call_rax_opcode = (0xff, 0xd0)

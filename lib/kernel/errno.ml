@@ -18,6 +18,7 @@ let eisdir = 21
 let einval = 22
 let enfile = 23
 let emfile = 24
+let efbig = 27
 let enosys = 38
 let enotempty = 39
 let eaddrinuse = 98
@@ -31,8 +32,6 @@ let erestartsys = 512
 
 (** Encode an error as a syscall return value. *)
 let ret e = -e
-
-let is_error v = v < 0
 
 let to_string e =
   match abs e with

@@ -191,7 +191,6 @@ and world = {
   mutable procs : proc list;
   mutable next_pid : int;
   mutable next_tid : int;
-  mutable next_core : int;
   vfs : Vfs.t;
   net : Net.t;
   libraries : (string, image) Hashtbl.t;  (** path -> image *)
@@ -242,7 +241,6 @@ let panic fmt = Printf.ksprintf (fun s -> raise (Kernel_panic s)) fmt
 (* Signal numbers *)
 let sigill = 4
 let sigtrap = 5
-let sigkill = 9
 let sigsegv = 11
 let sigsys = 31
 
@@ -264,7 +262,6 @@ let create_world ~isa ~ncores ~quantum ~seed ~aslr ~(cost : Cost.model) ~predeco
     procs = [];
     next_pid = 1;
     next_tid = 1;
-    next_core = 0;
     vfs = Vfs.create ();
     net = Net.create ();
     libraries = Hashtbl.create 16;
@@ -361,7 +358,6 @@ let new_thread w (p : proc) =
   let core = ref 0 in
   Array.iteri (fun i l -> if l < load.(!core) then core := i) load;
   let core = !core in
-  w.next_core <- (core + 1) mod w.ncores;
   let th =
     {
       tid;

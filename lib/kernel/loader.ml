@@ -101,67 +101,58 @@ let ldso_path_for = function
   | K23_isa.Isa.X86_64 -> ldso_path
   | K23_isa.Isa.Arm64 -> ldso_path_arm
 
-let ldso_image () : image =
+(** The interpreter loop.  The dispatch flag is rbx/x19 and the branch
+    target r12/x20; the syscall gadget is a genuine trapping
+    instruction in the interpreter's own text on both ISAs (P2b
+    fidelity: all pre-preload startup syscalls execute as real
+    [syscall]/[svc #0]). *)
+let ldso_image isa : image =
   let prog =
-    Asm.assemble
-      [
-        Label "_start";
-        Label "loop";
-        Vcall_named "ldso_step";
-        I (Cmp_ri (RBX, 0));
-        Jc (NZ, "not_sys");
-        Label "ldso_syscall_gadget";
-        I Syscall;
-        Vcall_named "ldso_ret";
-        J "loop";
-        Label "not_sys";
-        I (Cmp_ri (RBX, 1));
-        Jc (NZ, "enter_main");
-        I (Call_reg R12);
-        J "loop";
-        Label "enter_main";
-        I (Jmp_reg R12);
-      ]
+    match isa with
+    | K23_isa.Isa.X86_64 ->
+      Asm.assemble
+        [
+          Label "_start";
+          Label "loop";
+          Vcall_named "ldso_step";
+          I (Cmp_ri (RBX, 0));
+          Jc (NZ, "not_sys");
+          Label "ldso_syscall_gadget";
+          I Syscall;
+          Vcall_named "ldso_ret";
+          J "loop";
+          Label "not_sys";
+          I (Cmp_ri (RBX, 1));
+          Jc (NZ, "enter_main");
+          I (Call_reg R12);
+          J "loop";
+          Label "enter_main";
+          I (Jmp_reg R12);
+        ]
+    | K23_isa.Isa.Arm64 ->
+      K23_isa_arm.(
+        Asm_arm.assemble
+          [
+            Label "_start";
+            Label "loop";
+            Vcall_named "ldso_step";
+            I (Arm.Subs_imm (31, 19, 0)) (* cmp x19, #0 *);
+            Jc (NZ, "not_sys");
+            Label "ldso_syscall_gadget";
+            I (Arm.Svc 0);
+            Vcall_named "ldso_ret";
+            J "loop";
+            Label "not_sys";
+            I (Arm.Subs_imm (31, 19, 1)) (* cmp x19, #1 *);
+            Jc (NZ, "enter_main");
+            I (Arm.Blr 20);
+            J "loop";
+            Label "enter_main";
+            I (Arm.Br 20);
+          ])
   in
   {
-    im_name = ldso_path;
-    im_prog = prog;
-    im_host_fns = [ ("ldso_step", ldso_step); ("ldso_ret", ldso_ret) ];
-    im_init = None;
-    im_entry = Some "_start";
-    im_needed = [];
-    im_owner = Ldso;
-  }
-
-(** The same interpreter loop, compiled for AArch64: dispatch flag in
-    x19, branch target in x20, the syscall gadget a real [svc #0] in
-    the interpreter's own text (P2b fidelity: all pre-preload startup
-    syscalls execute as genuine trapping instructions on ARM too). *)
-let ldso_image_arm () : image =
-  let open K23_isa_arm in
-  let prog =
-    Asm_arm.assemble
-      [
-        Asm_arm.Label "_start";
-        Asm_arm.Label "loop";
-        Asm_arm.Vcall_named "ldso_step";
-        Asm_arm.I (Arm.Subs_imm (31, 19, 0)) (* cmp x19, #0 *);
-        Asm_arm.Jc (K23_isa.Insn.NZ, "not_sys");
-        Asm_arm.Label "ldso_syscall_gadget";
-        Asm_arm.I (Arm.Svc 0);
-        Asm_arm.Vcall_named "ldso_ret";
-        Asm_arm.J "loop";
-        Asm_arm.Label "not_sys";
-        Asm_arm.I (Arm.Subs_imm (31, 19, 1)) (* cmp x19, #1 *);
-        Asm_arm.Jc (K23_isa.Insn.NZ, "enter_main");
-        Asm_arm.I (Arm.Blr 20);
-        Asm_arm.J "loop";
-        Asm_arm.Label "enter_main";
-        Asm_arm.I (Arm.Br 20);
-      ]
-  in
-  {
-    im_name = ldso_path_arm;
+    im_name = ldso_path_for isa;
     im_prog = prog;
     im_host_fns = [ ("ldso_step", ldso_step); ("ldso_ret", ldso_ret) ];
     im_init = None;
@@ -189,30 +180,14 @@ let vdso_clock_gettime (ctx : ctx) =
   (try Memory.write_u64_raw p.mem (Regs.geti th.regs arg1) ns with Memory.Fault _ -> ());
   Regs.set th.regs RAX 0
 
-let vdso_image () : image =
+let vdso_image isa : image =
   let prog =
-    Asm.assemble
-      [ Label "__vdso_clock_gettime"; Vcall_named "vdso_clock_gettime"; I Ret ]
-  in
-  {
-    im_name = vdso_name;
-    im_prog = prog;
-    im_host_fns = [ ("vdso_clock_gettime", vdso_clock_gettime) ];
-    im_init = None;
-    im_entry = None;
-    im_needed = [];
-    im_owner = Vdso;
-  }
-
-let vdso_image_arm () : image =
-  let open K23_isa_arm in
-  let prog =
-    Asm_arm.assemble
-      [
-        Asm_arm.Label "__vdso_clock_gettime";
-        Asm_arm.Vcall_named "vdso_clock_gettime";
-        Asm_arm.I Arm.Ret;
-      ]
+    match isa with
+    | K23_isa.Isa.X86_64 ->
+      Asm.assemble [ Label "__vdso_clock_gettime"; Vcall_named "vdso_clock_gettime"; I Ret ]
+    | K23_isa.Isa.Arm64 ->
+      K23_isa_arm.(
+        Asm_arm.assemble [ Label "__vdso_clock_gettime"; Vcall_named "vdso_clock_gettime"; I Arm.Ret ])
   in
   {
     im_name = vdso_name;

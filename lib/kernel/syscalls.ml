@@ -33,9 +33,6 @@ let map_noreserve = 0x4000
 let perm_of_prot prot =
   { Memory.r = prot land prot_read <> 0; w = prot land prot_write <> 0; x = prot land prot_exec <> 0 }
 
-let prot_of_perm (p : Memory.perm) =
-  (if p.r then prot_read else 0) lor (if p.w then prot_write else 0) lor if p.x then prot_exec else 0
-
 let vfs_err e = Errno.ret (Vfs.err_to_errno e)
 
 let alloc_fd (p : proc) fd =
@@ -127,7 +124,10 @@ let do_write (w : world) (th : thread) fd buf count =
     with Memory.Fault _ -> Errno.ret Errno.efault)
   | Some (Fd_file f) -> (
     if Vfs.immutable f.file then Errno.ret Errno.eperm
+    else if count > 0 && f.pos >= Vfs.max_file_size then Errno.ret Errno.efbig
     else
+      (* a write crossing the size limit is cut at it, as on Linux *)
+      let count = min count (Vfs.max_file_size - f.pos) in
       try
         let b = Memory.read_bytes_raw p.mem buf count in
         Vfs.write_at f.file ~pos:f.pos b;
@@ -461,7 +461,8 @@ let dispatch (ctx : ctx) ~nr ~args : int =
         | 2 -> Vfs.size f.file + args.(1)
         | _ -> -1
       in
-      if pos < 0 then Errno.ret Errno.einval
+      (* past the size limit: -EINVAL, as generic_file_llseek_size *)
+      if pos < 0 || pos > Vfs.max_file_size then Errno.ret Errno.einval
       else begin
         f.pos <- pos;
         pos

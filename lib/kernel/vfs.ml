@@ -23,7 +23,7 @@ and file = {
 
 type t = { root : dir }
 
-type err = [ `Perm | `Noent | `Notdir | `Isdir | `Inval ]
+type err = [ `Perm | `Noent | `Notdir | `Isdir | `Inval | `Fbig ]
 
 let create () = { root = { entries = Hashtbl.create 16; dir_immutable = false } }
 
@@ -32,6 +32,12 @@ let create () = { root = { entries = Hashtbl.create 16; dir_immutable = false } 
    when it fills, so a run of appends costs amortized O(1) per byte.
    The buffer past [size] is kept zeroed, so growing the file (a write
    past EOF, an extending truncate) reads back zeros without filling. *)
+
+(* The largest file, as a filesystem's [s_maxbytes]: far above any
+   workload (sqlite's WAL peaks near 500 KiB), and small enough that a
+   huge ftruncate or a write after a huge lseek cannot exhaust host
+   memory. *)
+let max_file_size = 64 * 1024 * 1024
 
 let new_file buf ~immutable = { buf; size = Bytes.length buf; file_immutable = immutable }
 
@@ -65,9 +71,11 @@ let write_at f ~pos b =
 
 (** Set the logical size to [len]: shrinking zeroes the cut tail (so a
     later extension never exposes old bytes), extending reads back
-    zeros.  [Error `Inval] for a negative length, as ftruncate(2). *)
+    zeros.  [Error `Inval] for a negative length and [Error `Fbig] past
+    {!max_file_size}, as ftruncate(2). *)
 let truncate f len =
   if len < 0 then Error `Inval
+  else if len > max_file_size then Error `Fbig
   else begin
     if len < f.size then Bytes.fill f.buf len (f.size - len) '\000' else reserve f len;
     f.size <- len;
@@ -235,3 +243,4 @@ let err_to_errno (e : err) =
   | `Notdir -> Errno.enotdir
   | `Isdir -> Errno.eisdir
   | `Inval -> Errno.einval
+  | `Fbig -> Errno.efbig

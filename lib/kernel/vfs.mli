@@ -14,7 +14,7 @@ and dir = { entries : (string, node) Hashtbl.t; mutable dir_immutable : bool }
 
 type t = { root : dir }
 
-type err = [ `Perm | `Noent | `Notdir | `Isdir | `Inval ]
+type err = [ `Perm | `Noent | `Notdir | `Isdir | `Inval | `Fbig ]
 
 val create : unit -> t
 
@@ -24,6 +24,10 @@ val pseudo_file : string -> file
 (** An immutable file in no directory, holding the given bytes:
     /proc synthesised content, or the empty stand-in for an opened
     directory. *)
+
+val max_file_size : int
+(** The largest file size (64 MiB): ftruncate past it is [-EFBIG],
+    lseek past it [-EINVAL], and a write is cut at it. *)
 
 val size : file -> int
 (** Logical length, as fstat and [lseek(SEEK_END)] report it. *)
@@ -41,7 +45,8 @@ val write_at : file -> pos:int -> Bytes.t -> unit
 val truncate : file -> int -> (unit, err) result
 (** Set the logical size.  Shrinking discards the tail for good (a
     later extension reads zeros, never the old bytes); extending reads
-    back zeros.  [Error `Inval] for a negative length, as ftruncate(2). *)
+    back zeros.  [Error `Inval] for a negative length and [Error `Fbig]
+    past {!max_file_size}, as ftruncate(2). *)
 
 (** {2 Namespace} *)
 

@@ -56,9 +56,15 @@ module Config = struct
         ("faults", K23_faults.Faults.to_string c.faults);
       ]
 
+  (** The most cores a config may ask for: every core owns an I-cache
+      and cycle counters, so a parsed count is bounded before anything
+      is allocated.  Every caller uses the default, 12. *)
+  let max_ncores = 1024
+
   (** Inverse of {!to_fields}: an absent key keeps its {!default}.  A
       world needs at least one core and a timeslice of at least one
-      instruction, so smaller values are a parse error. *)
+      instruction, so smaller values are a parse error, as is more
+      than {!max_ncores} cores. *)
   let of_fields fields =
     let module Wire = K23_util.Wire in
     let get k parse d = Wire.get fields k parse d in
@@ -67,9 +73,13 @@ module Config = struct
       let n = Wire.int k v in
       if n < 1 then Wire.fail "%s must be at least 1: %d" k n else n
     in
+    let cores v =
+      let n = positive "ncores" v in
+      if n > max_ncores then Wire.fail "ncores must be at most %d: %d" max_ncores n else n
+    in
     {
       isa = get "isa" (Wire.value "isa" K23_isa.Isa.of_string) default.isa;
-      ncores = get "ncores" (positive "ncores") default.ncores;
+      ncores = get "ncores" cores default.ncores;
       quantum = get "quantum" (positive "quantum") default.quantum;
       seed = get "seed" (Wire.int "seed") default.seed;
       aslr = get "aslr" (flag "aslr") default.aslr;
@@ -86,13 +96,8 @@ end
 let wire (w : world) (cfg : Config.t) =
   w.syscall_impl <- Some Syscalls.dispatch;
   w.execve_impl <- Some Loader.do_execve;
-  (match cfg.isa with
-  | K23_isa.Isa.X86_64 ->
-    register_library w (Loader.ldso_image ());
-    register_library w (Loader.vdso_image ())
-  | K23_isa.Isa.Arm64 ->
-    register_library w (Loader.ldso_image_arm ());
-    register_library w (Loader.vdso_image_arm ()));
+  register_library w (Loader.ldso_image cfg.isa);
+  register_library w (Loader.vdso_image cfg.isa);
   List.iter
     (fun d -> ignore (Vfs.mkdir_p w.vfs d))
     [ "/bin"; "/usr/lib"; "/etc"; "/tmp"; "/home/user"; "/k23" ];
@@ -144,7 +149,6 @@ let reset (w : world) (cfg : Config.t) =
   w.procs <- [];
   w.next_pid <- 1;
   w.next_tid <- 1;
-  w.next_core <- 0;
   Vfs.reset w.vfs;
   Net.reset w.net;
   Hashtbl.reset w.libraries;
@@ -179,19 +183,11 @@ let spawn (w : world) ~path ?(argv = []) ?(env = []) ?tracer ?(vdso = true) () =
     end
     else Ok p
 
-(** Attach a ptrace-style tracer to a process (host-agent model; see
-    {!Kern.tracer}). *)
-let attach_tracer (p : proc) (tr : tracer) = p.tracer <- Some tr
-
-let detach_tracer (p : proc) = p.tracer <- None
-
 let run = Kern.run
 
 (** Run until [p] terminates (or the step budget is exhausted). *)
 let run_until_exit ?max_steps (w : world) (p : proc) =
   run ?max_steps ~until:(fun () -> proc_dead p) w
-
-let exit_code (p : proc) = p.exit_status
 
 let stdout_of = console_output
 

@@ -64,8 +64,6 @@ let no_line = { bytes = Bytes.empty; decoded = [||] }
 
 let set_predecode t on = t.predecode <- on
 
-let predecode_enabled t = t.predecode
-
 let create ?(predecode = true) () =
   { lines = Hashtbl.create 256; last_base = min_int; last_line = no_line; predecode }
 

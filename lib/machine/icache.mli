@@ -46,8 +46,6 @@ val set_predecode : t -> bool -> unit
     creation time via [World.Config.predecode] — worlds configure
     every core's cache consistently from there. *)
 
-val predecode_enabled : t -> bool
-
 val invalidate_range : t -> addr:int -> len:int -> unit
 val flush : t -> unit
 

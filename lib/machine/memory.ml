@@ -231,17 +231,7 @@ let write_u64_raw t addr v =
     done
 
 (* 4-aligned words never cross a page: one buffer access, modelling an
-   architecturally atomic aligned 32-bit load/store (AArch64 patching). *)
-let read_u32_raw t addr =
-  if addr land 3 <> 0 then
-    let rec go i acc =
-      if i = 4 then acc else go (i + 1) (acc lor (read_u8_raw t (addr + i) lsl (8 * i)))
-    in
-    go 0 0
-  else
-    let p = lookup_raw t addr `Read in
-    Int32.to_int (Bytes.get_int32_le p.bytes (addr land (page_size - 1))) land 0xffff_ffff
-
+   architecturally atomic aligned 32-bit store (AArch64 patching). *)
 let write_u32_raw t addr v =
   if addr land 3 <> 0 then
     for i = 0 to 3 do

@@ -96,8 +96,6 @@ val write_bytes_raw : t -> int -> Bytes.t -> unit
 val read_u64_raw : t -> int -> int
 val write_u64_raw : t -> int -> int -> unit
 
-val read_u32_raw : t -> int -> int
-
 val write_u32_raw : t -> int -> int -> unit
 (** 4-aligned words live in one page buffer: the store is a single
     access, modelling AArch64's architecturally atomic aligned 32-bit

@@ -42,9 +42,3 @@ let pp fmt t =
     (fun r -> Format.fprintf fmt "%s=%#x " (Reg.to_string r) (get t r))
     Reg.all;
   Format.fprintf fmt "rip=%#x zf=%b sf=%b pkru=%#x" t.rip t.zf t.sf t.pkru
-
-let pp_arm fmt t =
-  for i = 0 to 30 do
-    Format.fprintf fmt "x%d=%#x " i t.gpr.(i)
-  done;
-  Format.fprintf fmt "sp=%#x rip=%#x zf=%b sf=%b" t.gpr.(31) t.rip t.zf t.sf

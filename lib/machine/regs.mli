@@ -30,4 +30,3 @@ val restore : t -> from:t -> unit
 (** Restore in place (sigreturn, clone child setup). *)
 
 val pp : Format.formatter -> t -> unit
-val pp_arm : Format.formatter -> t -> unit

@@ -47,8 +47,8 @@ let p1a_items =
     Asm.Label "child";
     (* execve("/bin/poc_target", argv, envp = { NULL }): LD_PRELOAD is
        not inherited — Listing 1 of the paper *)
-    Asm.Mov_sym (RDI, "tpath");
-    Asm.Mov_sym (RSI, "argvv");
+    Asm.Mov_sym (Reg.RDI, "tpath");
+    Asm.Mov_sym (Reg.RSI, "argvv");
     Asm.I (Insn.Xor_rr (RDX, RDX));  (* envp = NULL *)
     Asm.Call_sym "execve";
     Asm.I (Insn.Mov_ri (RDI, 9));
@@ -115,7 +115,7 @@ let p2a_items =
     Asm.I (Insn.Mov_rr (R14, RAX));
     (* memcpy(page, stub, len) *)
     Asm.I (Insn.Mov_rr (RDI, R14));
-    Asm.Mov_sym (RSI, "stub");
+    Asm.Mov_sym (Reg.RSI, "stub");
     Asm.I (Insn.Mov_ri (RDX, Bytes.length jit_stub));
     Asm.Call_sym "memcpy";
     (* call it 10 times *)
@@ -144,7 +144,7 @@ let p2b_items =
     Asm.I (Insn.Mov_ri (R13, 10));
     Asm.Label "cg_loop";
     Asm.I (Insn.Mov_ri (RDI, 0));
-    Asm.Mov_sym (RSI, "ts");
+    Asm.Mov_sym (Reg.RSI, "ts");
     Asm.Call_sym "clock_gettime";
     Asm.I (Insn.Sub_ri (R13, 1));
     Asm.Jc (Insn.NZ, "cg_loop");
@@ -229,7 +229,7 @@ let p3b_items =
     Asm.I (Insn.Cmp_ri (RDI, 2));
     Asm.Jc (Insn.LT, "no_attack");
     (* simulate the hijack: call into the partial instruction *)
-    Asm.Mov_sym (R14, "gadget");
+    Asm.Mov_sym (Reg.R14, "gadget");
     Asm.I (Insn.Add_ri (R14, 1));
     Asm.I (Insn.Mov_ri (RAX, Sysno.getpid));
     Asm.I (Insn.Call_reg R14);
@@ -286,7 +286,7 @@ let p5_items =
     Asm.I (Insn.Mov_ri (R9, 0xf000));
     Asm.I (Insn.Add_rr (RSI, R9));  (* stack grows down from near the top *)
     (* clone(worker, stack, 0) *)
-    Asm.Mov_sym (RDI, "worker");
+    Asm.Mov_sym (Reg.RDI, "worker");
     Asm.I (Insn.Mov_ri (RDX, 0));
     Asm.Call_sym "clone";
     (* main thread hammers the shared site too *)
@@ -297,7 +297,7 @@ let p5_items =
     Asm.Jc (Insn.NZ, "m_loop");
     (* wait for the worker to finish *)
     Asm.Label "m_wait";
-    Asm.Mov_sym (R9, "done_flag");
+    Asm.Mov_sym (Reg.R9, "done_flag");
     Asm.I (Insn.Load (RAX, R9, 0));
     Asm.I (Insn.Cmp_ri (RAX, 1));
     Asm.Jc (Insn.NZ, "m_wait");
@@ -309,7 +309,7 @@ let p5_items =
     Asm.Calll "shared_fn";
     Asm.I (Insn.Sub_ri (R13, 1));
     Asm.Jc (Insn.NZ, "w_loop");
-    Asm.Mov_sym (R9, "done_flag");
+    Asm.Mov_sym (Reg.R9, "done_flag");
     Asm.I (Insn.Mov_ri (RAX, 1));
     Asm.I (Insn.Store (R9, 0, RAX));
     Asm.I (Insn.Xor_rr (RDI, RDI));

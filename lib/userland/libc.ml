@@ -209,7 +209,7 @@ let items =
       Asm.I Insn.Ret;
       (* clock_gettime: vdso fast path when available *)
       Asm.Label "clock_gettime";
-      Asm.Mov_sym (R11, "__vdso_clock_gettime");
+      Asm.Mov_sym (Reg.R11, "__vdso_clock_gettime");
       Asm.I (Insn.Test_rr (R11, R11));
       Asm.Jc (Insn.Z, "cg_fallback");
       Asm.I (Insn.Jmp_reg R11);
@@ -265,15 +265,15 @@ let items =
       Asm.I Insn.Syscall;
       Asm.I (Insn.Mov_ri (RAX, Sysno.openat));
       Asm.I (Insn.Mov_ri (RDI, -100));
-      Asm.Mov_sym (RSI, "__libc_locale_path");
+      Asm.Mov_sym (Reg.RSI, "__libc_locale_path");
       Asm.I (Insn.Xor_rr (RDX, RDX));
       Asm.I Insn.Syscall;
       Asm.I (Insn.Mov_rr (RDI, RAX));
       Asm.I (Insn.Mov_ri (RAX, Sysno.fstat));
-      Asm.Mov_sym (RSI, "__libc_buf");
+      Asm.Mov_sym (Reg.RSI, "__libc_buf");
       Asm.I Insn.Syscall;
       Asm.I (Insn.Mov_ri (RAX, Sysno.read));
-      Asm.Mov_sym (RSI, "__libc_buf");
+      Asm.Mov_sym (Reg.RSI, "__libc_buf");
       Asm.I (Insn.Mov_ri (RDX, 256));
       Asm.I Insn.Syscall;
       Asm.I (Insn.Mov_ri (RAX, Sysno.close));
@@ -289,11 +289,11 @@ let items =
       Asm.I Insn.Syscall;
       (* locale / gconv probing, as real glibc does *)
       Asm.I (Insn.Mov_ri (RAX, Sysno.access));
-      Asm.Mov_sym (RDI, "__libc_locale_path");
+      Asm.Mov_sym (Reg.RDI, "__libc_locale_path");
       Asm.I Insn.Syscall;
       Asm.I (Insn.Mov_ri (RAX, Sysno.stat));
-      Asm.Mov_sym (RDI, "__libc_locale_path");
-      Asm.Mov_sym (RSI, "__libc_buf");
+      Asm.Mov_sym (Reg.RDI, "__libc_locale_path");
+      Asm.Mov_sym (Reg.RSI, "__libc_buf");
       Asm.I Insn.Syscall;
       Asm.I (Insn.Mov_ri (RAX, Sysno.getpid));
       Asm.I Insn.Syscall;
@@ -341,7 +341,3 @@ let image () : image =
     im_needed = [];
     im_owner = Libc;
   }
-
-(** Byte offset of the [syscall] instruction inside a wrapper, from the
-    wrapper's symbol: used by tests to compute expected sites. *)
-let syscall_offset_in_wrapper ~r10 = (if r10 then 3 else 0) + 10

@@ -12,5 +12,3 @@ let of_bytes ?(per_line = 16) bytes =
       Buffer.add_string buf (byte_to_hex b))
     bytes;
   Buffer.contents buf
-
-let of_list bl = String.concat " " (List.map (Printf.sprintf "%02x") bl)

@@ -126,7 +126,7 @@ let register_dribble_server w =
          Asm.I (Insn.Mov_rr (R14, RAX));
          Asm.Label "conn_loop";
          Asm.I (Insn.Mov_rr (RDI, R14));
-         Asm.Mov_sym (RSI, "dbuf");
+         Asm.Mov_sym (Reg.RSI, "dbuf");
          Asm.I (Insn.Mov_ri (RDX, 64));
          Asm.Call_sym "read";
          Asm.I (Insn.Cmp_ri (RAX, 0));
@@ -134,7 +134,7 @@ let register_dribble_server w =
          Asm.I (Insn.Mov_ri (R15, 4));
          Asm.Label "chunk_loop";
          Asm.I (Insn.Mov_rr (RDI, R14));
-         Asm.Mov_sym (RSI, "dresp");
+         Asm.Mov_sym (Reg.RSI, "dresp");
          Asm.I (Insn.Mov_ri (RDX, chunk));
          Asm.Call_sym "write";
          (* stall before the next chunk so the client sees a short read;

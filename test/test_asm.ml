@@ -49,7 +49,7 @@ let test_sections_and_symbols () =
 
 let test_relocs_recorded () =
   let prog =
-    Asm.assemble [ Asm.Label "main"; Asm.Call_sym "write"; Asm.Mov_sym (RDI, "msg"); Asm.I Insn.Ret ]
+    Asm.assemble [ Asm.Label "main"; Asm.Call_sym "write"; Asm.Mov_sym (Reg.RDI, "msg"); Asm.I Insn.Ret ]
   in
   Alcotest.(check int) "two relocs" 2 (List.length prog.Asm.relocs);
   let r = List.hd prog.Asm.relocs in
@@ -92,6 +92,47 @@ let test_blob_and_zeros_layout () =
   | _ -> Alcotest.fail "label after blob+zeros");
   Alcotest.(check char) "blob bytes" '\x0f' (Bytes.get prog.Asm.text 0)
 
+(* ---------------- the AArch64 backend ---------------- *)
+
+module A = K23_isa_arm.Asm_arm
+module Arm = K23_isa_arm.Arm
+
+let arm_word (prog : Asm.program) off = Arm.decode (Arm.word_of_bytes prog.text off)
+
+let arm_insn =
+  Alcotest.testable (fun fmt i -> Format.pp_print_string fmt (Arm.to_string i)) ( = )
+
+let test_aarch64_branches () =
+  let prog =
+    A.assemble
+      [ A.Label "start"; A.I (Arm.Movz (0, 1)); A.J "end"; A.I (Arm.Movz (0, 2)); A.Label "end"; A.J "start" ]
+  in
+  (* AArch64 branches count words from the branch itself *)
+  Alcotest.(check (option arm_insn)) "forward over one word" (Some (Arm.B 2)) (arm_word prog 4);
+  Alcotest.(check (option arm_insn)) "back to start" (Some (Arm.B (-3))) (arm_word prog 12)
+
+let test_aarch64_relocs () =
+  let prog = A.assemble [ A.Label "main"; A.Call_sym "write"; A.Mov_sym (0, "msg"); A.I Arm.Ret ] in
+  (* the slot is the literal-pool quad after [ldr; b]: 8 bytes into
+     each 20-byte call and 16-byte load *)
+  Alcotest.(check (list (pair string int)))
+    "symbols at their slots" [ ("write", 8); ("msg", 28) ]
+    (List.map (fun (r : Asm.reloc) -> (r.reloc_symbol, r.reloc_offset)) prog.relocs);
+  Alcotest.(check (option arm_insn)) "ldr x0, the literal" (Some (Arm.Ldr_lit (0, 2))) (arm_word prog 20);
+  Alcotest.(check (option arm_insn)) "blr x17" (Some (Arm.Blr 17)) (arm_word prog 16)
+
+let test_aarch64_vcall_indices () =
+  let prog = A.assemble [ A.Vcall_named "alpha"; A.Vcall_named "beta"; A.Vcall_named "alpha" ] in
+  Alcotest.(check (list string)) "table" [ "alpha"; "beta" ] prog.vcalls;
+  Alcotest.(check (list (option arm_insn)))
+    "indices" [ Some (Arm.Vcall 0); Some (Arm.Vcall 1); Some (Arm.Vcall 0) ]
+    (List.map (arm_word prog) [ 0; 4; 8 ])
+
+let rejects name items () =
+  match A.assemble items with
+  | exception Asm.Asm_error _ -> ()
+  | _ -> Alcotest.failf "must reject %s" name
+
 let tests =
   ( "asm",
     [
@@ -102,4 +143,13 @@ let tests =
       Alcotest.test_case "vcall numbering" `Quick test_vcall_indices;
       Alcotest.test_case "undefined label" `Quick test_undefined_label_raises;
       Alcotest.test_case "blob/zeros layout" `Quick test_blob_and_zeros_layout;
+      Alcotest.test_case "arm: branches" `Quick test_aarch64_branches;
+      Alcotest.test_case "arm: relocation slots" `Quick test_aarch64_relocs;
+      Alcotest.test_case "arm: vcall numbering" `Quick test_aarch64_vcall_indices;
+      Alcotest.test_case "arm: unaligned instruction" `Quick
+        (rejects "an unaligned instruction" [ A.Blob (Bytes.make 2 '\000'); A.I Arm.Nop ]);
+      Alcotest.test_case "arm: unaligned branch target" `Quick
+        (rejects "an unaligned branch target" [ A.J "t"; A.Blob (Bytes.make 2 '\000'); A.Label "t" ]);
+      Alcotest.test_case "arm: cross-section branch" `Quick
+        (rejects "a cross-section branch" [ A.J "d"; A.Section `Data; A.Label "d"; A.Quad 0 ]);
     ] )

@@ -10,7 +10,7 @@ let hello_items =
   [
     Asm.Label "main";
     Asm.I (Insn.Mov_ri (RDI, 1));
-    Asm.Mov_sym (RSI, "msg");
+    Asm.Mov_sym (Reg.RSI, "msg");
     Asm.I (Insn.Mov_ri (RDX, 14));
     Asm.Call_sym "write";
     Asm.I (Insn.Xor_rr (RDI, RDI));
@@ -94,21 +94,21 @@ let threads_items =
   [
     Asm.Label "main";
     (* clone(child, stack, arg) *)
-    Asm.Mov_sym (RDI, "child");
+    Asm.Mov_sym (Reg.RDI, "child");
     Asm.I (Insn.Mov_ri (RSI, 0x7ff0_0000));
     Asm.I (Insn.Mov_ri (RDX, 7));
     Asm.Call_sym "clone";
     (* parent: wait a bit, then check the flag the child set *)
     Asm.Label "spin";
     Asm.Call_sym "sched_yield";
-    Asm.Mov_sym (R9, "flag");
+    Asm.Mov_sym (Reg.R9, "flag");
     Asm.I (Insn.Load (RAX, R9, 0));
     Asm.I (Insn.Cmp_ri (RAX, 1));
     Asm.Jc (Insn.NZ, "spin");
     Asm.I (Insn.Xor_rr (RDI, RDI));
     Asm.Call_sym "exit";
     Asm.Label "child";
-    Asm.Mov_sym (R9, "flag");
+    Asm.Mov_sym (Reg.R9, "flag");
     Asm.I (Insn.Mov_ri (RAX, 1));
     Asm.I (Insn.Store (R9, 0, RAX));
     Asm.I (Insn.Xor_rr (RDI, RDI));

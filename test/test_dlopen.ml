@@ -35,11 +35,11 @@ let app_items =
   [
     Asm.Label "main";
     (* handle = dlopen("/usr/lib/plugin.so") *)
-    Asm.Mov_sym (RDI, "plug");
+    Asm.Mov_sym (Reg.RDI, "plug");
     Asm.Call_sym "dlopen";
     (* fn = dlsym(handle, "plugin_fn") *)
     Asm.I (Insn.Mov_rr (RDI, RAX));
-    Asm.Mov_sym (RSI, "sym");
+    Asm.Mov_sym (Reg.RSI, "sym");
     Asm.Call_sym "dlsym";
     Asm.I (Insn.Mov_rr (R14, RAX));
     (* call it 10 times *)

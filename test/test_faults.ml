@@ -69,7 +69,7 @@ let signal_wake_items =
   [
     Asm.Label "main";
     Asm.I (Insn.Mov_ri (RDI, 10));
-    Asm.Mov_sym (RSI, "handler");
+    Asm.Mov_sym (Reg.RSI, "handler");
     Asm.I (Insn.Mov_ri (RAX, Sysno.rt_sigaction));
     Asm.I Insn.Syscall;
     Asm.I (Insn.Mov_ri (RAX, Sysno.getpid));

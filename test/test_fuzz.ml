@@ -164,7 +164,7 @@ let prop_corpus_roundtrip =
 let arm_world_cfg =
   { Oracle.default_world_cfg with K23_kernel.World.Config.isa = K23_isa.Isa.Arm64 }
 
-let test_arm_smoke_no_divergence () =
+let test_aarch64_smoke_no_divergence () =
   let config =
     {
       Campaign.default_config with
@@ -183,7 +183,7 @@ let test_arm_smoke_no_divergence () =
 
 (* the svc-alias shape is the designed ARM divergence: a campaign over
    it catches ASC-Hook patching the program's literal pool (P3a) *)
-let test_arm_svc_alias_detected () =
+let test_aarch64_svc_alias_detected () =
   let config =
     {
       Campaign.default_config with
@@ -200,7 +200,7 @@ let test_arm_svc_alias_detected () =
 
 (* ARM corpus entries round-trip, and the [isa:] header key is emitted
    exactly for them — x86 entries keep their pre-ISA bytes *)
-let test_arm_corpus_roundtrip () =
+let test_aarch64_corpus_roundtrip () =
   let rng = Rng.create ~seed:11 in
   let prog = Gen.generate ~shapes:(Gen.all_shapes_for K23_isa.Isa.Arm64) ~isa:K23_isa.Isa.Arm64 rng in
   Alcotest.(check bool) "generator tags arm" true
@@ -269,8 +269,8 @@ let tests =
       Alcotest.test_case "corpus round-trip" `Quick test_corpus_roundtrip;
       QCheck_alcotest.to_alcotest prop_corpus_roundtrip;
       Alcotest.test_case "arm smoke: no divergence (safe shapes)" `Quick
-        test_arm_smoke_no_divergence;
-      Alcotest.test_case "arm svc-alias detected (P3a)" `Quick test_arm_svc_alias_detected;
-      Alcotest.test_case "arm corpus round-trip (isa header)" `Quick test_arm_corpus_roundtrip;
+        test_aarch64_smoke_no_divergence;
+      Alcotest.test_case "arm svc-alias detected (P3a)" `Quick test_aarch64_svc_alias_detected;
+      Alcotest.test_case "arm corpus round-trip (isa header)" `Quick test_aarch64_corpus_roundtrip;
       Alcotest.test_case "corpus replay" `Quick test_corpus_replay;
     ] )

@@ -23,7 +23,7 @@ let bench_app n =
     Asm.I (Insn.Sub_ri (R13, 1));
     Asm.Jc (Insn.NZ, "loop");
     Asm.I (Insn.Mov_ri (RDI, 1));
-    Asm.Mov_sym (RSI, "m");
+    Asm.Mov_sym (Reg.RSI, "m");
     Asm.I (Insn.Mov_ri (RDX, 3));
     Asm.Call_sym "write";
     Asm.I (Insn.Xor_rr (RDI, RDI));

@@ -22,7 +22,7 @@ let app_items =
     Asm.I (Insn.Sub_ri (R13, 1));
     Asm.Jc (Insn.NZ, "loop");
     Asm.I (Insn.Mov_ri (RDI, 1));
-    Asm.Mov_sym (RSI, "m");
+    Asm.Mov_sym (Reg.RSI, "m");
     Asm.I (Insn.Mov_ri (RDX, 3));
     Asm.Call_sym "write";
     Asm.I (Insn.Xor_rr (RDI, RDI));
@@ -140,8 +140,8 @@ let exec_app_items =
     (* execve("/bin/k23app", argv, envp=current) *)
     Asm.Call_sym "build_envp";
     Asm.I (Insn.Mov_rr (RDX, RAX));
-    Asm.Mov_sym (RDI, "target");
-    Asm.Mov_sym (RSI, "argvv");
+    Asm.Mov_sym (Reg.RDI, "target");
+    Asm.Mov_sym (Reg.RSI, "argvv");
     Asm.Call_sym "execve";
     (* only reached on failure *)
     Asm.I (Insn.Mov_ri (RDI, 9));

@@ -131,20 +131,20 @@ let test_pipe_syscall () =
   let items =
     [
       Asm.Label "main";
-      Asm.Mov_sym (RDI, "fds");
+      Asm.Mov_sym (Reg.RDI, "fds");
       Asm.Call_sym "pipe";
-      Asm.Mov_sym (R9, "fds");
+      Asm.Mov_sym (Reg.R9, "fds");
       Asm.I (Insn.Load (R14, R9, 0));  (* read fd *)
       Asm.I (Insn.Load (R13, R9, 8));  (* write fd *)
       Asm.I (Insn.Mov_rr (RDI, R13));
-      Asm.Mov_sym (RSI, "payload");
+      Asm.Mov_sym (Reg.RSI, "payload");
       Asm.I (Insn.Mov_ri (RDX, 1));
       Asm.Call_sym "write";
       Asm.I (Insn.Mov_rr (RDI, R14));
-      Asm.Mov_sym (RSI, "buf");
+      Asm.Mov_sym (Reg.RSI, "buf");
       Asm.I (Insn.Mov_ri (RDX, 1));
       Asm.Call_sym "read";
-      Asm.Mov_sym (R9, "buf");
+      Asm.Mov_sym (Reg.R9, "buf");
       Asm.I (Insn.Load8 (RDI, R9, 0));
       Asm.Call_sym "exit";
       Asm.Section `Data;
@@ -183,12 +183,12 @@ let test_proc_maps_readable () =
     [
       Asm.Label "main";
       Asm.I (Insn.Mov_ri (RDI, -100));
-      Asm.Mov_sym (RSI, "mapsp");
+      Asm.Mov_sym (Reg.RSI, "mapsp");
       Asm.I (Insn.Mov_ri (RDX, 0));
       Asm.Call_sym "openat";
       Asm.I (Insn.Mov_rr (R14, RAX));
       Asm.I (Insn.Mov_rr (RDI, R14));
-      Asm.Mov_sym (RSI, "buf");
+      Asm.Mov_sym (Reg.RSI, "buf");
       Asm.I (Insn.Mov_ri (RDX, 3000));
       Asm.Call_sym "read";
       Asm.I (Insn.Mov_rr (RDI, RAX));  (* exit status = bytes read > 0 *)

@@ -84,7 +84,7 @@ let test_relocation_end_to_end () =
     (Sim.register_app w ~path:"/bin/rel"
        [
          Asm.Label "main";
-         Asm.Mov_sym (R14, "blob");
+         Asm.Mov_sym (Reg.R14, "blob");
          Asm.I (Insn.Load8 (RDI, R14, 2));  (* third byte: 'C' = 67 *)
          Asm.Call_sym "exit";
          Asm.Section `Data;
@@ -103,7 +103,7 @@ let test_weak_vdso_symbol () =
        [
          Asm.Label "main";
          Asm.I (Insn.Mov_ri (RDI, 0));
-         Asm.Mov_sym (RSI, "ts");
+         Asm.Mov_sym (Reg.RSI, "ts");
          Asm.Call_sym "clock_gettime";
          Asm.I (Insn.Mov_rr (RDI, RAX));
          Asm.Call_sym "exit";
@@ -124,7 +124,7 @@ let test_weak_vdso_symbol () =
        [
          Asm.Label "main";
          Asm.I (Insn.Mov_ri (RDI, 0));
-         Asm.Mov_sym (RSI, "ts");
+         Asm.Mov_sym (Reg.RSI, "ts");
          Asm.Call_sym "clock_gettime";
          Asm.I (Insn.Mov_rr (RDI, RAX));
          Asm.Call_sym "exit";

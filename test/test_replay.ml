@@ -77,7 +77,8 @@ let test_recording_truncation_rejected () =
 
 (* a recording whose config could not run is rejected when it is read,
    before any replay starts: zero cores divides by zero, negative cores
-   fail allocation, and a timeslice below one never returns *)
+   fail allocation, a huge core count allocates per-core state for
+   every core, and a timeslice below one never returns *)
 let with_header key value text =
   String.split_on_char '\n' text
   |> List.map (fun l -> if String.starts_with ~prefix:(key ^ ": ") l then key ^ ": " ^ value else l)
@@ -348,6 +349,7 @@ let tests =
       Alcotest.test_case "truncated recording rejected" `Quick test_recording_truncation_rejected;
       Alcotest.test_case "ncores: 0 rejected" `Quick (test_config_rejected "ncores" "0");
       Alcotest.test_case "ncores: -3 rejected" `Quick (test_config_rejected "ncores" "-3");
+      Alcotest.test_case "ncores: 1025 rejected" `Quick (test_config_rejected "ncores" "1025");
       Alcotest.test_case "quantum: 0 rejected" `Quick (test_config_rejected "quantum" "0");
       Alcotest.test_case "quantum: -1 rejected" `Quick (test_config_rejected "quantum" "-1");
       QCheck_alcotest.to_alcotest prop_parsers_total;

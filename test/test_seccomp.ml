@@ -119,15 +119,15 @@ let content_app =
     Asm.Label "main";
     (* two writes from the same buffer address, different contents *)
     Asm.I (Insn.Mov_ri (RDI, 1));
-    Asm.Mov_sym (RSI, "buf");
+    Asm.Mov_sym (Reg.RSI, "buf");
     Asm.I (Insn.Mov_ri (RDX, 5));
     Asm.Call_sym "write";
     Asm.I (Insn.Mov_rr (R14, RAX));
-    Asm.Mov_sym (R9, "buf");
+    Asm.Mov_sym (Reg.R9, "buf");
     Asm.I (Insn.Mov_ri (RAX, Char.code 'X'));
     Asm.I (Insn.Store8 (R9, 0, RAX));
     Asm.I (Insn.Mov_ri (RDI, 1));
-    Asm.Mov_sym (RSI, "buf");
+    Asm.Mov_sym (Reg.RSI, "buf");
     Asm.I (Insn.Mov_ri (RDX, 5));
     Asm.Call_sym "write";
     (* exit 0 iff both writes got the same verdict *)

@@ -27,6 +27,7 @@ let setup () =
 
 let o_creat_rdwr = 0x42
 let seek_set = 0
+let seek_cur = 1
 let seek_end = 2
 
 let open_file e path =
@@ -69,6 +70,48 @@ let test_ftruncate_negative () =
   Alcotest.(check int) "ftruncate(fd, -1)" (Errno.ret Errno.einval)
     (e.sys Sysno.ftruncate [ fd; -1 ]);
   Alcotest.(check string) "contents kept" "hello" (read_all e fd)
+
+(* ---------------- the file-size limit ---------------- *)
+
+(* 2^58: without a limit, ftruncate or a write after the lseek would
+   ask the host for that many bytes *)
+let huge = 1 lsl 58
+
+let test_ftruncate_huge_is_efbig () =
+  let e = setup () in
+  let fd = open_file e "/tmp/f" in
+  ignore (write e fd "hello");
+  Alcotest.(check int) "ftruncate(fd, 2^58)" (Errno.ret Errno.efbig) (e.sys Sysno.ftruncate [ fd; huge ]);
+  Alcotest.(check int) "size kept" 5 (e.sys Sysno.lseek [ fd; 0; seek_end ]);
+  Alcotest.(check string) "contents kept" "hello" (read_all e fd)
+
+let test_lseek_huge_is_einval () =
+  let e = setup () in
+  let fd = open_file e "/tmp/f" in
+  ignore (write e fd "hello");
+  Alcotest.(check int) "lseek(fd, 2^58)" (Errno.ret Errno.einval) (e.sys Sysno.lseek [ fd; huge; seek_set ]);
+  Alcotest.(check int) "position kept" 5 (e.sys Sysno.lseek [ fd; 0; seek_cur ]);
+  Alcotest.(check int) "write at the kept position" 1 (write e fd "!");
+  Alcotest.(check int) "size" 6 (e.sys Sysno.lseek [ fd; 0; seek_end ]);
+  Alcotest.(check string) "contents" "hello!" (read_all e fd)
+
+(* A write starting at the limit is -EFBIG and moves nothing; one
+   crossing it is cut at it. *)
+let test_write_at_the_limit () =
+  let e = setup () in
+  let fd = open_file e "/tmp/f" in
+  ignore (write e fd "hello");
+  let limit = 64 * 1024 * 1024 (* Vfs.max_file_size *) in
+  Alcotest.(check int) "lseek to the limit" limit (e.sys Sysno.lseek [ fd; limit; seek_set ]);
+  Alcotest.(check int) "write at the limit" (Errno.ret Errno.efbig) (write e fd "x");
+  Alcotest.(check int) "position kept" limit (e.sys Sysno.lseek [ fd; 0; seek_cur ]);
+  Alcotest.(check int) "size kept" 5 (e.sys Sysno.lseek [ fd; 0; seek_end ]);
+  Alcotest.(check string) "contents kept" "hello" (read_all e fd);
+  ignore (e.sys Sysno.lseek [ fd; limit - 2; seek_set ]);
+  Alcotest.(check int) "write cut at the limit" 2 (write e fd "xyz");
+  Alcotest.(check int) "size at the limit" limit (e.sys Sysno.lseek [ fd; 0; seek_end ]);
+  ignore (e.sys Sysno.lseek [ fd; limit - 2; seek_set ]);
+  Alcotest.(check (pair int string)) "the cut write's bytes" (2, "xy") (read e fd 10)
 
 (* ---------------- the size/capacity split ---------------- *)
 
@@ -187,6 +230,9 @@ let tests =
     [
       Alcotest.test_case "read after lseek past EOF returns 0" `Quick test_read_past_eof;
       Alcotest.test_case "ftruncate(fd, -1) is -EINVAL" `Quick test_ftruncate_negative;
+      Alcotest.test_case "ftruncate(fd, 2^58) is -EFBIG" `Quick test_ftruncate_huge_is_efbig;
+      Alcotest.test_case "lseek(fd, 2^58) is -EINVAL" `Quick test_lseek_huge_is_einval;
+      Alcotest.test_case "writes stop at the file-size limit" `Quick test_write_at_the_limit;
       Alcotest.test_case "appends across capacity doublings" `Quick test_appends_across_doublings;
       Alcotest.test_case "write past EOF zero-fills the gap" `Quick test_write_past_eof_zero_fills;
       Alcotest.test_case "truncate shorter, then extend: zeros" `Quick test_truncate_then_extend;
