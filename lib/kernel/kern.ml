@@ -797,7 +797,10 @@ let note_syscall (w : world) (th : thread) ~nr ~site ~args =
       c.c_startup <- c.c_startup + 1;
       ktrace_count w "sys.startup"
     end;
-    ktrace_count w ("sys.nr." ^ string_of_int nr));
+    (* the key is built only while tracing: this runs on every syscall *)
+    match w.ktrace with
+    | None -> ()
+    | Some t -> K23_obs.Counters.incr t.counters ("sys.nr." ^ string_of_int nr));
   match w.ktrace with
   | None -> ()
   | Some t ->
@@ -1059,10 +1062,10 @@ let switch_address_space (w : world) (th : thread) =
 
 (** Record a fault-class trap ({!Cpu.trap_name} keys the counter). *)
 let emit_trap_event (w : world) (th : thread) trap payload =
-  ktrace_count w ("trap." ^ Cpu.trap_name trap);
   match w.ktrace with
   | None -> ()
   | Some t ->
+    K23_obs.Counters.incr t.counters ("trap." ^ Cpu.trap_name trap);
     K23_obs.Trace.push t
       (K23_obs.Event.make ~cycles:w.core_cycles.(th.core) ~pid:th.t_proc.pid ~tid:th.tid payload)
 
@@ -1081,7 +1084,9 @@ let step_thread (w : world) (th : thread) =
     | Cpu.Vcall_trap idx -> (
       match resolve_vcall th.t_proc ~rip_after:th.regs.rip ~index:idx with
       | Some (_name, f) -> f { world = w; thread = th }
-      | None -> panic "pid %d: unresolvable vcall %d at %x" th.t_proc.pid idx (th.regs.rip - 6))
+      | None ->
+        panic "pid %d: unresolvable vcall %d at %x" th.t_proc.pid idx
+          (th.regs.rip - K23_isa.Isa.vcall_len w.isa))
     | Cpu.Fault_trap f ->
       let access = match f.access with `Read -> "R" | `Write -> "W" | `Exec -> "X" in
       emit_trap_event w th trap

@@ -141,10 +141,11 @@ let reset (w : world) (cfg : Config.t) =
   w.cost <- { cfg.cost with K23_machine.Cost.syscall_base = cfg.cost.K23_machine.Cost.syscall_base + Rng.int w.rng 3 - 1 };
   Array.fill w.core_cycles 0 w.ncores 0;
   Array.fill w.core_resident 0 w.ncores (-1);
-  Array.iter
-    (fun ic ->
-      K23_machine.Icache.flush ic;
-      K23_machine.Icache.set_predecode ic cfg.predecode)
+  (* fresh caches, not flushed ones: a flush keeps lines for
+     rechecking, and a reused world would pile up one set per ASLR
+     slide *)
+  Array.iteri
+    (fun i _ -> w.icaches.(i) <- K23_machine.Icache.create ~predecode:cfg.predecode ())
     w.icaches;
   w.procs <- [];
   w.next_pid <- 1;

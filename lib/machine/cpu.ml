@@ -65,13 +65,7 @@ let step ?(cost = Cost.default) (regs : Regs.t) (mem : Memory.t) (icache : Icach
            with a ~512-byte nop sled, and stepping it one instruction
            at a time would only burn host time — nops are free in the
            cost model and have no architectural effect *)
-        let rip = ref next in
-        (try
-           while Icache.fetch_u8 icache mem !rip = 0x90 do
-             incr rip
-           done
-         with Memory.Fault _ -> ());
-        regs.rip <- !rip;
+        regs.rip <- Icache.skip_nops icache mem next;
         Stepped c
       | Ret ->
         let sp = Regs.get regs RSP in

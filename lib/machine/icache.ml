@@ -4,10 +4,13 @@
     when
 
     - the core itself writes to the line (self-snoop),
-    - the core executes a serialising instruction ([Cpuid]/[Mfence]),
     - or the kernel performs a cache-coherent code write on behalf of
       any core ({!Kern.code_write_barrier}) — x86 caches are coherent,
       so cross-core stores become fetchable immediately.
+
+    A serialising instruction ([Cpuid]/[Mfence]) or an address-space
+    switch flushes the cache ({!flush}): no line it held is served
+    again before it has been re-read from memory.
 
     Coherence is what makes pitfall P5 bite: lazypoline's two-byte
     rewrite is two separate coherent stores, so between them every
@@ -23,16 +26,30 @@
     per entry offset ({!fetch_decode}), so the simulator's
     fetch-decode-execute loop decodes each (line, offset) pair once
     instead of re-decoding byte-by-byte every step.  The memo is part
-    of the line: it is dropped on exactly the events that drop the
-    line's bytes, so stale-I-cache behaviour (P3b) and torn-write
-    behaviour (P5) are bit-for-bit those of the byte model.  Entries
-    are keyed by offset, so jumping into the middle of an instruction
-    still decodes the *different* overlapping instruction at that
-    offset (the P2a/P3a root cause).  An instruction whose decode
-    reads past the end of its line is never memoised: its bytes span
-    two lines with independent lifetimes, and it takes the
-    byte-by-byte path instead (see DESIGN.md §"Simulator performance
-    architecture"). *)
+    of the line and a pure function of its bytes: it is dropped on
+    exactly the events that drop the line's bytes, so stale-I-cache
+    behaviour (P3b) and torn-write behaviour (P5) are bit-for-bit
+    those of the byte model.  Entries are keyed by offset, so jumping
+    into the middle of an instruction still decodes the {e different}
+    overlapping instruction at that offset (the P2a/P3a root cause).
+    An instruction whose decode reads past the end of its line is
+    never memoised: its bytes span two lines with independent
+    lifetimes, and it takes the byte-by-byte path instead (see
+    DESIGN.md §"Simulator performance architecture").
+
+    {2 Flush}
+
+    A flush drops nothing: it bumps the cache's epoch, which marks
+    every line for rechecking.  The next fetch from an old-epoch line
+    checks execute permission at the fetch address, as a refill would,
+    and compares the line with memory.  A line whose 64 bytes are
+    unchanged is stamped with the current epoch and keeps its memo;
+    any other is refilled from memory.  Both ways the line ends up
+    holding memory's bytes at fetch time, exactly as after a drop and
+    a refill, and the memo that survives was computed from those very
+    bytes.  Forked processes sharing a core run the same code at the
+    same addresses, so an address-space switch costs a 64-byte compare
+    per line touched instead of a refill and a re-decode. *)
 
 open K23_isa
 
@@ -43,59 +60,99 @@ type line = {
   decoded : (Insn.t * int, Decode.error) result option array;
       (** memoised decode per entry offset; only for instructions whose
           decode stayed within this line *)
+  mutable stamp : int;
+      (** the cache epoch in which the line was last filled or checked
+          against memory *)
 }
 
 type t = {
   lines : (int, line) Hashtbl.t;
+  mutable epoch : int;  (** bumped by {!flush}; only current-epoch lines are served unchecked *)
   mutable last_base : int;
       (** one-entry line lookaside: base of [last_line], or [min_int].
           Straight-line execution touches the hashtable only on line
           crossings. *)
   mutable last_line : line;
-  mutable predecode : bool;
-      (** per-instance: worlds owned by different domains must not
-          share any mutable toggle (this used to be a module-level
-          [ref], which would race across a domain pool) *)
+  predecode : bool;
 }
 
 (* Shared placeholder behind an empty [last_base]; never read because
    every access guards on [last_base]. *)
-let no_line = { bytes = Bytes.empty; decoded = [||] }
+let no_line = { bytes = Bytes.empty; decoded = [||]; stamp = -1 }
 
-let set_predecode t on = t.predecode <- on
-
+(* The table starts small: every world creation and reset builds one
+   cache per core, and most cores of a short run never fetch. *)
 let create ?(predecode = true) () =
-  { lines = Hashtbl.create 256; last_base = min_int; last_line = no_line; predecode }
+  { lines = Hashtbl.create 16; epoch = 0; last_base = min_int; last_line = no_line; predecode }
 
 let line_base addr = addr land lnot (line_size - 1)
 
-(* Line holding [addr], filling from memory on miss (checking execute
-   permission on the fill, at the faulting address).  A line never
-   crosses a page, so once [check_exec] has found [addr]'s page the
-   whole line is mapped and the fill cannot fault. *)
+(* Whether [line] and [page] agree on the line's bytes from offset [i],
+   [page] read from [off]: eight word compares, no allocation. *)
+let rec same_bytes line page off i =
+  i = line_size
+  || Bytes.get_int64_ne line i = Bytes.get_int64_ne page (off + i)
+     && same_bytes line page off (i + 8)
+
+(* Line holding [addr].  A current-epoch line is served as is.  A miss
+   or an old-epoch line first checks execute permission at [addr] (the
+   fault names the fetch address, as a fill's always has), then
+   compares with memory: an old-epoch line that still matches is
+   stamped current and keeps its memo, anything else is filled fresh.
+   A line never crosses a page, so [addr]'s page holds all of it. *)
 let get_line t (mem : Memory.t) addr =
   let base = line_base addr in
   if t.last_base = base then t.last_line
   else
-    match Hashtbl.find_opt t.lines base with
-    | Some line ->
-      t.last_base <- base;
-      t.last_line <- line;
-      line
-    | None ->
-      Memory.check_exec mem addr;
-      let bytes = Memory.read_bytes_raw mem base line_size in
-      let line = { bytes; decoded = Array.make line_size None } in
-      Hashtbl.replace t.lines base line;
-      t.last_base <- base;
-      t.last_line <- line;
-      line
+    let line =
+      match Hashtbl.find_opt t.lines base with
+      | Some line when line.stamp = t.epoch -> line
+      | cached -> (
+        let page = (Memory.exec_page mem addr).Memory.bytes in
+        let off = base land (Memory.page_size - 1) in
+        match cached with
+        | Some line when same_bytes line.bytes page off 0 ->
+          line.stamp <- t.epoch;
+          line
+        | _ ->
+          let line =
+            {
+              bytes = Bytes.sub page off line_size;
+              decoded = Array.make line_size None;
+              stamp = t.epoch;
+            }
+          in
+          Hashtbl.replace t.lines base line;
+          line)
+    in
+    t.last_base <- base;
+    t.last_line <- line;
+    line
 
 (** Fetch one instruction byte through the cache.  Fills the line from
     memory on miss (checking execute permission on the fill). *)
 let fetch_u8 t (mem : Memory.t) addr =
   let line = get_line t mem addr in
   Char.code (Bytes.get line.bytes (addr - line_base addr))
+
+(* Offset of the first non-nop byte at or after [off] in [bytes], or
+   [line_size]. *)
+let rec nop_run_end bytes off =
+  if off < line_size && Bytes.unsafe_get bytes off = '\x90' then nop_run_end bytes (off + 1)
+  else off
+
+(** First address at or after [addr] whose cached byte is not a nop
+    ([0x90]), or else the first address whose line fill faults.  One
+    {!get_line} per line, each line scanned in place: lines are filled
+    (or rechecked) in the order a {!fetch_u8} walk would fill them, and
+    the walk would stop at the same address. *)
+let rec skip_nops t (mem : Memory.t) addr =
+  match get_line t mem addr with
+  | exception Memory.Fault _ -> addr
+  | line ->
+    let base = line_base addr in
+    let off = nop_run_end line.bytes (addr - base) in
+    if off < line_size then base + off else skip_nops t mem (base + line_size)
 
 (** Fetch one aligned 32-bit little-endian instruction word (arm64
     fixed-width fetch).  [addr] must be 4-aligned, so the word never
@@ -145,12 +202,18 @@ let invalidate_range t ~addr ~len =
     t.last_line <- no_line
   end
 
-(** Full flush: serialising instruction executed. *)
+(** Full flush (serialising instruction, address-space switch): every
+    line becomes old-epoch, to be rechecked against memory on its next
+    fetch. *)
 let flush t =
-  Hashtbl.reset t.lines;
+  t.epoch <- t.epoch + 1;
   t.last_base <- min_int;
   t.last_line <- no_line
 
 (** True when the cache currently holds a (possibly stale) copy of the
-    line containing [addr]; used by tests. *)
-let holds t addr = Hashtbl.mem t.lines (line_base addr)
+    line containing [addr]; used by tests.  A line marked by a flush
+    and not fetched since is not held. *)
+let holds t addr =
+  match Hashtbl.find_opt t.lines (line_base addr) with
+  | Some line -> line.stamp = t.epoch
+  | None -> false

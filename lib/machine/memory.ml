@@ -289,11 +289,14 @@ let check_read t ~pkru addr = ignore (lookup_r t ~pkru addr : page)
 let check_write t ~pkru addr = ignore (lookup_w t ~pkru addr : page)
 
 (** Instruction fetch check: exec permission only — PKU does not apply
-    to fetches (the XOM / P4a story). *)
-let check_exec t addr =
+    to fetches (the XOM / P4a story).  Returns the page holding
+    [addr]. *)
+let exec_page t addr =
   match find_page t addr with
-  | None -> raise (Fault { fault_addr = addr; access = `Exec })
-  | Some p -> if not p.perm.x then raise (Fault { fault_addr = addr; access = `Exec })
+  | Some p when p.perm.x -> p
+  | _ -> raise (Fault { fault_addr = addr; access = `Exec })
+
+let check_exec t addr = ignore (exec_page t addr : page)
 
 let read_u8 t ~pkru addr =
   let p = lookup_r t ~pkru addr in

@@ -108,8 +108,14 @@ val pkru_write_disabled : int -> int -> bool
 val check_read : t -> pkru:int -> int -> unit
 val check_write : t -> pkru:int -> int -> unit
 
+val exec_page : t -> int -> page
+(** The page holding the address, checked for instruction fetch:
+    execute permission only — PKU does not apply.
+    @raise Fault [`Exec] at the address when it is unmapped or not
+    executable. *)
+
 val check_exec : t -> int -> unit
-(** Fetch check: execute permission only — PKU does not apply. *)
+(** {!exec_page} for its check alone. *)
 
 val read_u8 : t -> pkru:int -> int -> int
 val write_u8 : t -> pkru:int -> int -> int -> unit

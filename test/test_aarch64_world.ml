@@ -126,6 +126,17 @@ let test_mech_availability () =
         || List.mem m (K23_eval.Mech.available ~isa:K23_isa.Isa.X86_64)))
     K23_eval.Mech.all
 
+(* an unresolvable host-function escape panics naming the vcall
+   instruction's own address: one 4-byte word on ARM, so the address
+   is the entry point itself (text is fixed at 0x400000) *)
+let test_vcall_panic_address () =
+  match boot [ A.Label "main"; A.Vcall_named "missing" ] with
+  | _ -> Alcotest.fail "expected a kernel panic"
+  | exception Kern.Kernel_panic msg ->
+    let suffix = "unresolvable vcall 0 at 400000" in
+    Alcotest.(check string) "names the vcall" suffix
+      (String.sub msg (String.length msg - String.length suffix) (String.length suffix))
+
 (* a world is single-ISA: resetting under a different ISA must refuse *)
 let test_reset_isa_mismatch () =
   let w = Sim.create_world ~isa () in
@@ -142,4 +153,5 @@ let tests =
       Alcotest.test_case "asc-hook P3a residual (alias word patched)" `Quick test_asc_p3a_residual;
       Alcotest.test_case "mech availability partitions by isa" `Quick test_mech_availability;
       Alcotest.test_case "reset refuses isa mismatch" `Quick test_reset_isa_mismatch;
+      Alcotest.test_case "vcall panic names the vcall's address" `Quick test_vcall_panic_address;
     ] )

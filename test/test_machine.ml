@@ -359,6 +359,134 @@ let test_predecode_line_straddle () =
     (Ok (Insn.Mov_ri32 (Reg.RAX, 0x44552211), 5))
     (Icache.fetch_decode ic m 0x103e)
 
+(* ---------------- nop skip and flush recheck ---------------- *)
+
+(* The definitional nop walk: one cached byte at a time, stopping at
+   the first non-nop byte or at the first fetch that faults. *)
+let byte_walk ic m addr =
+  let rec go a =
+    match Icache.fetch_u8 ic m a with
+    | 0x90 -> go (a + 1)
+    | _ -> a
+    | exception Memory.Fault _ -> a
+  in
+  go addr
+
+let sled_page = 0x2000
+
+(* [lines] mostly-nop lines at the end of an RX page, then two lines of
+   the next page, which is RX, RW or unmapped; a history of warming
+   fetches, raw rewrites (stale while cached: no barrier) and flushes;
+   and a start address anywhere in the window *)
+let arb_sled =
+  let open QCheck.Gen in
+  let byte = frequency [ (40, return 0x90); (1, int_range 0 255) ] in
+  let gen =
+    int_range 1 4 >>= fun lines ->
+    let lo = sled_page - (lines * Icache.line_size) in
+    let span = (lines + 2) * Icache.line_size in
+    let addr = int_range lo (lo + span - 1) in
+    let op =
+      frequency
+        [
+          (3, map (fun a -> `Warm a) addr);
+          (3, map2 (fun a b -> `Poke (a, b)) addr byte);
+          (1, return `Flush);
+        ]
+    in
+    map4
+      (fun next bytes ops start -> (lines, next, bytes, ops, start))
+      (oneofl [ `Rx; `Rw; `Unmapped ])
+      (list_repeat span byte) (list_size (int_range 0 12) op) addr
+  in
+  QCheck.make gen ~print:(fun (lines, next, bytes, ops, start) ->
+      Printf.sprintf "lines=%d next=%s start=0x%x ops=[%s] bytes=%s" lines
+        (match next with `Rx -> "rx" | `Rw -> "rw" | `Unmapped -> "unmapped")
+        start
+        (String.concat "; "
+           (List.map
+              (function
+                | `Warm a -> Printf.sprintf "warm 0x%x" a
+                | `Poke (a, b) -> Printf.sprintf "poke 0x%x=%02x" a b
+                | `Flush -> "flush")
+              ops))
+        (String.concat "" (List.map (Printf.sprintf "%02x") bytes)))
+
+let prop_skip_nops =
+  QCheck.Test.make ~name:"icache: sled skip == byte walk" ~count:500 arb_sled
+    (fun (lines, next, bytes, ops, start) ->
+      let m = Memory.create () in
+      Memory.map m ~addr:(sled_page - Memory.page_size) ~len:Memory.page_size
+        ~perm:Memory.perm_rx;
+      (match next with
+      | `Rx -> Memory.map m ~addr:sled_page ~len:Memory.page_size ~perm:Memory.perm_rx
+      | `Rw -> Memory.map m ~addr:sled_page ~len:Memory.page_size ~perm:Memory.perm_rw
+      | `Unmapped -> ());
+      let lo = sled_page - (lines * Icache.line_size) in
+      let poke a b = if Memory.is_mapped m a then Memory.write_u8_raw m a b in
+      List.iteri (fun i b -> poke (lo + i) b) bytes;
+      let ic = Icache.create () and reference = Icache.create () in
+      List.iter
+        (function
+          | `Warm a ->
+            List.iter
+              (fun c -> try ignore (Icache.fetch_u8 c m a) with Memory.Fault _ -> ())
+              [ ic; reference ]
+          | `Poke (a, b) -> poke a b
+          | `Flush -> List.iter Icache.flush [ ic; reference ])
+        ops;
+      let same_line base =
+        Icache.holds ic base = Icache.holds reference base
+        && ((not (Icache.holds ic base))
+           || List.for_all
+                (fun i -> Icache.fetch_u8 ic m (base + i) = Icache.fetch_u8 reference m (base + i))
+                (List.init Icache.line_size Fun.id))
+      in
+      Icache.skip_nops ic m start = byte_walk reference m start
+      && List.for_all same_line (List.init (lines + 2) (fun i -> lo + (i * Icache.line_size))))
+
+(* After a flush every line is rechecked against memory before it is
+   served: rewritten bytes are fetched (and decoded) fresh, a page made
+   non-executable faults at the fetch address, and a cache moved to
+   another address space serves that space's bytes.  The sled skip
+   sees the same rechecked bytes, across a line boundary. *)
+let test_flush_recheck predecode () =
+  let m = Memory.create () in
+  Memory.map m ~addr:0x1000 ~len:4096 ~perm:Memory.perm_rx;
+  Memory.write_bytes_raw m 0x1080 (Bytes.make 0x50 '\x90');
+  Memory.write_u8_raw m 0x10d0 0xf4;
+  let ic = Icache.create ~predecode () in
+  check_decode "nop cached" (Ok (Insn.Nop, 1)) (Icache.fetch_decode ic m 0x1080);
+  Alcotest.(check int) "sled ends at hlt" 0x10d0 (Icache.skip_nops ic m 0x1080);
+  (* raw rewrites while both lines are cached: stale until the flush *)
+  Memory.write_u8_raw m 0x1080 0xcc;
+  Memory.write_u8_raw m 0x10c4 0xf4;
+  check_decode "stale before flush" (Ok (Insn.Nop, 1)) (Icache.fetch_decode ic m 0x1080);
+  Alcotest.(check int) "stale sled" 0x10d0 (Icache.skip_nops ic m 0x1081);
+  Icache.flush ic;
+  Alcotest.(check bool) "flushed line not held" false (Icache.holds ic 0x1080);
+  check_decode "fresh decode after flush" (Ok (Insn.Int3, 1)) (Icache.fetch_decode ic m 0x1080);
+  Alcotest.(check int) "fresh byte after flush" 0xcc (Icache.fetch_u8 ic m 0x1080);
+  Alcotest.(check int) "sled sees the fresh second line" 0x10c4 (Icache.skip_nops ic m 0x1081);
+  Icache.flush ic;
+  check_decode "unchanged line after flush" (Ok (Insn.Int3, 1)) (Icache.fetch_decode ic m 0x1080);
+  Memory.set_perm m ~addr:0x1000 ~len:4096 ~perm:Memory.perm_rw;
+  check_decode "cached line served before flush" (Ok (Insn.Int3, 1))
+    (Icache.fetch_decode ic m 0x1080);
+  Icache.flush ic;
+  Alcotest.check_raises "non-exec after flush faults at the fetch address"
+    (Memory.Fault { fault_addr = 0x1083; access = `Exec })
+    (fun () -> ignore (Icache.fetch_decode ic m 0x1083));
+  Memory.set_perm m ~addr:0x1000 ~len:4096 ~perm:Memory.perm_rx;
+  check_decode "refetched" (Ok (Insn.Int3, 1)) (Icache.fetch_decode ic m 0x1080);
+  let m2 = Memory.create () in
+  Memory.map m2 ~addr:0x1000 ~len:4096 ~perm:Memory.perm_rx;
+  Memory.write_u8_raw m2 0x1080 0xf4;
+  Icache.flush ic;
+  check_decode "second memory's bytes" (Ok (Insn.Hlt, 1)) (Icache.fetch_decode ic m2 0x1080);
+  Icache.flush ic;
+  check_decode "first memory's bytes again" (Ok (Insn.Int3, 1)) (Icache.fetch_decode ic m 0x1080)
+
 (* ---------------- cpu ---------------- *)
 
 let exec_prog ?(steps = 100) insns =
@@ -490,6 +618,9 @@ let tests =
         test_predecode_overlap_entry;
       Alcotest.test_case "predecode: line-straddling insn not memoised" `Quick
         test_predecode_line_straddle;
+      QCheck_alcotest.to_alcotest prop_skip_nops;
+      Alcotest.test_case "flush rechecks lines (predecode on)" `Quick (test_flush_recheck true);
+      Alcotest.test_case "flush rechecks lines (predecode off)" `Quick (test_flush_recheck false);
       Alcotest.test_case "arithmetic flags" `Quick test_arith_flags;
       Alcotest.test_case "conditional branch" `Quick test_branching;
       Alcotest.test_case "push/pop/call/ret" `Quick test_push_pop_call_ret;
