@@ -45,6 +45,15 @@ let mech_conv =
   in
   Arg.conv (parse, fun fmt m -> Format.pp_print_string fmt (K23_eval.Mech.to_string m))
 
+(* the one availability check: a mechanism with no realisation on the
+   world's ISA is a usage error, like an unknown name *)
+let require_available ~isa m =
+  Option.iter
+    (fun msg ->
+      prerr_endline msg;
+      Stdlib.exit 2)
+    (K23_eval.Mech.unavailable ~isa m)
+
 let app_arg =
   Arg.(required & pos 0 (some string) None & info [] ~docv:"APP" ~doc:"Bundled app name or path.")
 
@@ -59,7 +68,9 @@ let run_cmd =
              sud.")
   in
   let run app mech =
-    match Session.run (setup_world ()) ~mech ~path:(resolve_app app) with
+    let w = setup_world () in
+    require_available ~isa:w.Kern.isa mech;
+    match Session.run w ~mech ~path:(resolve_app app) with
     | Error e -> Printf.eprintf "launch failed: %s\n" (Errno.to_string e)
     | Ok (p, stats, { Session.console; _ }) ->
       print_string console;
@@ -116,6 +127,7 @@ let trace_cmd =
      online run) and render the events human- or JSON-style. *)
   let run_ktrace ~mech ~json ~seed ~limit path =
     let w = Sim.create_world ?seed () in
+    require_available ~isa:w.Kern.isa mech;
     Apps.Coreutils.register_all w;
     match Session.run ~sink:Session.Bounded w ~mech ~path with
     | Error e -> Printf.eprintf "launch failed: %s\n" (Errno.to_string e)
@@ -204,6 +216,7 @@ let record_cmd =
       | Some s -> { World.Config.default with World.Config.seed = s }
     in
     let w = Sim.create_world_cfg cfg in
+    require_available ~isa:w.Kern.isa mech;
     Apps.Coreutils.register_all w;
     match R.Recorder.record ~cfg w ~mech ~path with
     | Error e ->
@@ -418,13 +431,7 @@ let fuzz_cmd =
       match mech with
       | None -> F.Oracle.default_mechs_for isa
       | Some m ->
-        let avail = K23_eval.Mech.available ~isa in
-        if not (List.mem m avail) then begin
-          Printf.eprintf "mechanism %s is not available on %s (available: %s)\n"
-            (K23_eval.Mech.to_string m) (K23_isa.Isa.to_string isa)
-            (String.concat ", " (List.map K23_eval.Mech.to_string avail));
-          Stdlib.exit 2
-        end;
+        require_available ~isa m;
         [ m ]
     in
     let world =

@@ -186,8 +186,7 @@ let register w cfg : results =
   let results = { completed = 0; started_at = None; errors = 0; latencies = [] } in
   let states : (int, tstate) Hashtbl.t = Hashtbl.create 16 in
   let live_threads = ref cfg.threads in
-  let im_ref = ref None in
-  let lazy_im = lazy (Option.get !im_ref) in
+  let prog = Asm.assemble (items ()) in
   let state_of (ctx : Kern.ctx) =
     match Hashtbl.find_opt states ctx.thread.tid with
     | Some st -> st
@@ -203,7 +202,7 @@ let register w cfg : results =
       st
   in
   let data_sym (ctx : Kern.ctx) name =
-    match Mapper.image_sym ctx.thread.t_proc (Lazy.force lazy_im) name with
+    match Mapper.prog_sym ~name:cfg.path prog ctx.thread.t_proc name with
     | Some a -> a
     | None -> Kern.panic "wrk: missing symbol %s" name
   in
@@ -488,10 +487,8 @@ let register w cfg : results =
     st.post <- ignore;
     f (Regs.get ctx.thread.regs RAX)
   in
-  let im =
-    K23_userland.Sim.register_app w ~path:cfg.path
-      ~host_fns:[ ("wk_step", wk_step); ("wk_ret", wk_ret) ]
-      (items ())
-  in
-  im_ref := Some im;
+  ignore
+    (K23_userland.Sim.register_app_prog w ~path:cfg.path ~needed:[ K23_userland.Libc.path ]
+       ~host_fns:[ ("wk_step", wk_step); ("wk_ret", wk_ret) ]
+       prog);
   results

@@ -49,20 +49,6 @@ let get_state (states : states) (p : proc) =
     Hashtbl.replace states p.pid s;
     s
 
-let make_config ~handler ~stats ~selector =
-  {
-    cfg_name = "lazypoline";
-    (* calibrated near the paper's 1.3801x microbenchmark overhead *)
-    pre_cost = 16;
-    post_cost = 6;
-    null_check = None (* P4a: no guard *);
-    null_check_cost = 0;
-    stack_switch = false;
-    sud_selector = selector;
-    handler;
-    stats;
-  }
-
 (* --- the flawed two-step runtime rewrite ---------------------------- *)
 
 (** Step 1: make the page writable (wihout saving what it was) and
@@ -110,64 +96,47 @@ let rw_step2 states (ctx : ctx) =
 
 let image ~handler ~stats () : image =
   let states : states = Hashtbl.create 16 in
-  let im_ref = ref None in
-  let lazy_im = lazy (Option.get !im_ref) in
-  let selector p = Mapper.image_sym p (Lazy.force lazy_im) "lp_selector" in
-  let cfg = make_config ~handler ~stats ~selector in
+  let prog =
+    x86.assemble
+      (ctor_items x86 "__lazypoline_init" "lp_init"
+      @ sigsys_handler_items x86
+          ~extra_items:
+            [
+              Asm.Vcall_named "lp_rw1";
+              (* the mprotect round trip between the two stores: on the
+                 real system this is a full syscall, leaving the torn
+                 [ff 05] bytes fetchable for thousands of cycles *)
+              Asm.Vcall_named "lp_rw_mprotect";
+              Asm.Vcall_named "lp_rw_mprotect";
+              Asm.Vcall_named "lp_rw_mprotect";
+              Asm.Vcall_named "lp_rw_mprotect";
+              Asm.Vcall_named "lp_rw2";
+            ]
+          ()
+      @ buffer_items [ "lp_selector" ])
+  in
+  let sym = Mapper.prog_sym ~name:lib_path prog in
+  (* calibrated near the paper's 1.3801x microbenchmark overhead; no
+     NULL-execution guard (P4a) *)
+  let cfg =
+    {
+      (config "lazypoline" ~pre_cost:16 ~post_cost:6 ~handler ~stats) with
+      sud_selector = (fun p -> sym p "lp_selector");
+    }
+  in
   let init (ctx : ctx) =
     let p = ctx.thread.t_proc in
     Hashtbl.remove states p.pid;
     ignore (get_state states p);
     install_trampoline ctx cfg;
-    let sel_addr = arm_sud ctx ~im:(Lazy.force lazy_im) ~selector_sym:"lp_selector" in
+    let sel_addr = arm_sud ctx cfg ~sym in
     set_selector_all_slots p ~sel_addr selector_block
   in
-  let items =
-    [ Asm.Label "__lazypoline_init"; Asm.Vcall_named "lp_init"; Asm.I Insn.Ret ]
-    @ sigsys_handler_items
-        ~extra_items:
-          [
-            Asm.Vcall_named "lp_rw1";
-            (* the mprotect round trip between the two stores: on the
-               real system this is a full syscall, leaving the torn
-               [ff 05] bytes fetchable for thousands of cycles *)
-            Asm.Vcall_named "lp_rw_mprotect";
-            Asm.Vcall_named "lp_rw_mprotect";
-            Asm.Vcall_named "lp_rw_mprotect";
-            Asm.Vcall_named "lp_rw_mprotect";
-            Asm.Vcall_named "lp_rw2";
-          ]
-        ()
-    @ [ Asm.Section `Data; Asm.Label "lp_selector"; Asm.Zeros 64 ]
-  in
-  let im =
-    {
-      im_name = lib_path;
-      im_prog = Asm.assemble items;
-      im_host_fns =
-        [
-          ("lp_init", init);
-          ("lp_rw1", rw_step1 states);
-          ("lp_rw_mprotect", (fun ctx -> charge ctx.world ctx.thread 40));
-          ("lp_rw2", rw_step2 states);
-          ("sigsys_pre", sigsys_pre cfg ~im:lazy_im ());
-          ("sigsys_post", sigsys_post cfg);
-        ];
-      im_init = Some "__lazypoline_init";
-      im_entry = None;
-      im_needed = [];
-      im_owner = Interposer;
-    }
-  in
-  im_ref := Some im;
-  im
-
-let launch w ?inner ~path ?argv ?(env = []) () =
-  ktrace_annot w "mech:lazypoline";
-  let stats = fresh_stats () in
-  let handler = counting_handler ?inner stats in
-  register_library w (image ~handler ~stats ());
-  let env = add_preload env lib_path in
-  match World.spawn w ~path ?argv ~env () with
-  | Ok p -> Ok (p, stats)
-  | Error e -> Error e
+  library ~name:lib_path ~init:"__lazypoline_init" prog
+    ([
+       ("lp_init", init);
+       ("lp_rw1", rw_step1 states);
+       ("lp_rw_mprotect", fun ctx -> charge ctx.world ctx.thread 40);
+       ("lp_rw2", rw_step2 states);
+     ]
+    @ sigsys_host_fns cfg ~sym ())

@@ -7,32 +7,11 @@
     interposed call costs two stop/round-trips (syscall-entry and
     -exit), the paper's "prohibitive overhead". *)
 
-open K23_kernel
-open Kern
+open K23_kernel.Kern
 open K23_interpose.Interpose
 
-(** Build a tracer wired to the handler ABI. *)
-let tracer ?(name = "ptracer") ~handler ~(stats : stats) () =
-  {
-    tr_name = name;
-    tr_trace_syscalls = true;
-    tr_on_entry =
-      Some
-        (fun ctx ~nr ~site ~args ->
-          stats.via_ptrace <- stats.via_ptrace + 1;
-          match handler ctx ~nr ~args ~site with
-          | Forward -> `Continue
-          | Emulate v -> `Skip v);
-    tr_on_exit = None;
-    tr_on_exec = None;
-    tr_on_exit_proc = None;
-  }
-
-let launch w ?inner ~path ?argv ?(env = []) () =
-  ktrace_annot w "mech:ptrace";
-  let stats = fresh_stats () in
-  let handler = counting_handler ?inner stats in
-  let tr = tracer ~handler ~stats () in
-  match World.spawn w ~path ?argv ~env ~tracer:tr () with
-  | Ok p -> Ok (p, stats)
-  | Error e -> Error e
+(** A tracer wired to the handler ABI. *)
+let tracer ~handler ~(stats : stats) : tracer =
+ fun ctx ~nr ~site ~args ->
+  stats.via_ptrace <- stats.via_ptrace + 1;
+  match handler ctx ~nr ~args ~site with Forward -> `Continue | Emulate v -> `Skip v

@@ -64,18 +64,11 @@ let null_check (ctx : ctx) ~site =
   Hashtbl.mem (get_state ctx.thread.t_proc).sites site
 
 let make_config ~variant ~handler ~stats =
+  (* calibrated so the microbenchmark lands near the paper's 1.1267x
+     (default) / 1.1576x (ultra); see EXPERIMENTS.md *)
   {
-    cfg_name = "zpoline";
-    (* calibrated so the microbenchmark lands near the paper's 1.1267x
-       (default) / 1.1576x (ultra); see EXPERIMENTS.md *)
-    pre_cost = 10;
-    post_cost = 5;
-    null_check = (match variant with Ultra -> Some null_check | Default -> None);
-    null_check_cost = 5;
-    stack_switch = false;
-    sud_selector = (fun _ -> None);
-    handler;
-    stats;
+    (config "zpoline" ~pre_cost:10 ~post_cost:5 ~handler ~stats) with
+    null_check = (match variant with Ultra -> Some (5, null_check) | Default -> None);
   }
 
 let init ~variant cfg (ctx : ctx) =
@@ -103,32 +96,6 @@ let init ~variant cfg (ctx : ctx) =
 
 let image ~variant ~handler ~stats () : image =
   let cfg = make_config ~variant ~handler ~stats in
-  let items =
-    [
-      Asm.Label "__zpoline_init";
-      Asm.Vcall_named "zp_init";
-      Asm.I Insn.Ret;
-    ]
-  in
-  {
-    im_name = lib_path;
-    im_prog = Asm.assemble items;
-    im_host_fns = [ ("zp_init", init ~variant cfg) ];
-    im_init = Some "__zpoline_init";
-    im_entry = None;
-    im_needed = [];
-    im_owner = Interposer;
-  }
-
-(** Launch [path] under zpoline.  Returns the process and the shared
-    interposition statistics. *)
-let launch w ~variant ?inner ~path ?argv ?(env = []) () =
-  ktrace_annot w
-    ("mech:" ^ match variant with Default -> "zpoline" | Ultra -> "zpoline-ultra");
-  let stats = fresh_stats () in
-  let handler = counting_handler ?inner stats in
-  register_library w (image ~variant ~handler ~stats ());
-  let env = add_preload env lib_path in
-  match World.spawn w ~path ?argv ~env () with
-  | Ok p -> Ok (p, stats)
-  | Error e -> Error e
+  library ~name:lib_path ~init:"__zpoline_init"
+    (x86.assemble (ctor_items x86 "__zpoline_init" "zp_init"))
+    [ ("zp_init", init ~variant cfg) ]

@@ -28,15 +28,13 @@ let variant_to_string = Libk23.variant_to_string
     the preload-enforcing companion tracer), so that every unique
     syscall site it executes lands in /k23/logs.  Returns the process;
     servers are driven by a client before they are killed. *)
-let offline_spawn w ~path ?argv ?(env = []) () =
-  let stats = fresh_stats () in
-  register_library w (Offline.image ~stats ());
-  let env = add_preload env Offline.lib_path in
-  let tracer = Ptracer.preload_enforcer ~lib_path:Offline.lib_path () in
+let offline_spawn w ~path ?argv ?env () =
+  let preload = [ Offline.image ~stats:(fresh_stats ()) () ] in
+  let tracer = Ptracer.preload_enforcer ~lib_path:Offline.lib_path in
   (* the offline phase mirrors the online environment: the vdso is
      disabled there too, so vdso-fallback syscall sites are observed
      and logged *)
-  match World.spawn w ~path ?argv ~env ~tracer ~vdso:false () with
+  match spawn w ~preload ~tracer ~vdso:false ~path ?argv ?env () with
   | Error e -> failwith (Printf.sprintf "offline spawn of %s failed (%d)" path e)
   | Ok p -> p
 
@@ -84,15 +82,14 @@ let seal_logs = Log_store.seal
 (** Launch [path] under full K23: ptracer from the first instruction,
     libK23 injected via LD_PRELOAD (enforced), vdso disabled, SUD
     fallback armed.  Returns the process and shared statistics. *)
-let launch w ~variant ?inner ~path ?argv ?(env = []) () =
-  ktrace_annot w ("mech:k23-" ^ variant_to_string variant);
+let launch w ~variant ?inner ~path ?argv ?env () =
   let stats = fresh_stats () in
   (* the handler: counting, plus K23's own interception duties *)
   let handler_ref = ref (fun _ ~nr:_ ~args:_ ~site:_ -> Forward) in
   let handler ctx ~nr ~args ~site = !handler_ref ctx ~nr ~args ~site in
   let reattach ctx =
     let p = ctx.thread.t_proc in
-    p.tracer <- Some (Ptracer.online_tracer w ~stats ~handler ~lib_path:Libk23.lib_path ());
+    p.tracer <- Some (Ptracer.online_tracer w ~stats ~handler ~lib_path:Libk23.lib_path);
     p.vdso_enabled <- false
   in
   let k23_duties : handler =
@@ -117,12 +114,11 @@ let launch w ~variant ?inner ~path ?argv ?(env = []) () =
     end
   in
   handler_ref := counting_handler ~inner:k23_duties stats;
-  register_library w (Libk23.image ~variant ~handler ~stats ());
-  let env = add_preload env Libk23.lib_path in
-  let tracer = Ptracer.online_tracer w ~stats ~handler ~lib_path:Libk23.lib_path () in
-  match World.spawn w ~path ?argv ~env ~tracer ~vdso:false () with
-  | Ok p -> Ok (p, stats)
-  | Error e -> Error e
+  let tracer = Ptracer.online_tracer w ~stats ~handler ~lib_path:Libk23.lib_path in
+  spawn w ~tag:("k23-" ^ variant_to_string variant)
+    ~preload:[ Libk23.image ~variant ~handler ~stats () ]
+    ~tracer ~vdso:false ~path ?argv ?env ()
+  |> Result.map (fun p -> (p, stats))
 
 (** Introspection for tests and benchmarks. *)
 let rewritten_sites (p : proc) = (Libk23.get_state p).rewritten

@@ -57,25 +57,9 @@ let get_state (p : proc) =
 
 let null_check (ctx : ctx) ~site = Robin_set.mem (get_state ctx.thread.t_proc).valid site
 
-let make_config ~variant ~handler ~stats ~selector =
-  {
-    cfg_name = variant_to_string variant;
-    (* K23's trampoline reuses the kernel-clobbered rcx/r11 registers
-       and therefore beats lazypoline's entry sequence (Section 6.2.1);
-       calibrated near the paper's 1.2788x / 1.3919x / 1.3948x *)
-    pre_cost = 4;
-    post_cost = 2;
-    null_check = (match variant with Default -> None | Ultra | Ultra_plus -> Some null_check);
-    null_check_cost = 17;
-    stack_switch = (variant = Ultra_plus);
-    sud_selector = selector;
-    handler;
-    stats;
-  }
-
 (** Phase 1 of the constructor: logs -> trampoline -> selective rewrite
     -> hash set -> SUD armed (selector still ALLOW). *)
-let init1 cfg ~lazy_im (ctx : ctx) =
+let init1 cfg ~sym (ctx : ctx) =
   let p = ctx.thread.t_proc in
   let w = ctx.world in
   let st =
@@ -114,7 +98,7 @@ let init1 cfg ~lazy_im (ctx : ctx) =
   (* SUD fallback for everything the offline phase missed; the
      selector byte is still ALLOW (0) so the remaining constructor
      syscalls — including the fake handoff calls — pass through *)
-  let sel_addr = arm_sud ctx ~im:(Lazy.force lazy_im) ~selector_sym:"k23_selector" in
+  let sel_addr = arm_sud ctx cfg ~sym in
   (* ultra+: protect the interposer's internal state (the selector
      page) with a dedicated protection key, per the threat model
      (Section 3): application loads/stores to it fault, while the
@@ -132,10 +116,10 @@ let init1 cfg ~lazy_im (ctx : ctx) =
 
 (** Phase 2: after the first fake syscall, the ptracer has deposited
     its accumulated startup state into our buffer. *)
-let init2 ~lazy_im (ctx : ctx) =
+let init2 ~sym (ctx : ctx) =
   let p = ctx.thread.t_proc in
   let st = get_state p in
-  match Mapper.image_sym p (Lazy.force lazy_im) "k23_handoff_buf" with
+  match sym p "k23_handoff_buf" with
   | Some buf -> st.startup_from_ptracer <- Memory.read_u64_raw p.mem buf
   | None -> panic "libK23: no handoff buffer"
 
@@ -147,51 +131,37 @@ let init3 cfg (ctx : ctx) =
   | None -> ()
 
 let image ~variant ~handler ~stats () : image =
-  let im_ref = ref None in
-  let lazy_im = lazy (Option.get !im_ref) in
-  let selector p = Mapper.image_sym p (Lazy.force lazy_im) "k23_selector" in
-  let cfg = make_config ~variant ~handler ~stats ~selector in
-  let items =
-    [
-      Asm.Label "__k23_init";
-      Asm.Vcall_named "k23_init1";
-      (* fake syscall #1: request the ptracer's state (Section 5.3) *)
-      Asm.I (Insn.Mov_ri (RAX, Sysno.k23_handoff));
-      Asm.Mov_sym (Reg.RDI, "k23_handoff_buf");
-      Asm.I Insn.Syscall;
-      Asm.Vcall_named "k23_init2";
-      (* fake syscall #2: tell the ptracer to detach *)
-      Asm.I (Insn.Mov_ri (RAX, Sysno.k23_detach));
-      Asm.I Insn.Syscall;
-      Asm.Vcall_named "k23_init3";
-      Asm.I Insn.Ret;
-    ]
-    @ sigsys_handler_items ()
-    @ [
-        Asm.Section `Data;
-        Asm.Label "k23_selector";
-        Asm.Zeros 64;
-        Asm.Label "k23_handoff_buf";
-        Asm.Zeros 64;
-      ]
+  let prog =
+    x86.assemble
+      ([
+         Asm.Label "__k23_init";
+         Asm.Vcall_named "k23_init1";
+         (* fake syscall #1: request the ptracer's state (Section 5.3) *)
+         Asm.I (Insn.Mov_ri (RAX, Sysno.k23_handoff));
+         Asm.Mov_sym (Reg.RDI, "k23_handoff_buf");
+         Asm.I Insn.Syscall;
+         Asm.Vcall_named "k23_init2";
+         (* fake syscall #2: tell the ptracer to detach *)
+         Asm.I (Insn.Mov_ri (RAX, Sysno.k23_detach));
+         Asm.I Insn.Syscall;
+         Asm.Vcall_named "k23_init3";
+         Asm.I Insn.Ret;
+       ]
+      @ sigsys_handler_items x86 ()
+      @ buffer_items [ "k23_selector"; "k23_handoff_buf" ])
   in
-  let im =
+  let sym = Mapper.prog_sym ~name:lib_path prog in
+  (* K23's trampoline reuses the kernel-clobbered rcx/r11 registers and
+     therefore beats lazypoline's entry sequence (Section 6.2.1);
+     calibrated near the paper's 1.2788x / 1.3919x / 1.3948x *)
+  let cfg =
     {
-      im_name = lib_path;
-      im_prog = Asm.assemble items;
-      im_host_fns =
-        [
-          ("k23_init1", fun ctx -> init1 cfg ~lazy_im ctx);
-          ("k23_init2", fun ctx -> init2 ~lazy_im ctx);
-          ("k23_init3", init3 cfg);
-          ("sigsys_pre", sigsys_pre cfg ~im:lazy_im ());
-          ("sigsys_post", sigsys_post cfg);
-        ];
-      im_init = Some "__k23_init";
-      im_entry = None;
-      im_needed = [];
-      im_owner = Interposer;
+      (config (variant_to_string variant) ~pre_cost:4 ~post_cost:2 ~handler ~stats) with
+      null_check = (match variant with Default -> None | Ultra | Ultra_plus -> Some (17, null_check));
+      stack_switch = variant = Ultra_plus;
+      sud_selector = (fun p -> sym p "k23_selector");
     }
   in
-  im_ref := Some im;
-  im
+  library ~name:lib_path ~init:"__k23_init" prog
+    ([ ("k23_init1", init1 cfg ~sym); ("k23_init2", init2 ~sym); ("k23_init3", init3 cfg) ]
+    @ sigsys_host_fns cfg ~sym ())

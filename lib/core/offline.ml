@@ -57,48 +57,19 @@ let log_site (ctx : ctx) ~site ~nr:_ =
   | Some _ | None -> ()
 
 let image ~stats () : image =
-  let im_ref = ref None in
-  let lazy_im = lazy (Option.get !im_ref) in
-  let selector p = Mapper.image_sym p (Lazy.force lazy_im) "logger_selector" in
+  let prog = sigsys_program Isa.X86_64 ~ctor:("__logger_init", "logger_init") [ "logger_selector" ] in
+  let sym = Mapper.prog_sym ~name:lib_path prog in
   let cfg =
     {
-      cfg_name = "liblogger";
-      pre_cost = 150;
-      post_cost = 80;
-      null_check = None;
-      null_check_cost = 0;
-      stack_switch = false;
-      sud_selector = selector;
-      handler = counting_handler stats;
-      stats;
+      (config "liblogger" ~pre_cost:150 ~post_cost:80 ~handler:(counting_handler stats) ~stats) with
+      sud_selector = (fun p -> sym p "logger_selector");
     }
   in
   let init (ctx : ctx) =
     let p = ctx.thread.t_proc in
     ignore (get_state p);
-    let sel_addr = arm_sud ctx ~im:(Lazy.force lazy_im) ~selector_sym:"logger_selector" in
+    let sel_addr = arm_sud ctx cfg ~sym in
     set_selector_all_slots p ~sel_addr selector_block
   in
-  let items =
-    [ Asm.Label "__logger_init"; Asm.Vcall_named "logger_init"; Asm.I Insn.Ret ]
-    @ sigsys_handler_items ()
-    @ [ Asm.Section `Data; Asm.Label "logger_selector"; Asm.Zeros 64 ]
-  in
-  let im =
-    {
-      im_name = lib_path;
-      im_prog = Asm.assemble items;
-      im_host_fns =
-        [
-          ("logger_init", init);
-          ("sigsys_pre", sigsys_pre cfg ~im:lazy_im ~on_sigsys:log_site ());
-          ("sigsys_post", sigsys_post cfg);
-        ];
-      im_init = Some "__logger_init";
-      im_entry = None;
-      im_needed = [];
-      im_owner = Interposer;
-    }
-  in
-  im_ref := Some im;
-  im
+  library ~name:lib_path ~init:"__logger_init" prog
+    (("logger_init", init) :: sigsys_host_fns cfg ~sym ~on_sigsys:log_site ())

@@ -49,73 +49,55 @@ let rewrite_envp (ctx : ctx) ~args ~lib_path =
 
 (** Offline companion: guarantees libLogger injection, records
     nothing. *)
-let preload_enforcer ~lib_path () : tracer =
-  {
-    tr_name = "preload-enforcer";
-    tr_trace_syscalls = true;
-    tr_on_entry =
-      Some
-        (fun ctx ~nr ~site:_ ~args ->
-          if nr = Sysno.execve then rewrite_envp ctx ~args ~lib_path;
-          `Continue);
-    tr_on_exit = None;
-    tr_on_exec = None;
-    tr_on_exit_proc = None;
-  }
+let preload_enforcer ~lib_path : tracer =
+ fun ctx ~nr ~site:_ ~args ->
+  if nr = Sysno.execve then rewrite_envp ctx ~args ~lib_path;
+  `Continue
 
 (** The online ptracer. *)
-let online_tracer w ~(stats : stats) ~(handler : handler) ~lib_path () : tracer =
+let online_tracer w ~(stats : stats) ~(handler : handler) ~lib_path : tracer =
   let startup_seen = ref 0 in
-  {
-    tr_name = "k23-ptracer";
-    tr_trace_syscalls = true;
-    tr_on_entry =
-      Some
-        (fun ctx ~nr ~site ~args ->
-          let p = ctx.thread.t_proc in
-          let owner = region_owner p site in
-          if nr = Sysno.k23_handoff then
-            (* the fake syscall must originate from libK23 itself, not
-               from potentially compromised code such as the dynamic
-               loader (Section 5.3) *)
-            if owner <> Interposer then begin
-              stats.aborts <- stats.aborts + 1;
-              abort ctx;
-              `Skip (Errno.ret Errno.eperm)
-            end
-            else begin
-              Memory.write_u64_raw p.mem args.(0) !startup_seen;
-              charge w ctx.thread w.cost.ptrace_mem_op;
-              `Skip 0
-            end
-          else if nr = Sysno.k23_detach then
-            (* likewise for the fake detach syscall *)
-            if owner <> Interposer then begin
-              stats.aborts <- stats.aborts + 1;
-              abort ctx;
-              `Skip (Errno.ret Errno.eperm)
-            end
-            else begin
-              p.tracer <- None;
-              `Skip 0
-            end
-          else begin
-            if nr = Sysno.execve then begin
-              (* keep libK23 injected (P1a) and the vdso disabled for
-                 the post-exec image *)
-              rewrite_envp ctx ~args ~lib_path;
-              p.vdso_enabled <- false
-            end;
-            match owner with
-            | Interposer | Trampoline -> `Continue (* re-issues, not app syscalls *)
-            | App | Libc | Ldso | Vdso | Lib _ | Anon | Stack -> (
-              incr startup_seen;
-              stats.via_ptrace <- stats.via_ptrace + 1;
-              match handler ctx ~nr ~args ~site with
-              | Forward -> `Continue
-              | Emulate v -> `Skip v)
-          end);
-    tr_on_exit = None;
-    tr_on_exec = None;
-    tr_on_exit_proc = None;
-  }
+  fun ctx ~nr ~site ~args ->
+    let p = ctx.thread.t_proc in
+    let owner = region_owner p site in
+    if nr = Sysno.k23_handoff then
+      (* the fake syscall must originate from libK23 itself, not from
+         potentially compromised code such as the dynamic loader
+         (Section 5.3) *)
+      if owner <> Interposer then begin
+        stats.aborts <- stats.aborts + 1;
+        abort ctx;
+        `Skip (Errno.ret Errno.eperm)
+      end
+      else begin
+        Memory.write_u64_raw p.mem args.(0) !startup_seen;
+        charge w ctx.thread w.cost.ptrace_mem_op;
+        `Skip 0
+      end
+    else if nr = Sysno.k23_detach then
+      (* likewise for the fake detach syscall *)
+      if owner <> Interposer then begin
+        stats.aborts <- stats.aborts + 1;
+        abort ctx;
+        `Skip (Errno.ret Errno.eperm)
+      end
+      else begin
+        p.tracer <- None;
+        `Skip 0
+      end
+    else begin
+      if nr = Sysno.execve then begin
+        (* keep libK23 injected (P1a) and the vdso disabled for the
+           post-exec image *)
+        rewrite_envp ctx ~args ~lib_path;
+        p.vdso_enabled <- false
+      end;
+      match owner with
+      | Interposer | Trampoline -> `Continue (* re-issues, not app syscalls *)
+      | App | Libc | Ldso | Vdso | Lib _ | Anon | Stack -> (
+        incr startup_seen;
+        stats.via_ptrace <- stats.via_ptrace + 1;
+        match handler ctx ~nr ~args ~site with
+        | Forward -> `Continue
+        | Emulate v -> `Skip v)
+    end

@@ -9,6 +9,7 @@ module Pt = K23_baselines.Ptrace_interposer
 module Sc = K23_baselines.Seccomp_interposer
 module K23 = K23_core.K23
 module Asc = K23_interpose.Asc_hook
+module I = K23_interpose.Interpose
 
 type t =
   | Native
@@ -116,21 +117,43 @@ let needs_offline = function
   | Seccomp | Asc_hook ->
     false
 
-(** Launch [path] under the mechanism.  Returns the process (and the
-    interposition stats for non-native mechanisms). *)
-let launch mech w ~path ?argv ?env () =
-  let ok = function Ok (p, s) -> Ok (p, Some s) | Error e -> Error e in
+(** [None] when [m] exists on [isa]; otherwise why not, naming the
+    mechanisms that do. *)
+let unavailable ~isa m =
+  let avail = available ~isa in
+  if List.mem m avail then None
+  else
+    Some
+      (Printf.sprintf "mechanism %s is not available on %s (available: %s)" (to_string m)
+         (K23_isa.Isa.to_string isa)
+         (String.concat ", " (List.map to_string avail)))
+
+(** Launch [path] under the mechanism, with [inner] as the interposed
+    handler behind the counting one.  Returns the process (and the
+    interposition stats for non-native mechanisms).
+    @raise Invalid_argument when [mech] is not available on the
+    world's ISA. *)
+let launch ?inner mech (w : Kern.world) ~path ?argv ?env () =
+  Option.iter invalid_arg (unavailable ~isa:w.isa mech);
+  let stats = I.fresh_stats () in
+  let handler = I.counting_handler ?inner stats in
+  let spawn ?tracer tag preload =
+    Result.map (fun p -> (p, Some stats)) (I.spawn w ~tag ~preload ?tracer ~path ?argv ?env ())
+  in
+  let k23 variant =
+    Result.map (fun (p, s) -> (p, Some s)) (K23.launch w ~variant ?inner ~path ?argv ?env ())
+  in
   match mech with
-  | Native -> (
-    match World.spawn w ~path ?argv ?env () with Ok p -> Ok (p, None) | Error e -> Error e)
-  | Zpoline_default -> ok (Zp.launch w ~variant:Zp.Default ~path ?argv ?env ())
-  | Zpoline_ultra -> ok (Zp.launch w ~variant:Zp.Ultra ~path ?argv ?env ())
-  | Lazypoline -> ok (Lp.launch w ~path ?argv ?env ())
-  | K23_default -> ok (K23.launch w ~variant:K23.Default ~path ?argv ?env ())
-  | K23_ultra -> ok (K23.launch w ~variant:K23.Ultra ~path ?argv ?env ())
-  | K23_ultra_plus -> ok (K23.launch w ~variant:K23.Ultra_plus ~path ?argv ?env ())
-  | Sud -> ok (Sud.launch w ~interpose_on:true ~path ?argv ?env ())
-  | Sud_no_interposition -> ok (Sud.launch w ~interpose_on:false ~path ?argv ?env ())
-  | Ptrace -> ok (Pt.launch w ~path ?argv ?env ())
-  | Seccomp -> ok (Sc.launch w ~path ?argv ?env ())
-  | Asc_hook -> ok (Asc.launch w ~path ?argv ?env ())
+  | Native -> Result.map (fun p -> (p, None)) (I.spawn w ~preload:[] ~path ?argv ?env ())
+  | Zpoline_default -> spawn "zpoline" [ Zp.image ~variant:Zp.Default ~handler ~stats () ]
+  | Zpoline_ultra -> spawn "zpoline-ultra" [ Zp.image ~variant:Zp.Ultra ~handler ~stats () ]
+  | Lazypoline -> spawn "lazypoline" [ Lp.image ~handler ~stats () ]
+  | K23_default -> k23 K23.Default
+  | K23_ultra -> k23 K23.Ultra
+  | K23_ultra_plus -> k23 K23.Ultra_plus
+  | Sud_no_interposition ->
+    spawn "sud-nointerpose" [ Sud.image ~interpose_on:false ~isa:w.isa ~handler ~stats () ]
+  | Sud -> spawn "sud" [ Sud.image ~isa:w.isa ~handler ~stats () ]
+  | Ptrace -> spawn ~tracer:(Pt.tracer ~handler ~stats) "ptrace" []
+  | Seccomp -> spawn "seccomp-trap" [ Sc.image ~isa:w.isa ~handler ~stats () ]
+  | Asc_hook -> spawn "asc-hook" [ Asc.image ~handler ~stats () ]

@@ -23,8 +23,9 @@
       and the run;
     - [Ktrace_summary] traces the offline phase too;
     - [Macro] and [Load] run servers, then a client against them;
-    - [Startup_bench], and [k23 trace]'s legacy listing, launch with an
-      inner handler. *)
+    - [Startup_bench] launches ptrace with an inner handler and a
+      marker preload, and [k23 trace]'s legacy listing launches K23
+      with an inner handler. *)
 
 open K23_kernel
 

@@ -10,7 +10,6 @@
 open K23_kernel
 open K23_userland
 module Apps = K23_apps
-module Pt = K23_baselines.Ptrace_interposer
 
 type entry = {
   app : string;
@@ -36,7 +35,7 @@ let measure name =
     if not ctx.thread.t_proc.startup_done then incr seen;
     Forward
   in
-  match Pt.launch w ~inner ~path ~env () with
+  match Mech.launch ~inner Mech.Ptrace w ~path ~env () with
   | Error e -> failwith (Printf.sprintf "ptrace launch: %d" e)
   | Ok (p, _) ->
     World.run_until_exit w p;

@@ -46,19 +46,6 @@ module Arm = K23_isa_arm.Arm
 
 let lib_path = "/usr/lib/libasc.so"
 
-let make_config ~handler ~stats =
-  {
-    cfg_name = "asc-hook";
-    pre_cost = 30;  (* branch + host entry: no signal, no stack switch *)
-    post_cost = 15;
-    null_check = None;
-    null_check_cost = 0;
-    stack_switch = false;
-    sud_selector = (fun _ -> None);
-    handler;
-    stats;
-  }
-
 let slot_len = 16
 let b_range = 1 lsl 25 (* [b] reach in words, signed *)
 
@@ -160,16 +147,9 @@ let install_slab (ctx : ctx) (cfg : config) ~region_name sites =
       let rel = (slot - site) asr 2 in
       if rel >= b_range || rel < -b_range then
         ktrace_count w "asc.unreachable"
-      else begin
-        let saved = Memory.get_perm p.mem site in
-        Memory.set_perm p.mem ~addr:site ~len:4 ~perm:Memory.perm_rwx;
-        Memory.write_u32_raw p.mem site (Arm.encode (Arm.B rel));
-        (match saved with
-        | Some perm -> Memory.set_perm p.mem ~addr:site ~len:4 ~perm
-        | None -> ());
-        code_write_barrier w ~addr:site ~len:4;
-        charge w th 400
-      end)
+      else
+        patch_code ctx ~addr:site ~len:4 (fun mem ->
+            Memory.write_u32_raw mem site (Arm.encode (Arm.B rel))))
     sites
 
 (** Patch every svc-pattern word of every scannable region.  Site
@@ -190,25 +170,8 @@ let patch_all (ctx : ctx) (cfg : config) =
     (scannable_regions p)
 
 let image ~handler ~stats () : image =
-  let module A = K23_isa_arm.Asm_arm in
-  let cfg = make_config ~handler ~stats in
-  let items = [ A.Label "__asc_init"; A.Vcall_named "asc_init"; A.I Arm.Ret ] in
-  {
-    im_name = lib_path;
-    im_prog = A.assemble items;
-    im_host_fns = [ ("asc_init", fun ctx -> patch_all ctx cfg) ];
-    im_init = Some "__asc_init";
-    im_entry = None;
-    im_needed = [];
-    im_owner = Interposer;
-  }
-
-let launch w ?inner ~path ?argv ?(env = []) () =
-  ktrace_annot w "mech:asc-hook";
-  let stats = fresh_stats () in
-  let handler = counting_handler ?inner stats in
-  register_library w (image ~handler ~stats ());
-  let env = add_preload env lib_path in
-  match World.spawn w ~path ?argv ~env () with
-  | Ok p -> Ok (p, stats)
-  | Error e -> Error e
+  (* branch + host entry: no signal, no stack switch *)
+  let cfg = config "asc-hook" ~pre_cost:30 ~post_cost:15 ~handler ~stats in
+  library ~name:lib_path ~init:"__asc_init"
+    (arm.assemble (ctor_items arm "__asc_init" "asc_init"))
+    [ ("asc_init", fun ctx -> patch_all ctx cfg) ]

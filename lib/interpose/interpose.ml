@@ -1,12 +1,15 @@
 (** Common interposition framework shared by every interposer
-    (zpoline, lazypoline, plain SUD, ptrace, K23).
+    (zpoline, lazypoline, plain SUD, seccomp, ptrace, ASC-Hook, K23).
 
     Provides:
     - the handler ABI: a user-supplied OCaml function with full
       expressiveness (deep argument inspection, emulation, veto);
+    - the one launch path ({!spawn}): tag, preload, spawn;
     - the page-0 trampoline (nop sled + entry sequence), installed by
-      rewriting-based interposers, with PKU-based XOM protection;
-    - the SIGSYS handler skeleton used by every SUD-based path;
+      rewriting-based interposers, with PKU-based XOM protection, and
+      the one save-permissions/store/restore/serialise code patch;
+    - the SIGSYS handler skeleton used by every SUD- and seccomp-based
+      path, on both ISAs;
     - shared statistics so benchmarks can compare mechanisms.
 
     Every interposition path — rewritten [callq *%rax], SIGSYS
@@ -17,6 +20,7 @@ open K23_isa
 open K23_machine
 open K23_kernel
 open Kern
+module Arm = K23_isa_arm.Arm
 
 (* ------------------------------------------------------------------ *)
 (* Handler ABI                                                         *)
@@ -65,6 +69,33 @@ let add_preload env path =
   in
   go [] false env
 
+(** The one launch path: tag the ktrace stream with ["mech:" ^ tag],
+    register each [preload] image and put it in LD_PRELOAD, then spawn
+    [path] ([tracer] and [vdso] as {!World.spawn}). *)
+let spawn w ?tag ~preload ?tracer ?vdso ~path ?argv ?(env = []) () =
+  Option.iter (fun tag -> ktrace_annot w ("mech:" ^ tag)) tag;
+  let env =
+    List.fold_left
+      (fun env im ->
+        register_library w im;
+        add_preload env im.im_name)
+      env preload
+  in
+  World.spawn w ~path ?argv ~env ?tracer ?vdso ()
+
+(** An interposition library: [prog] mapped as [name], with
+    constructor symbol [init]. *)
+let library ~name ~init prog host_fns : image =
+  {
+    im_name = name;
+    im_prog = prog;
+    im_host_fns = host_fns;
+    im_init = Some init;
+    im_entry = None;
+    im_needed = [];
+    im_owner = Interposer;
+  }
+
 (* ------------------------------------------------------------------ *)
 (* Configuration shared by trampoline and SIGSYS paths                 *)
 
@@ -72,16 +103,29 @@ type config = {
   cfg_name : string;
   pre_cost : int;  (** trampoline handler-entry cost (calibration) *)
   post_cost : int;  (** trampoline handler-exit cost *)
-  null_check : (ctx -> site:int -> bool) option;
-      (** NULL-execution check: return false to abort (zpoline-ultra's
-          bitmap, K23-ultra's hash set) *)
-  null_check_cost : int;
+  null_check : (int * (ctx -> site:int -> bool)) option;
+      (** NULL-execution check and its cycle cost: return false to
+          abort (zpoline-ultra's bitmap, K23-ultra's hash set) *)
   stack_switch : bool;  (** K23-ultra+: switch to a dedicated stack on entry *)
   sud_selector : (proc -> int option);
       (** address of the SUD selector byte, when SUD-based *)
   handler : handler;
   stats : stats;
 }
+
+(** A config with no NULL-execution check, no stack switch and no SUD
+    selector. *)
+let config name ~pre_cost ~post_cost ~handler ~stats =
+  {
+    cfg_name = name;
+    pre_cost;
+    post_cost;
+    null_check = None;
+    stack_switch = false;
+    sud_selector = (fun _ -> None);
+    handler;
+    stats;
+  }
 
 let selector_allow = Sysno.syscall_dispatch_filter_allow
 let selector_block = Sysno.syscall_dispatch_filter_block
@@ -120,8 +164,8 @@ let tramp_pre (cfg : config) (ctx : ctx) =
   let ret_addr = Memory.read_u64_raw p.mem (Regs.get th.regs RSP) in
   let site = ret_addr - 2 in
   (match cfg.null_check with
-  | Some check ->
-    charge w th cfg.null_check_cost;
+  | Some (cost, check) ->
+    charge w th cost;
     if not (check ctx ~site) then begin
       (* a call into the trampoline from a site the check does not know *)
       cfg.stats.aborts <- cfg.stats.aborts + 1;
@@ -202,26 +246,27 @@ let install_trampoline (ctx : ctx) (cfg : config) =
   charge w ctx.thread 800
 
 (* ------------------------------------------------------------------ *)
-(* Two-byte rewriting                                                  *)
+(* Code patching                                                       *)
+
+(** Patch [len] code bytes at [addr] with [store], the correct
+    sequence (zpoline, K23, ASC-Hook; Section 4.5): save the page
+    permissions, make the bytes writable, store, restore, serialise.
+    The unsafe split used by lazypoline lives in that module. *)
+let patch_code (ctx : ctx) ~addr ~len store =
+  let p = ctx.thread.t_proc in
+  let saved = Memory.get_perm p.mem addr in
+  Memory.set_perm p.mem ~addr ~len ~perm:Memory.perm_rwx;
+  store p.mem;
+  Option.iter (fun perm -> Memory.set_perm p.mem ~addr ~len ~perm) saved;
+  code_write_barrier ctx.world ~addr ~len;
+  charge ctx.world ctx.thread 400
 
 (** Rewrite a [syscall]/[sysenter] site to [callq *%rax], the zpoline
-    transformation.  [atomic] writes both bytes in one step and flushes
-    the writer's icache (safe at load time); the unsafe split used by
-    lazypoline lives in that module. *)
+    transformation, in one quiescent step (safe at load time). *)
 let rewrite_site_atomic (ctx : ctx) ~site =
-  let p = ctx.thread.t_proc in
-  let w = ctx.world in
-  (* save page permissions, make writable, restore — the correct
-     sequence (zpoline / K23; Section 4.5) *)
-  let saved = Memory.get_perm p.mem site in
-  Memory.set_perm p.mem ~addr:site ~len:2 ~perm:Memory.perm_rwx;
-  Memory.write_u8_raw p.mem site 0xff;
-  Memory.write_u8_raw p.mem (site + 1) 0xd0;
-  (match saved with
-  | Some perm -> Memory.set_perm p.mem ~addr:site ~len:2 ~perm
-  | None -> ());
-  code_write_barrier w ~addr:site ~len:2;
-  charge w ctx.thread 400
+  patch_code ctx ~addr:site ~len:2 (fun mem ->
+      Memory.write_u8_raw mem site 0xff;
+      Memory.write_u8_raw mem (site + 1) 0xd0)
 
 (** The regions a rewriter scans: executable, and not the interposer's
     own code (real interposers live in a separate dlmopen namespace). *)
@@ -242,49 +287,69 @@ let sigsys_handler_sym = "__sigsys_handler"
 
 let sigsys_post_sym = "__sigsys_post"
 
+(** What the SIGSYS skeleton and a constructor stub need from an ISA. *)
+type ('insn, 'reg) kit = {
+  syscall : 'insn;  (** the trapping instruction *)
+  ret : 'insn;
+  load_nr : int -> 'insn list;  (** load the syscall-number register *)
+  assemble : ('insn, 'reg) Asm.t list -> Asm.program;
+}
+
+let x86 =
+  {
+    syscall = Insn.Syscall;
+    ret = Insn.Ret;
+    load_nr = (fun n -> [ Insn.Mov_ri (RAX, n) ]);
+    assemble = Asm.assemble;
+  }
+
+let arm =
+  {
+    syscall = Arm.Svc 0;
+    ret = Arm.Ret;
+    load_nr = Arm.li 8;
+    assemble = K23_isa_arm.Asm_arm.assemble;
+  }
+
+(** A constructor stub: [label: vcall fn; ret]. *)
+let ctor_items kit label fn = [ Asm.Label label; Asm.Vcall_named fn; Asm.I kit.ret ]
+
+(** One zeroed 64-byte data buffer per label (a selector's 64 TLS
+    slots, K23's handoff buffer). *)
+let buffer_items = function
+  | [] -> []
+  | labels -> Asm.Section `Data :: List.concat_map (fun l -> [ Asm.Label l; Asm.Zeros 64 ]) labels
+
 (** Assembly of a SIGSYS handler: [extra_items] run first (lazypoline
     splices its two rewriting steps there), then the common
     pre-vcall / syscall gadget / post-vcall / rt_sigreturn sequence.
     The gadget and the sigreturn syscall live in the interposer's own
     text, which SUD allowlists — the standard recipe from Section 2.1. *)
-let sigsys_handler_items ?(extra_items = []) () =
+let sigsys_handler_items kit ?(extra_items = []) () =
   [ Asm.Label sigsys_handler_sym ]
   @ extra_items
   @ [
       Asm.Vcall_named "sigsys_pre";
       Asm.Label "__sigsys_gadget";
-      Asm.I Insn.Syscall;
+      Asm.I kit.syscall;
       Asm.Label sigsys_post_sym;
       Asm.Vcall_named "sigsys_post";
-      Asm.I (Insn.Mov_ri (RAX, Sysno.rt_sigreturn));
-      Asm.I Insn.Syscall;
     ]
+  @ List.map (fun i -> Asm.I i) (kit.load_nr Sysno.rt_sigreturn)
+  @ [ Asm.I kit.syscall ]
 
-(** AArch64 twin of {!sigsys_handler_items}: same labels, same vcall
-    names, [svc #0] gadgets instead of [syscall] and the sigreturn
-    number materialised into [x8].  Both assemble to the ISA-neutral
-    program type, so the host side ({!sigsys_pre}/{!sigsys_post}) is
-    shared. *)
-let sigsys_handler_items_arm ?(extra_items = []) () =
-  let module A = K23_isa_arm.Asm_arm in
-  let module Arm = K23_isa_arm.Arm in
-  [ A.Label sigsys_handler_sym ]
-  @ extra_items
-  @ [
-      A.Vcall_named "sigsys_pre";
-      A.Label "__sigsys_gadget";
-      A.I (Arm.Svc 0);
-      A.Label sigsys_post_sym;
-      A.Vcall_named "sigsys_post";
-    ]
-  @ List.map (fun i -> A.I i) (Arm.li 8 Sysno.rt_sigreturn)
-  @ [ A.I (Arm.Svc 0) ]
+(** A SIGSYS interposer's program on [isa]: the constructor stub, the
+    handler skeleton and the [buffers]. *)
+let sigsys_program isa ~ctor:(label, fn) buffers =
+  let build kit =
+    kit.assemble (ctor_items kit label fn @ sigsys_handler_items kit () @ buffer_items buffers)
+  in
+  match isa with Isa.X86_64 -> build x86 | Isa.Arm64 -> build arm
 
-(** Host side of the SIGSYS path.  [im] is the interposer image (for
-    label address lookup); [on_sigsys] is an optional extra step run
-    before the user handler (K23 uses it for the prctl guard). *)
-let sigsys_pre (cfg : config) ~(im : image Lazy.t) ?(on_sigsys = fun _ ~site:_ ~nr:_ -> ()) ()
-    (ctx : ctx) =
+(** Host side of the SIGSYS path.  [sym] resolves the interposer
+    image's own labels; [on_sigsys] is an optional extra step run
+    before the user handler (libLogger records the site there). *)
+let sigsys_pre (cfg : config) ~sym ?(on_sigsys = fun _ ~site:_ ~nr:_ -> ()) () (ctx : ctx) =
   let th = ctx.thread in
   let p = th.t_proc in
   let w = ctx.world in
@@ -298,22 +363,20 @@ let sigsys_pre (cfg : config) ~(im : image Lazy.t) ?(on_sigsys = fun _ ~site:_ ~
     if proc_dead p then ()
     else begin
       cfg.stats.via_sigsys <- cfg.stats.via_sigsys + 1;
-      let post_addr =
-        match Mapper.image_sym p (Lazy.force im) sigsys_post_sym with
-        | Some a -> a
-        | None -> panic "%s: missing %s" cfg.cfg_name sigsys_post_sym
-      in
       match cfg.handler ctx ~nr ~args ~site with
       | Forward ->
         (* load the attempted syscall into the register file and fall
            into the gadget (ABI register indices come from the ISA:
            rax/rdi/... on x86-64, x8/x0..x5 on arm64) *)
         let isa = w.isa in
-        Regs.seti th.regs (K23_isa.Isa.nr_index isa) nr;
-        Array.iteri (fun i idx -> Regs.seti th.regs idx args.(i)) (K23_isa.Isa.arg_indices isa)
+        Regs.seti th.regs (Isa.nr_index isa) nr;
+        Array.iteri (fun i idx -> Regs.seti th.regs idx args.(i)) (Isa.arg_indices isa)
       | Emulate v ->
         Regs.set th.regs RAX v;
-        th.regs.rip <- post_addr
+        th.regs.rip <-
+          (match sym p sigsys_post_sym with
+          | Some a -> a
+          | None -> panic "%s: missing %s" cfg.cfg_name sigsys_post_sym)
     end
 
 let sigsys_post (cfg : config) (ctx : ctx) =
@@ -328,33 +391,36 @@ let sigsys_post (cfg : config) (ctx : ctx) =
     Regs.set frame.fr_regs RAX (Regs.get th.regs RAX);
     set_selector th cfg selector_block
 
-(** Install the SIGSYS handler and arm SUD for the current thread (and
-    have children inherit it), allowlisting the interposer's own text
-    region.  Runs from an interposer constructor (host side; the
-    corresponding sigaction/prctl kernel work is charged). *)
-let arm_sud (ctx : ctx) ~(im : image) ~selector_sym =
+(** The skeleton's two host functions. *)
+let sigsys_host_fns cfg ~sym ?on_sigsys () =
+  [ ("sigsys_pre", sigsys_pre cfg ~sym ?on_sigsys ()); ("sigsys_post", sigsys_post cfg) ]
+
+(** Register the interposer's SIGSYS handler, found through [sym];
+    returns the text region holding it — the interposer's own code,
+    which SUD allowlists and seccomp lets through. *)
+let install_sigsys_handler (p : proc) ~sym =
+  match sym p sigsys_handler_sym with
+  | None -> panic "pid %d: interposer has no SIGSYS handler" p.pid
+  | Some a ->
+    Hashtbl.replace p.sig_handlers sigsys a;
+    Option.get (find_region p a)
+
+(** Install the SIGSYS handler and arm SUD, with [cfg]'s selector, for
+    the current thread (and have children inherit it), allowlisting
+    the interposer's own text region.  Runs from an interposer
+    constructor (host side; the corresponding sigaction/prctl kernel
+    work is charged). *)
+let arm_sud (ctx : ctx) cfg ~sym =
   let p = ctx.thread.t_proc in
   let w = ctx.world in
-  let handler_addr =
-    match Mapper.image_sym p im sigsys_handler_sym with
-    | Some a -> a
-    | None -> panic "arm_sud: image %s has no SIGSYS handler" im.im_name
-  in
-  Hashtbl.replace p.sig_handlers sigsys handler_addr;
+  let text = install_sigsys_handler p ~sym in
   let sel_addr =
-    match Mapper.image_sym p im selector_sym with
+    match cfg.sud_selector p with
     | Some a -> a
-    | None -> panic "arm_sud: image %s has no selector %s" im.im_name selector_sym
+    | None -> panic "arm_sud: %s has no selector in pid %d" cfg.cfg_name p.pid
   in
-  (* allowlist: the interposer's text region *)
-  let text_region =
-    List.find
-      (fun r ->
-        (match r.r_image with Some i -> i == im | None -> false) && r.r_sec = `Text)
-      p.regions
-  in
-  let allow_lo = text_region.r_start in
-  let allow_hi = text_region.r_start + text_region.r_len in
+  let allow_lo = text.r_start in
+  let allow_hi = text.r_start + text.r_len in
   ctx.thread.sud <- Some { sel_addr; allow_lo; allow_hi };
   w.sud_ever_armed <- true;
   Kern.ktrace_count w "sud.arm";

@@ -126,18 +126,12 @@ and counters = {
   mutable c_sigsys : int;  (** SIGSYS deliveries *)
 }
 
-and tracer = {
-  tr_name : string;
-  mutable tr_trace_syscalls : bool;
-  mutable tr_on_entry : (ctx -> nr:int -> site:int -> args:int array -> [ `Continue | `Skip of int ]) option;
-  mutable tr_on_exit : (ctx -> nr:int -> ret:int -> unit) option;
-  mutable tr_on_exec : (ctx -> unit) option;
-  mutable tr_on_exit_proc : (proc -> unit) option;
-}
-(** A ptrace tracer, modelled as a host agent: callbacks run while the
-    tracee is stopped, which is semantically what a real tracer process
-    does.  The cycle cost of each stop round trip is charged to the
-    tracee's core. *)
+and tracer = ctx -> nr:int -> site:int -> args:int array -> [ `Continue | `Skip of int ]
+(** A ptrace tracer, modelled as a host agent: its syscall-entry
+    callback runs while the tracee is stopped, which is semantically
+    what a real tracer process does.  [`Skip ret] completes the call
+    with [ret] without entering the kernel.  Every entry and exit stop
+    round trip is charged to the tracee's core. *)
 
 and proc = {
   pid : int;
@@ -595,20 +589,14 @@ let kill_proc (p : proc) ~signal =
   if p.exit_status = None && p.term_signal = None then begin
     p.term_signal <- Some signal;
     List.iter (fun th -> th.state <- Dead) p.threads;
-    cleanup_fds p;
-    (match p.tracer with
-    | Some tr -> ( match tr.tr_on_exit_proc with Some f -> f p | None -> ())
-    | None -> ())
+    cleanup_fds p
   end
 
 let exit_proc (p : proc) ~status =
   if p.exit_status = None && p.term_signal = None then begin
     p.exit_status <- Some status;
     List.iter (fun th -> th.state <- Dead) p.threads;
-    cleanup_fds p;
-    (match p.tracer with
-    | Some tr -> ( match tr.tr_on_exit_proc with Some f -> f p | None -> ())
-    | None -> ())
+    cleanup_fds p
   end
 
 let proc_dead (p : proc) = p.exit_status <> None || p.term_signal <> None
@@ -839,8 +827,19 @@ let exec_syscall (w : world) (th : thread) ~nr ~args =
   | None -> panic "no syscall implementation installed"
   | Some f -> f { world = w; thread = th } ~nr ~args
 
+(** One ptrace stop round trip, entry or exit, charged to the tracee's
+    core. *)
+let ptrace_stop (w : world) (th : thread) kind ~nr =
+  charge w th w.cost.ptrace_stop;
+  ktrace_count w "ptrace.stop";
+  match w.ktrace with
+  | None -> ()
+  | Some t ->
+    K23_obs.Trace.emit t ~cycles:w.core_cycles.(th.core) ~pid:th.t_proc.pid ~tid:th.tid
+      (K23_obs.Event.Ptrace_stop { kind; nr })
+
 (* The completion half of a syscall: store the result, emit the exit
-   event, fire the ptrace exit stop.  Shared by the normal path and
+   event, take the ptrace exit stop.  Shared by the normal path and
    the fault plane's hard-EINTR injection. *)
 let complete_syscall (w : world) (th : thread) ~nr ~ret =
   (* replay substitution point: a replaying world stores the recorded
@@ -857,17 +856,7 @@ let complete_syscall (w : world) (th : thread) ~nr ~ret =
     K23_obs.Trace.emit t ~cycles:w.core_cycles.(th.core) ~pid:th.t_proc.pid ~tid:th.tid
       (K23_obs.Event.Syscall_exit { nr; ret }));
   match th.t_proc.tracer with
-  | Some tr when tr.tr_trace_syscalls && not (proc_dead th.t_proc) ->
-    charge w th w.cost.ptrace_stop;
-    ktrace_count w "ptrace.stop";
-    (match w.ktrace with
-    | None -> ()
-    | Some t ->
-      K23_obs.Trace.emit t ~cycles:w.core_cycles.(th.core) ~pid:th.t_proc.pid ~tid:th.tid
-        (K23_obs.Event.Ptrace_stop { kind = Exit; nr }));
-    (match tr.tr_on_exit with
-    | Some f -> f { world = w; thread = th } ~nr ~ret
-    | None -> ())
+  | Some _ when not (proc_dead th.t_proc) -> ptrace_stop w th Exit ~nr
   | _ -> ()
 
 (** Complete a syscall: run the implementation (handling blocking),
@@ -998,38 +987,17 @@ let handle_syscall (w : world) (th : thread) ~site =
         deliver_signal w th ~signo:sigsys ~sysno:nr ~site ~args
       else kill_proc p ~signal:sigsys
     | Bpf.Allow | Bpf.Log -> (
-    match p.tracer with
-    | Some tr when tr.tr_trace_syscalls ->
-      charge w th w.cost.ptrace_stop;
-      ktrace_count w "ptrace.stop";
-      (match w.ktrace with
-      | None -> ()
-      | Some t ->
-        K23_obs.Trace.emit t ~cycles:w.core_cycles.(th.core) ~pid:p.pid ~tid:th.tid
-          (K23_obs.Event.Ptrace_stop { kind = Entry; nr }));
-      let action =
-        match tr.tr_on_entry with
-        | Some f -> f { world = w; thread = th } ~nr ~site ~args
-        | None -> `Continue
-      in
-      (match action with
-      | `Skip ret ->
-        Regs.set th.regs RAX ret;
-        charge w th w.cost.ptrace_stop;
-        ktrace_count w "ptrace.stop";
-        (match w.ktrace with
-        | None -> ()
-        | Some t ->
-          K23_obs.Trace.emit t ~cycles:w.core_cycles.(th.core) ~pid:p.pid ~tid:th.tid
-            (K23_obs.Event.Ptrace_stop { kind = Exit; nr }));
-        (match tr.tr_on_exit with
-        | Some f -> f { world = w; thread = th } ~nr ~ret
-        | None -> ())
-      | `Continue ->
-        (* args may have been rewritten by the tracer *)
-        let args = syscall_args th in
-        ignore (finish_syscall w th ~nr ~args))
-    | _ -> ignore (finish_syscall w th ~nr ~args))
+      match p.tracer with
+      | None -> ignore (finish_syscall w th ~nr ~args)
+      | Some tr -> (
+        ptrace_stop w th Entry ~nr;
+        match tr { world = w; thread = th } ~nr ~site ~args with
+        | `Skip ret ->
+          Regs.set th.regs RAX ret;
+          ptrace_stop w th Exit ~nr
+        | `Continue ->
+          (* args may have been rewritten by the tracer *)
+          ignore (finish_syscall w th ~nr ~args:(syscall_args th))))
   end
 
 (* ------------------------------------------------------------------ *)
@@ -1069,6 +1037,13 @@ let emit_trap_event (w : world) (th : thread) trap payload =
     K23_obs.Trace.push t
       (K23_obs.Event.make ~cycles:w.core_cycles.(th.core) ~pid:th.t_proc.pid ~tid:th.tid payload)
 
+(** A memory fault at rip: the [Fault] event, then SIGSEGV. *)
+let memory_fault (w : world) (th : thread) (f : Memory.fault) =
+  let access = match f.access with `Read -> "R" | `Write -> "W" | `Exec -> "X" in
+  emit_trap_event w th (Cpu.Fault_trap f)
+    (K23_obs.Event.Fault { access; addr = f.fault_addr; rip = th.regs.rip });
+  deliver_signal w th ~signo:sigsegv ~sysno:0 ~site:th.regs.rip ~args:[||]
+
 let step_thread (w : world) (th : thread) =
   switch_address_space w th;
   w.steps <- w.steps + 1;
@@ -1082,16 +1057,17 @@ let step_thread (w : world) (th : thread) =
     match trap with
     | Cpu.Syscall_trap { site; kind = _ } -> handle_syscall w th ~site
     | Cpu.Vcall_trap idx -> (
+      let at = th.regs.rip - K23_isa.Isa.vcall_len w.isa in
       match resolve_vcall th.t_proc ~rip_after:th.regs.rip ~index:idx with
-      | Some (_name, f) -> f { world = w; thread = th }
-      | None ->
-        panic "pid %d: unresolvable vcall %d at %x" th.t_proc.pid idx
-          (th.regs.rip - K23_isa.Isa.vcall_len w.isa))
-    | Cpu.Fault_trap f ->
-      let access = match f.access with `Read -> "R" | `Write -> "W" | `Exec -> "X" in
-      emit_trap_event w th trap
-        (K23_obs.Event.Fault { access; addr = f.fault_addr; rip = th.regs.rip });
-      deliver_signal w th ~signo:sigsegv ~sysno:0 ~site:th.regs.rip ~args:[||]
+      | Some (_name, f) -> (
+        (* a host function's access to guest memory (a trampoline
+           reading the return slot) faults as the vcall itself *)
+        try f { world = w; thread = th }
+        with Memory.Fault fault ->
+          th.regs.rip <- at;
+          memory_fault w th fault)
+      | None -> panic "pid %d: unresolvable vcall %d at %x" th.t_proc.pid idx at)
+    | Cpu.Fault_trap f -> memory_fault w th f
     | Cpu.Ud_trap addr ->
       emit_trap_event w th trap (K23_obs.Event.Fault { access = "ILL"; addr; rip = th.regs.rip });
       deliver_signal w th ~signo:sigill ~sysno:0 ~site:addr ~args:[||]

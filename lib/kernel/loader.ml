@@ -452,8 +452,4 @@ let do_execve (ctx : ctx) ~path ~argv ~envp : int =
     Regs.seti th.regs (K23_isa.Isa.sp_index w.isa) rsp;
     th.regs.rip <-
       (match Mapper.image_sym p ldso "_start" with Some a -> a | None -> panic "ld.so entry");
-    (* ptrace exec event *)
-    (match p.tracer with
-    | Some tr -> ( match tr.tr_on_exec with Some f -> f { world = w; thread = th } | None -> ())
-    | None -> ());
     Regs.get th.regs RAX

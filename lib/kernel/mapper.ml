@@ -80,15 +80,17 @@ let map_image (w : world) (p : proc) (im : image) =
   in
   (t, d)
 
-(** Address of a symbol defined by [im] in [p]'s address space. *)
-let image_sym (p : proc) (im : image) name =
-  match
-    ( Hashtbl.find_opt p.image_bases im.im_name,
-      List.assoc_opt name im.im_prog.K23_isa.Asm.symbols )
-  with
+(** Address of [label] in [p]'s address space, for the image [name]
+    assembled as [prog].  A host function finds its own image's labels
+    this way, before the image record exists. *)
+let prog_sym ~name (prog : K23_isa.Asm.program) (p : proc) label =
+  match (Hashtbl.find_opt p.image_bases name, List.assoc_opt label prog.symbols) with
   | Some (t, _d), Some (`Text, off) -> Some (t + off)
   | Some (_t, d), Some (`Data, off) -> Some (d + off)
   | _ -> None
+
+(** Address of a symbol defined by [im] in [p]'s address space. *)
+let image_sym (p : proc) (im : image) = prog_sym ~name:im.im_name im.im_prog p
 
 let lookup_sym (p : proc) name = Hashtbl.find_opt p.globals name
 

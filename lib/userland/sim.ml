@@ -29,48 +29,32 @@ let reset_world_cfg w cfg =
 let create_world ?isa ?ncores ?quantum ?seed ?aslr ?cost ?predecode () =
   create_world_cfg (World.Config.make ?isa ?ncores ?quantum ?seed ?aslr ?cost ?predecode ())
 
-(** Define and register an application binary.
-
-    [items] is the program text/data (entry symbol ["main"] unless
-    overridden); [needed] defaults to libc. *)
-let register_app w ~path ?(needed = [ Libc.path ]) ?(entry = "main") ?init
-    ?(host_fns = []) items =
-  let im : Kern.image =
-    {
-      im_name = path;
-      im_prog = K23_isa.Asm.assemble items;
-      im_host_fns = host_fns;
-      im_init = init;
-      im_entry = Some entry;
-      im_needed = needed;
-      im_owner = App;
-    }
-  in
-  Kern.register_library w im;
-  im
-
-(** {!register_app} for an already-assembled program — the seam that
-    keeps this module ISA-agnostic: ARM callers assemble their items
-    with [K23_isa_arm.Asm_arm.assemble] (the userland layer has no
-    backend dependency) and register the resulting neutral program.
-    [needed] defaults to [[]]: there is no ARM libc image, apps are
-    freestanding (ld.so still runs its boilerplate, so P2b-class
-    startup syscalls exist on ARM too). *)
-let register_app_prog w ~path ?(needed = []) ?(entry = "main") ?init ?(host_fns = [])
-    (prog : K23_isa.Asm.program) =
+(** Define and register an application binary from an assembled
+    program, entry symbol ["main"] — the seam that keeps this module
+    ISA-agnostic: ARM callers assemble their items with
+    [K23_isa_arm.Asm_arm.assemble] (the userland layer has no backend
+    dependency).  [needed] defaults to [[]]: there is no ARM libc
+    image, apps are freestanding (ld.so still runs its boilerplate, so
+    P2b-class startup syscalls exist on ARM too). *)
+let register_app_prog w ~path ?(needed = []) ?(host_fns = []) (prog : K23_isa.Asm.program) =
   let im : Kern.image =
     {
       im_name = path;
       im_prog = prog;
       im_host_fns = host_fns;
-      im_init = init;
-      im_entry = Some entry;
+      im_init = None;
+      im_entry = Some "main";
       im_needed = needed;
       im_owner = App;
     }
   in
   Kern.register_library w im;
   im
+
+(** {!register_app_prog} for x86-64 items; [needed] defaults to
+    libc. *)
+let register_app w ~path ?(needed = [ Libc.path ]) ?host_fns items =
+  register_app_prog w ~path ~needed ?host_fns (K23_isa.Asm.assemble items)
 
 (** Spawn + run to completion; returns the process. *)
 let run_to_exit ?max_steps w ~path ?argv ?env () =

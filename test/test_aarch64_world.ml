@@ -124,7 +124,26 @@ let test_mech_availability () =
         true
         (List.mem m (K23_eval.Mech.available ~isa)
         || List.mem m (K23_eval.Mech.available ~isa:K23_isa.Isa.X86_64)))
-    K23_eval.Mech.all
+    K23_eval.Mech.all;
+  (* and launching outside the partition is refused up front, naming
+     the mechanism, the ISA and the available set — never a launch
+     that runs and dies *)
+  List.iter
+    (fun isa ->
+      let avail = K23_eval.Mech.available ~isa in
+      let w = Sim.create_world ~isa () in
+      List.iter
+        (fun m ->
+          if not (List.mem m avail) then
+            Alcotest.check_raises
+              (K23_eval.Mech.to_string m ^ " refused on " ^ K23_isa.Isa.to_string isa)
+              (Invalid_argument
+                 (Printf.sprintf "mechanism %s is not available on %s (available: %s)"
+                    (K23_eval.Mech.to_string m) (K23_isa.Isa.to_string isa)
+                    (String.concat ", " (List.map K23_eval.Mech.to_string avail))))
+              (fun () -> ignore (K23_eval.Mech.launch m w ~path:"/bin/app" ())))
+        K23_eval.Mech.all)
+    K23_isa.Isa.all
 
 (* an unresolvable host-function escape panics naming the vcall
    instruction's own address: one 4-byte word on ARM, so the address

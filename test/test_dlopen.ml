@@ -6,9 +6,8 @@
 open K23_isa
 open K23_kernel
 open K23_userland
-module Zp = K23_baselines.Zpoline
-module Lp = K23_baselines.Lazypoline
 module K23 = K23_core.K23
+module Mech = K23_eval.Mech
 
 let plugin_path = "/usr/lib/plugin.so"
 
@@ -68,18 +67,20 @@ let count_500 (stats : K23_interpose.Interpose.stats) =
 
 let test_zpoline_misses_dlopened () =
   let w = make_world () in
-  match Zp.launch w ~variant:Zp.Default ~path:"/bin/plugged" () with
+  match Mech.launch Mech.Zpoline_default w ~path:"/bin/plugged" () with
   | Error e -> Alcotest.failf "launch: %d" e
   | Ok (p, stats) ->
+    let stats = Option.get stats in
     World.run_until_exit w p;
     Alcotest.(check (option int)) "exit 0" (Some 0) p.exit_status;
     Alcotest.(check int) "dlopen'ed syscalls escape zpoline (P2a)" 0 (count_500 stats)
 
 let test_lazypoline_catches_dlopened () =
   let w = make_world () in
-  match Lp.launch w ~path:"/bin/plugged" () with
+  match Mech.launch Mech.Lazypoline w ~path:"/bin/plugged" () with
   | Error e -> Alcotest.failf "launch: %d" e
   | Ok (p, stats) ->
+    let stats = Option.get stats in
     World.run_until_exit w p;
     Alcotest.(check (option int)) "exit 0" (Some 0) p.exit_status;
     Alcotest.(check int) "lazypoline interposes them" 10 (count_500 stats)

@@ -62,7 +62,7 @@ let test_lazypoline_fork_workers () =
   let w = Sim.create_world ~quantum:8 () in
   let spec = K23_eval.Macro.nginx ~workers:4 ~kb:0 in
   let path, port = K23_eval.Macro.register_workload w spec in
-  (match Lp.launch w ~path () with
+  (match K23_eval.Mech.launch K23_eval.Mech.Lazypoline w ~path () with
   | Error e -> Alcotest.failf "launch: %d" e
   | Ok _ -> ());
   K23_eval.Macro.wait_for_listener w port;

@@ -7,9 +7,7 @@ open K23_kernel
 open K23_userland
 module I = K23_interpose.Interpose
 module Zp = K23_baselines.Zpoline
-module Lp = K23_baselines.Lazypoline
-module Sud = K23_baselines.Sud_interposer
-module Pt = K23_baselines.Ptrace_interposer
+module Mech = K23_eval.Mech
 
 (* A program that issues [n] inlined syscall-500s plus write+exit via
    libc. *)
@@ -42,9 +40,10 @@ let post_startup_syscalls (p : Kern.proc) = p.counters.c_app - p.counters.c_star
 
 let test_zpoline_interposes () =
   let w = world_with_app 50 in
-  match Zp.launch w ~variant:Zp.Default ~path:"/bin/bench" () with
+  match Mech.launch Mech.Zpoline_default w ~path:"/bin/bench" () with
   | Error e -> Alcotest.failf "launch: %d" e
   | Ok (p, stats) ->
+    let stats = Option.get stats in
     World.run_until_exit w p;
     Alcotest.(check (option int)) "exit 0" (Some 0) p.exit_status;
     Alcotest.(check string) "stdout" "ok\n" (World.stdout_of p);
@@ -62,9 +61,10 @@ let test_zpoline_interposes () =
 
 let test_zpoline_ultra_null_check () =
   let w = world_with_app 5 in
-  match Zp.launch w ~variant:Zp.Ultra ~path:"/bin/bench" () with
+  match Mech.launch Mech.Zpoline_ultra w ~path:"/bin/bench" () with
   | Error e -> Alcotest.failf "launch: %d" e
   | Ok (p, stats) ->
+    let stats = Option.get stats in
     World.run_until_exit w p;
     Alcotest.(check (option int)) "exit 0" (Some 0) p.exit_status;
     Alcotest.(check int) "no aborts on legitimate sites" 0 stats.aborts;
@@ -74,9 +74,10 @@ let test_zpoline_ultra_null_check () =
 
 let test_lazypoline_interposes () =
   let w = world_with_app 50 in
-  match Lp.launch w ~path:"/bin/bench" () with
+  match Mech.launch Mech.Lazypoline w ~path:"/bin/bench" () with
   | Error e -> Alcotest.failf "launch: %d" e
   | Ok (p, stats) ->
+    let stats = Option.get stats in
     World.run_until_exit w p;
     Alcotest.(check (option int)) "exit 0" (Some 0) p.exit_status;
     Alcotest.(check bool)
@@ -93,9 +94,10 @@ let test_lazypoline_interposes () =
 
 let test_sud_interposes () =
   let w = world_with_app 50 in
-  match Sud.launch w ~path:"/bin/bench" () with
+  match Mech.launch Mech.Sud w ~path:"/bin/bench" () with
   | Error e -> Alcotest.failf "launch: %d" e
   | Ok (p, stats) ->
+    let stats = Option.get stats in
     World.run_until_exit w p;
     Alcotest.(check (option int)) "exit 0" (Some 0) p.exit_status;
     Alcotest.(check bool) "interposed" true (stats.interposed >= 52);
@@ -103,9 +105,10 @@ let test_sud_interposes () =
 
 let test_ptrace_interposes_everything () =
   let w = world_with_app 50 in
-  match Pt.launch w ~path:"/bin/bench" () with
+  match Mech.launch Mech.Ptrace w ~path:"/bin/bench" () with
   | Error e -> Alcotest.failf "launch: %d" e
   | Ok (p, stats) ->
+    let stats = Option.get stats in
     World.run_until_exit w p;
     Alcotest.(check (option int)) "exit 0" (Some 0) p.exit_status;
     (* ptrace sees every app syscall including the startup window:
@@ -125,7 +128,7 @@ let test_argument_inspection () =
       seen := K23_machine.Memory.read_cstr ctx.thread.t_proc.mem args.(1);
     I.Forward
   in
-  (match Zp.launch w ~variant:Zp.Default ~inner ~path:"/bin/bench" () with
+  (match Mech.launch Mech.Zpoline_default w ~inner ~path:"/bin/bench" () with
   | Error e -> Alcotest.failf "launch: %d" e
   | Ok (p, _) -> World.run_until_exit w p);
   Alcotest.(check string) "handler saw the write buffer" "ok\n" !seen
@@ -148,7 +151,7 @@ let test_emulation () =
   let inner : I.handler =
    fun _ ~nr ~args:_ ~site:_ -> if nr = Sysno.bench_nonexistent then I.Emulate 42 else I.Forward
   in
-  (match Zp.launch w ~variant:Zp.Default ~inner ~path:"/bin/emu" () with
+  (match Mech.launch Mech.Zpoline_default w ~inner ~path:"/bin/emu" () with
   | Error e -> Alcotest.failf "launch: %d" e
   | Ok (p, _) ->
     World.run_until_exit w p;
@@ -160,11 +163,45 @@ let test_emulation_sud () =
   let inner : I.handler =
    fun _ ~nr ~args:_ ~site:_ -> if nr = Sysno.bench_nonexistent then I.Emulate 42 else I.Forward
   in
-  match Sud.launch w ~inner ~path:"/bin/emu" () with
+  match Mech.launch Mech.Sud w ~inner ~path:"/bin/emu" () with
   | Error e -> Alcotest.failf "launch: %d" e
   | Ok (p, _) ->
     World.run_until_exit w p;
     Alcotest.(check (option int)) "emulated via SIGSYS path" (Some 42) p.exit_status
+
+(* A wild jump into page 0 with an unmapped stack: natively the fetch
+   faults; under a trampoline the jump lands in the nop sled and the
+   trampoline's entry host function faults reading the return slot.
+   Either way the program dies of SIGSEGV, and under a trampoline the
+   fault is reported at the entry vcall. *)
+let wild_jump_app =
+  [
+    Asm.Label "main";
+    Asm.I (Insn.Mov_ri (RSP, 0x1234_0000));
+    Asm.I (Insn.Xor_rr (RAX, RAX));
+    Asm.I (Insn.Jmp_reg RAX);
+  ]
+
+let test_host_function_fault () =
+  List.iter
+    (fun mech ->
+      let name = Mech.to_string mech in
+      let w = Sim.create_world () in
+      ignore (Sim.register_app w ~path:"/bin/wild" wild_jump_app);
+      match K23_eval.Session.run ~sink:K23_eval.Session.Bounded w ~mech ~path:"/bin/wild" with
+      | Error e -> Alcotest.failf "%s: launch %d" name e
+      | Ok (p, _, { K23_eval.Session.events; _ }) ->
+        Alcotest.(check string) (name ^ " fate") "killed 11"
+          (K23_eval.Session.fate_to_string (K23_eval.Session.fate_of_proc p));
+        if mech <> Mech.Native then
+          Alcotest.(check bool) (name ^ " faults at the trampoline entry") true
+            (List.exists
+               (fun (e : K23_obs.Event.t) ->
+                 e.ev_payload
+                 = K23_obs.Event.Fault
+                     { access = "R"; addr = 0x1234_0000; rip = I.trampoline_entry })
+               events))
+    Mech.[ Native; Zpoline_default; Zpoline_ultra; Lazypoline; K23_default; K23_ultra ]
 
 let tests =
   ( "interposers",
@@ -177,4 +214,6 @@ let tests =
       Alcotest.test_case "deep argument inspection" `Quick test_argument_inspection;
       Alcotest.test_case "emulation via rewrite path" `Quick test_emulation;
       Alcotest.test_case "emulation via SIGSYS path" `Quick test_emulation_sud;
+      Alcotest.test_case "guest fault in a host function is SIGSEGV" `Quick
+        test_host_function_fault;
     ] )

@@ -75,8 +75,7 @@ let test_ring_overflow_live () =
   let w = K23_userland.Sim.create_world ~seed:3 () in
   K23_apps.Coreutils.register_all w;
   let t = Kern.ktrace_enable ~capacity:16 w in
-  (match K23_baselines.Zpoline.launch w ~variant:K23_baselines.Zpoline.Default ~path:"/bin/ls" ()
-   with
+  (match K23_eval.Mech.launch K23_eval.Mech.Zpoline_default w ~path:"/bin/ls" () with
   | Error e -> Alcotest.failf "launch: %d" e
   | Ok (p, _) -> World.run_until_exit w p);
   Alcotest.(check int) "ring full" 16 (List.length (Trace.events t));
@@ -390,6 +389,47 @@ let test_stats_drop_outliers_guard () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "nan sample must be rejected"
 
+(* every mechanism tags its launch exactly once, with the string
+   traces and recordings carry; a native launch is untagged *)
+let test_mech_tags () =
+  let module M = K23_eval.Mech in
+  let module A = K23_isa_arm.Asm_arm in
+  let arm_exit =
+    [ A.Label "main" ]
+    @ List.map (fun i -> A.I i) (K23_isa_arm.Arm.li 0 0 @ K23_isa_arm.Arm.li 8 Sysno.exit_group)
+    @ [ A.I (K23_isa_arm.Arm.Svc 0) ]
+  in
+  let annots isa mech =
+    let w = K23_userland.Sim.create_world ~isa () in
+    (match isa with
+    | K23_isa.Isa.X86_64 -> K23_apps.Coreutils.register_all w
+    | K23_isa.Isa.Arm64 -> ignore (K23_userland.Sim.register_app_prog w ~path:"/bin/ls" (A.assemble arm_exit)));
+    match Session.run ~sink:Session.Bounded w ~mech ~path:"/bin/ls" with
+    | Error e -> Alcotest.failf "%s: launch %d" (M.to_string mech) e
+    | Ok (_, _, { Session.events; _ }) ->
+      List.filter_map
+        (fun (e : Event.t) -> match e.ev_payload with Event.Annot a -> Some a | _ -> None)
+        events
+  in
+  List.iter
+    (fun (isa, mech, tags) ->
+      Alcotest.(check (list string)) (M.to_string mech) tags (annots isa mech))
+    K23_isa.Isa.
+      [
+        (X86_64, M.Native, []);
+        (X86_64, M.Zpoline_default, [ "mech:zpoline" ]);
+        (X86_64, M.Zpoline_ultra, [ "mech:zpoline-ultra" ]);
+        (X86_64, M.Lazypoline, [ "mech:lazypoline" ]);
+        (X86_64, M.K23_default, [ "mech:k23-K23-default" ]);
+        (X86_64, M.K23_ultra, [ "mech:k23-K23-ultra" ]);
+        (X86_64, M.K23_ultra_plus, [ "mech:k23-K23-ultra+" ]);
+        (X86_64, M.Sud_no_interposition, [ "mech:sud-nointerpose" ]);
+        (X86_64, M.Sud, [ "mech:sud" ]);
+        (X86_64, M.Ptrace, [ "mech:ptrace" ]);
+        (X86_64, M.Seccomp, [ "mech:seccomp-trap" ]);
+        (Arm64, M.Asc_hook, [ "mech:asc-hook" ]);
+      ]
+
 let tests =
   ( "obs (ktrace)",
     [
@@ -400,6 +440,7 @@ let tests =
         test_ring_allocated_on_use;
       QCheck_alcotest.to_alcotest prop_ring_window;
       Alcotest.test_case "ring overflow on a live run" `Quick test_ring_overflow_live;
+      Alcotest.test_case "every mechanism tags its launch once" `Quick test_mech_tags;
       Alcotest.test_case "ring fold/iter parity (incl. wrapped)" `Quick
         test_ring_fold_iter_parity;
       Alcotest.test_case "unbounded ring never drops" `Quick test_ring_unbounded;

@@ -102,9 +102,10 @@ let test_kill_filter () =
 let test_trap_interposition_exhaustive () =
   let w = Sim.create_world () in
   ignore (Sim.register_app w ~path:"/bin/sc" errno_app);
-  match Sc.launch w ~path:"/bin/sc" () with
+  match K23_eval.Mech.launch K23_eval.Mech.Seccomp w ~path:"/bin/sc" () with
   | Error e -> Alcotest.failf "launch: %d" e
   | Ok (p, stats) ->
+    let stats = Option.get stats in
     World.run_until_exit w p;
     Alcotest.(check (option int)) "exit 0" (Some 0) p.exit_status;
     Alcotest.(check bool) "interposed post-load syscalls" true (stats.interposed >= 2);
