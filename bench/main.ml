@@ -6,8 +6,9 @@
      dune exec bench/main.exe -- table5    # one experiment
      dune exec bench/main.exe -- --quick table5 table6   # fewer runs
 
-   Experiments: table2 table3 fig3 table5 table6 startup memory
-   ablation simperf ktrace fuzz parfuzz replay table6-load table6-chaos.
+   Experiments: table2 table3 fig1 fig3 table5 table6 startup memory
+   ablation seccomp arm simperf ktrace fuzz parfuzz replay table6-load
+   table6-chaos; an unknown name exits 2 before anything runs.
    EXPERIMENTS.md records the paper-vs-measured comparison in full.
 
    --jobs N shards the embarrassingly-parallel sweeps (table5, table6,
@@ -413,12 +414,17 @@ let replay_bench ~quick ?json () =
            identical))
     json
 
-(* [flag name args] takes the first [name VALUE] pair out of [args]:
-   [None] when [name] is absent, [Some None] when it ends the line. *)
+(* [flag name args] takes the first [name VALUE] pair (or
+   [name=VALUE]) out of [args]: [None] when [name] is absent,
+   [Some None] when it ends the line. *)
 let flag name args =
+  let prefix = name ^ "=" in
   let rec go acc = function
     | [ x ] when x = name -> (Some None, List.rev acc)
     | x :: v :: rest when x = name -> (Some (Some v), List.rev_append acc rest)
+    | x :: rest when String.starts_with ~prefix x ->
+      let n = String.length prefix in
+      (Some (Some (String.sub x n (String.length x - n))), List.rev_append acc rest)
     | x :: rest -> go (x :: acc) rest
     | [] -> (None, List.rev acc)
   in
@@ -450,43 +456,50 @@ let () =
   let json, args = flag "--json" args in
   let json_or default = Option.map (Option.value ~default) json in
   let jobs, args = count_flag "--jobs" ~eg:4 args in
-  let experiments =
-    if args = [] then
-      [
-        "table2"; "table3"; "fig1"; "fig3"; "table5"; "table6"; "startup"; "memory"; "ablation";
-        "seccomp"; "arm";
-      ]
-    else args
+  let jobs1 = Option.value jobs ~default:1 in
+  let load ~title ~faults ~json =
+    table6_load ~title ~faults ~quick ~jobs:jobs1 ?json:(json_or json)
   in
+  (* what a bare run renders *)
+  let default =
+    [
+      ("table2", table2);
+      ("table3", table3);
+      ("fig1", fig1);
+      ("fig3", fig3);
+      ("table5", table5 ~runs:(if quick then 3 else 10) ~jobs:jobs1);
+      ("table6", table6 ~runs:(if quick then 3 else 5) ~jobs:jobs1);
+      ("startup", startup);
+      ("memory", memory);
+      ("ablation", ablation);
+      ("seccomp", seccomp);
+      ("arm", arm);
+    ]
+  in
+  let experiments =
+    default
+    @ [
+        ("simperf", simperf ~quick ?json:(json_or "BENCH_simperf.json"));
+        ("ktrace", ktrace ~quick);
+        ("fuzz", fuzz ~quick ~jobs);
+        ("parfuzz", parfuzz ~quick ~repeat ~check ~jobs ?json:(json_or "BENCH_parfuzz.json"));
+        ("replay", replay_bench ~quick ?json:(json_or "BENCH_replay.json"));
+        ( "table6-load",
+          load ~title:"table6-load - open-loop latency campaign (p50/p99/p999 per mechanism)"
+            ~faults:None ~json:"BENCH_load.json" );
+        ( "table6-chaos",
+          load ~title:"table6-chaos - open-loop latency campaign under fault injection"
+            ~faults:(Some (K23_faults.Faults.chaos ())) ~json:"BENCH_chaos.json" );
+      ]
+  in
+  (* every name is checked before any experiment runs *)
   List.iter
     (fun name ->
-      match name with
-      | "table2" -> table2 ()
-      | "table3" -> table3 ()
-      | "fig1" -> fig1 ()
-      | "fig3" -> fig3 ()
-      | "table5" -> table5 ~runs:(if quick then 3 else 10) ~jobs:(Option.value jobs ~default:1) ()
-      | "table6" -> table6 ~runs:(if quick then 3 else 5) ~jobs:(Option.value jobs ~default:1) ()
-      | "startup" -> startup ()
-      | "memory" -> memory ()
-      | "ablation" -> ablation ()
-      | "seccomp" -> seccomp ()
-      | "arm" -> arm ()
-      | "simperf" -> simperf ~quick ?json:(json_or "BENCH_simperf.json") ()
-      | "ktrace" -> ktrace ~quick ()
-      | "fuzz" -> fuzz ~quick ~jobs ()
-      | "parfuzz" -> parfuzz ~quick ~repeat ~check ~jobs ?json:(json_or "BENCH_parfuzz.json") ()
-      | "replay" -> replay_bench ~quick ?json:(json_or "BENCH_replay.json") ()
-      | "table6-load" ->
-        table6_load
-          ~title:"table6-load - open-loop latency campaign (p50/p99/p999 per mechanism)"
-          ~faults:None ~quick
-          ~jobs:(Option.value jobs ~default:1)
-          ?json:(json_or "BENCH_load.json") ()
-      | "table6-chaos" ->
-        table6_load ~title:"table6-chaos - open-loop latency campaign under fault injection"
-          ~quick
-          ~jobs:(Option.value jobs ~default:1)
-          ~faults:(Some (K23_faults.Faults.chaos ())) ?json:(json_or "BENCH_chaos.json") ()
-      | other -> Printf.eprintf "unknown experiment %S\n" other)
-    experiments
+      if not (List.mem_assoc name experiments) then begin
+        Printf.eprintf "unknown experiment %S (known: %s)\n" name
+          (String.concat " " (List.map fst experiments));
+        exit 2
+      end)
+    args;
+  let names = if args = [] then List.map fst default else args in
+  List.iter (fun name -> List.assoc name experiments ()) names

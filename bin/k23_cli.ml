@@ -54,6 +54,15 @@ let require_available ~isa m =
       Stdlib.exit 2)
     (K23_eval.Mech.unavailable ~isa m)
 
+(* an integer option below [min] is a usage error naming the option *)
+let int_at_least min =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= min -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "expected an integer >= %d, got %S" min s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
 let app_arg =
   Arg.(required & pos 0 (some string) None & info [] ~docv:"APP" ~doc:"Bundled app name or path.")
 
@@ -318,7 +327,7 @@ let fuzz_cmd =
   in
   let iters =
     Arg.(
-      value & opt int 100
+      value & opt (int_at_least 0) 100
       & info [ "iters"; "n" ] ~docv:"N" ~doc:"Number of programs to generate and check.")
   in
   let mech =
@@ -384,7 +393,7 @@ let fuzz_cmd =
   in
   let jobs =
     Arg.(
-      value & opt int 1
+      value & opt (int_at_least 1) 1
       & info [ "jobs"; "j" ] ~docv:"N"
           ~doc:
             "Shard iterations across N domains.  The report (text or JSON) is byte-identical \

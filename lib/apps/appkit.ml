@@ -52,6 +52,101 @@ let retry_or_close ~retry =
     Asm.J "close_conn";
   ]
 
+(** The accept loop over the listening socket in rbx: each accepted
+    connection goes to r14 and runs [conn_body] until that jumps to
+    [close_conn].  [resilient]: an accept error (an injected
+    EMFILE/EAGAIN) re-accepts instead of serving a garbage fd. *)
+let serve ~resilient conn_body =
+  [ Asm.Label "accept_loop"; Asm.I (Insn.Mov_rr (RDI, RBX)); Asm.Call_sym "accept" ]
+  @ (if resilient then [ Asm.I (Insn.Cmp_ri (RAX, 0)); Asm.Jc (Insn.LT, "accept_loop") ] else [])
+  @ [ Asm.I (Insn.Mov_rr (R14, RAX)); Asm.Label "conn_loop" ]
+  @ conn_body
+  @ [
+      Asm.J "conn_loop";
+      Asm.Label "close_conn";
+      Asm.I (Insn.Mov_rr (RDI, R14));
+      Asm.Call_sym "close";
+      Asm.J "accept_loop";
+    ]
+
+(** Read one fixed 64-byte request frame from the connection in r14
+    into [buf]; a read of 0 or less closes the connection.
+    [resilient]: accumulate the frame in r13, retrying EINTR/EAGAIN
+    (budget in r15) with a short backoff — a short read must not
+    desynchronize the framing. *)
+let read_request ~resilient =
+  if resilient then
+    [
+      Asm.I (Insn.Mov_ri (R13, 0));
+      Asm.I (Insn.Mov_ri (R15, 8));
+      Asm.Label "rq_read";
+      Asm.I (Insn.Mov_rr (RDI, R14));
+      Asm.Mov_sym (Reg.RSI, "buf");
+      Asm.I (Insn.Add_rr (RSI, R13));
+      Asm.I (Insn.Mov_ri (RDX, 64));
+      Asm.I (Insn.Sub_rr (RDX, R13));
+      Asm.Call_sym "read";
+      Asm.I (Insn.Cmp_ri (RAX, 0));
+      Asm.Jc (Insn.GT, "rq_got");
+    ]
+    @ retry_or_close ~retry:"rq_retry"
+    @ [ Asm.Label "rq_retry"; Asm.I (Insn.Sub_ri (R15, 1)); Asm.Jc (Insn.LE, "close_conn") ]
+    @ backoff_items
+    @ [
+        Asm.J "rq_read";
+        Asm.Label "rq_got";
+        Asm.I (Insn.Add_rr (R13, RAX));
+        Asm.I (Insn.Cmp_ri (R13, 64));
+        Asm.Jc (Insn.LT, "rq_read");
+      ]
+  else
+    [
+      Asm.I (Insn.Mov_rr (RDI, R14));
+      Asm.Mov_sym (Reg.RSI, "buf");
+      Asm.I (Insn.Mov_ri (RDX, 64));
+      Asm.Call_sym "read";
+      Asm.I (Insn.Cmp_ri (RAX, 0));
+      Asm.Jc (Insn.LE, "close_conn");
+    ]
+
+(** Write the [len]-byte response at [resp] to the connection in r14.
+    [resilient]: resume partial writes, r13 counting the bytes still
+    owed (a countdown, so [len] is never a Cmp_ri imm8 operand), and
+    retry EINTR/EAGAIN until the frame is out — abandoning a
+    half-written response would desynchronize the client. *)
+let write_response ~resilient len =
+  if resilient then
+    [
+      Asm.I (Insn.Mov_ri (R13, len));
+      Asm.Label "wr_loop";
+      Asm.I (Insn.Mov_rr (RDI, R14));
+      Asm.Mov_sym (Reg.RSI, "resp");
+      Asm.I (Insn.Mov_ri (RDX, len));
+      Asm.I (Insn.Add_rr (RSI, RDX));
+      Asm.I (Insn.Sub_rr (RSI, R13));
+      Asm.I (Insn.Mov_rr (RDX, R13));
+      Asm.Call_sym "write";
+      Asm.I (Insn.Cmp_ri (RAX, 0));
+      Asm.Jc (Insn.GT, "wr_ok");
+    ]
+    @ retry_or_close ~retry:"wr_retry"
+    @ [ Asm.Label "wr_retry" ]
+    @ backoff_items
+    @ [
+        Asm.J "wr_loop";
+        Asm.Label "wr_ok";
+        Asm.I (Insn.Sub_rr (R13, RAX));
+        Asm.I (Insn.Cmp_ri (R13, 0));
+        Asm.Jc (Insn.GT, "wr_loop");
+      ]
+  else
+    [
+      Asm.I (Insn.Mov_rr (RDI, R14));
+      Asm.Mov_sym (Reg.RSI, "resp");
+      Asm.I (Insn.Mov_ri (RDX, len));
+      Asm.Call_sym "write";
+    ]
+
 (** Host-function helpers. *)
 let ret (ctx : Kern.ctx) v = K23_machine.Regs.set ctx.thread.regs RAX v
 

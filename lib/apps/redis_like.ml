@@ -72,109 +72,22 @@ let items cfg =
       (* thread entry: listening fd arrives in rdi *)
       Asm.Label "io_worker";
       Asm.I (Insn.Mov_rr (RBX, RDI));
-      Asm.Label "accept_loop";
-      Asm.I (Insn.Mov_rr (RDI, RBX));
-      Asm.Call_sym "accept";
     ]
-  @ (if cfg.resilient then
-       [ Asm.I (Insn.Cmp_ri (RAX, 0)); Asm.Jc (Insn.LT, "accept_loop") ]
-     else [])
+  @ Appkit.serve ~resilient:cfg.resilient
+      (Appkit.read_request ~resilient:cfg.resilient
+      @ [
+          Asm.Vcall_named "rd_parse";
+          (* command execution happens on the serial (main-thread) path;
+             with multiple I/O threads the hand-off costs a real
+             notification syscall on that critical path *)
+          Asm.Vcall_named "rd_mark";
+        ]
+      @ (if cfg.io_threads > 1 then
+           [ Asm.I (Insn.Mov_ri (RAX, K23_kernel.Sysno.getpid)); Asm.I Insn.Syscall ]
+         else [])
+      @ [ Asm.Vcall_named "rd_exec" ]
+      @ Appkit.write_response ~resilient:cfg.resilient 64)
   @ [
-      Asm.I (Insn.Mov_rr (R14, RAX));
-      Asm.Label "conn_loop";
-    ]
-  @ (if cfg.resilient then
-       (* framed 64-byte read with bounded EINTR/EAGAIN retry, as in
-          {!Webserver.op_items}; r13 accumulates, r15 is the budget *)
-       [
-         Asm.I (Insn.Mov_ri (R13, 0));
-         Asm.I (Insn.Mov_ri (R15, 8));
-         Asm.Label "rq_read";
-         Asm.I (Insn.Mov_rr (RDI, R14));
-         Asm.Mov_sym (Reg.RSI, "buf");
-         Asm.I (Insn.Add_rr (RSI, R13));
-         Asm.I (Insn.Mov_ri (RDX, 64));
-         Asm.I (Insn.Sub_rr (RDX, R13));
-         Asm.Call_sym "read";
-         Asm.I (Insn.Cmp_ri (RAX, 0));
-         Asm.Jc (Insn.GT, "rq_got");
-       ]
-       @ Appkit.retry_or_close ~retry:"rq_retry"
-       @ [
-           Asm.Label "rq_retry";
-           Asm.I (Insn.Sub_ri (R15, 1));
-           Asm.Jc (Insn.LE, "close_conn");
-         ]
-       @ Appkit.backoff_items
-       @ [
-           Asm.J "rq_read";
-           Asm.Label "rq_got";
-           Asm.I (Insn.Add_rr (R13, RAX));
-           Asm.I (Insn.Cmp_ri (R13, 64));
-           Asm.Jc (Insn.LT, "rq_read");
-         ]
-     else
-       [
-         Asm.I (Insn.Mov_rr (RDI, R14));
-         Asm.Mov_sym (Reg.RSI, "buf");
-         Asm.I (Insn.Mov_ri (RDX, 64));
-         Asm.Call_sym "read";
-         Asm.I (Insn.Cmp_ri (RAX, 0));
-         Asm.Jc (Insn.LE, "close_conn");
-       ])
-  @ [
-      Asm.Vcall_named "rd_parse";
-      (* command execution happens on the serial (main-thread) path;
-         with multiple I/O threads the hand-off costs a real
-         notification syscall on that critical path *)
-      Asm.Vcall_named "rd_mark";
-    ]
-  @ (if cfg.io_threads > 1 then
-       [
-         Asm.I (Insn.Mov_ri (RAX, K23_kernel.Sysno.getpid));
-         Asm.I Insn.Syscall;
-       ]
-     else [])
-  @ [ Asm.Vcall_named "rd_exec" ]
-  @ (if cfg.resilient then
-       (* partial-write resumption with EINTR/EAGAIN retry (countdown
-          of bytes owed in r13), as in {!Webserver.op_items} *)
-       [
-         Asm.I (Insn.Mov_ri (R13, 64));
-         Asm.Label "wr_loop";
-         Asm.I (Insn.Mov_rr (RDI, R14));
-         Asm.Mov_sym (Reg.RSI, "resp");
-         Asm.I (Insn.Mov_ri (RDX, 64));
-         Asm.I (Insn.Add_rr (RSI, RDX));
-         Asm.I (Insn.Sub_rr (RSI, R13));
-         Asm.I (Insn.Mov_rr (RDX, R13));
-         Asm.Call_sym "write";
-         Asm.I (Insn.Cmp_ri (RAX, 0));
-         Asm.Jc (Insn.GT, "wr_ok");
-       ]
-       @ Appkit.retry_or_close ~retry:"wr_retry"
-       @ [ Asm.Label "wr_retry" ]
-       @ Appkit.backoff_items
-       @ [
-           Asm.J "wr_loop";
-           Asm.Label "wr_ok";
-           Asm.I (Insn.Sub_rr (R13, RAX));
-           Asm.I (Insn.Cmp_ri (R13, 0));
-           Asm.Jc (Insn.GT, "wr_loop");
-         ]
-     else
-       [
-         Asm.I (Insn.Mov_rr (RDI, R14));
-         Asm.Mov_sym (Reg.RSI, "resp");
-         Asm.I (Insn.Mov_ri (RDX, 64));
-         Asm.Call_sym "write";
-       ])
-  @ [
-      Asm.J "conn_loop";
-      Asm.Label "close_conn";
-      Asm.I (Insn.Mov_rr (RDI, R14));
-      Asm.Call_sym "close";
-      Asm.J "accept_loop";
       Asm.Section `Data;
       Asm.Label "buf";
       Asm.Zeros 8192;

@@ -81,84 +81,9 @@ let lighttpd ?(workers = 1) ?(file_size = 0) ?(resilient = false) () =
   }
 
 let op_items cfg = function
-  | Read_req when cfg.resilient ->
-    (* framed read: accumulate the fixed 64-byte request in r13,
-       retrying EINTR/EAGAIN (budget in r15) with a short backoff — a
-       short read must not desynchronize the framing *)
-    [
-      Asm.I (Insn.Mov_ri (R13, 0));
-      Asm.I (Insn.Mov_ri (R15, 8));
-      Asm.Label "rq_read";
-      Asm.I (Insn.Mov_rr (RDI, R14));
-      Asm.Mov_sym (Reg.RSI, "buf");
-      Asm.I (Insn.Add_rr (RSI, R13));
-      Asm.I (Insn.Mov_ri (RDX, 64));
-      Asm.I (Insn.Sub_rr (RDX, R13));
-      Asm.Call_sym "read";
-      Asm.I (Insn.Cmp_ri (RAX, 0));
-      Asm.Jc (Insn.GT, "rq_got");
-    ]
-    @ Appkit.retry_or_close ~retry:"rq_retry"
-    @ [
-        Asm.Label "rq_retry";
-        Asm.I (Insn.Sub_ri (R15, 1));
-        Asm.Jc (Insn.LE, "close_conn");
-      ]
-    @ Appkit.backoff_items
-    @ [
-        Asm.J "rq_read";
-        Asm.Label "rq_got";
-        Asm.I (Insn.Add_rr (R13, RAX));
-        Asm.I (Insn.Cmp_ri (R13, 64));
-        Asm.Jc (Insn.LT, "rq_read");
-      ]
-  | Read_req ->
-    [
-      Asm.I (Insn.Mov_rr (RDI, R14));
-      Asm.Mov_sym (Reg.RSI, "buf");
-      (* requests are fixed 64-byte frames *)
-      Asm.I (Insn.Mov_ri (RDX, 64));
-      Asm.Call_sym "read";
-      Asm.I (Insn.Cmp_ri (RAX, 0));
-      Asm.Jc (Insn.LE, "close_conn");
-    ]
+  | Read_req -> Appkit.read_request ~resilient:cfg.resilient
   | Compute -> [ Asm.Vcall_named "srv_work" ]
-  | Write_resp when cfg.resilient ->
-    (* partial-write resumption: r13 counts the bytes still owed
-       (countdown, so the length is never a Cmp_ri imm8 operand);
-       EINTR/EAGAIN retry until the frame is out — abandoning a
-       half-written response would desynchronize the client *)
-    let len = header_len + cfg.file_size in
-    [
-      Asm.I (Insn.Mov_ri (R13, len));
-      Asm.Label "wr_loop";
-      Asm.I (Insn.Mov_rr (RDI, R14));
-      Asm.Mov_sym (Reg.RSI, "resp");
-      Asm.I (Insn.Mov_ri (RDX, len));
-      Asm.I (Insn.Add_rr (RSI, RDX));
-      Asm.I (Insn.Sub_rr (RSI, R13));
-      Asm.I (Insn.Mov_rr (RDX, R13));
-      Asm.Call_sym "write";
-      Asm.I (Insn.Cmp_ri (RAX, 0));
-      Asm.Jc (Insn.GT, "wr_ok");
-    ]
-    @ Appkit.retry_or_close ~retry:"wr_retry"
-    @ [ Asm.Label "wr_retry" ]
-    @ Appkit.backoff_items
-    @ [
-        Asm.J "wr_loop";
-        Asm.Label "wr_ok";
-        Asm.I (Insn.Sub_rr (R13, RAX));
-        Asm.I (Insn.Cmp_ri (R13, 0));
-        Asm.Jc (Insn.GT, "wr_loop");
-      ]
-  | Write_resp ->
-    [
-      Asm.I (Insn.Mov_rr (RDI, R14));
-      Asm.Mov_sym (Reg.RSI, "resp");
-      Asm.I (Insn.Mov_ri (RDX, header_len + cfg.file_size));
-      Asm.Call_sym "write";
-    ]
+  | Write_resp -> Appkit.write_response ~resilient:cfg.resilient (header_len + cfg.file_size)
   | Stat_file ->
     [
       Asm.Mov_sym (Reg.RDI, "fpath");
@@ -220,28 +145,10 @@ let items cfg =
       Asm.Jc (Insn.Z, "accept_loop");
       Asm.I (Insn.Sub_ri (R15, 1));
       Asm.J "fork_loop";
-      (* worker *)
-      Asm.Label "accept_loop";
-      Asm.I (Insn.Mov_rr (RDI, RBX));
-      Asm.Call_sym "accept";
     ]
-  @ (if cfg.resilient then
-       (* injected EMFILE/EAGAIN: re-accept instead of reading a
-          garbage fd *)
-       [ Asm.I (Insn.Cmp_ri (RAX, 0)); Asm.Jc (Insn.LT, "accept_loop") ]
-     else [])
+  (* worker *)
+  @ Appkit.serve ~resilient:cfg.resilient (List.concat_map (op_items cfg) cfg.per_request)
   @ [
-      Asm.I (Insn.Mov_rr (R14, RAX));
-      Asm.Label "conn_loop";
-    ]
-  @ List.concat_map (op_items cfg) cfg.per_request
-  @ [
-      Asm.J "conn_loop";
-      Asm.Label "close_conn";
-      Asm.I (Insn.Mov_rr (RDI, R14));
-      Asm.Call_sym "close";
-      Asm.J "accept_loop";
-      (* data *)
       Asm.Section `Data;
       Asm.Label "buf";
       Asm.Zeros 8192;

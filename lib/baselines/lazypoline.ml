@@ -97,9 +97,9 @@ let rw_step2 states (ctx : ctx) =
 let image ~handler ~stats () : image =
   let states : states = Hashtbl.create 16 in
   let prog =
-    x86.assemble
-      (ctor_items x86 "__lazypoline_init" "lp_init"
-      @ sigsys_handler_items x86
+    Asm.assemble
+      (ctor_items Asm.kit "__lazypoline_init" "lp_init"
+      @ sigsys_handler_items Asm.kit
           ~extra_items:
             [
               Asm.Vcall_named "lp_rw1";

@@ -47,7 +47,7 @@ let launch_filter_only w ~filters ~path ?argv ?env () =
   in
   let policy =
     library ~name:"/usr/lib/libseccomp-policy.so" ~init:"__policy_init"
-      (x86.assemble (ctor_items x86 "__policy_init" "pol_init"))
+      (Asm.assemble (ctor_items Asm.kit "__policy_init" "pol_init"))
       [ ("pol_init", init) ]
   in
   spawn w ~tag:"seccomp-filter" ~preload:[ policy ] ~path ?argv ?env ()

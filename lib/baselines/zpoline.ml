@@ -97,5 +97,5 @@ let init ~variant cfg (ctx : ctx) =
 let image ~variant ~handler ~stats () : image =
   let cfg = make_config ~variant ~handler ~stats in
   library ~name:lib_path ~init:"__zpoline_init"
-    (x86.assemble (ctor_items x86 "__zpoline_init" "zp_init"))
+    (Asm.assemble (ctor_items Asm.kit "__zpoline_init" "zp_init"))
     [ ("zp_init", init ~variant cfg) ]

@@ -132,7 +132,7 @@ let init3 cfg (ctx : ctx) =
 
 let image ~variant ~handler ~stats () : image =
   let prog =
-    x86.assemble
+    Asm.assemble
       ([
          Asm.Label "__k23_init";
          Asm.Vcall_named "k23_init1";
@@ -147,7 +147,7 @@ let image ~variant ~handler ~stats () : image =
          Asm.Vcall_named "k23_init3";
          Asm.I Insn.Ret;
        ]
-      @ sigsys_handler_items x86 ()
+      @ sigsys_handler_items Asm.kit ()
       @ buffer_items [ "k23_selector"; "k23_handoff_buf" ])
   in
   let sym = Mapper.prog_sym ~name:lib_path prog in

@@ -14,7 +14,7 @@
     interposer, so any divergence the oracle reports is a mechanism
     bug.  Shapes that are {e designed} to diverge under specific
     mechanisms (NULL-call misdirection, execve with a scrubbed
-    environment) exist but are opt-in ({!unsafe_shapes}) — they are
+    environment) exist but are opt-in ({!all_shapes_for}) — they are
     how the fuzzer demonstrates a disabled mitigation within a few
     iterations.
 
@@ -68,18 +68,6 @@ let shape_of_string = function
   | _ -> None
 
 let default_shapes = [ Raw; Embedded; Straddle; Smc; Forky; Sigheavy ]
-let unsafe_shapes = [ Null_call; Execve_scrub ]
-let all_shapes = default_shapes @ unsafe_shapes
-
-(* the safe mix is ISA-independent (each shape has a per-ISA
-   realisation); the designed-to-diverge shapes differ: P4a's NULL
-   call is an x86 trampoline artefact, P3a's alias literal needs a
-   fixed-width ISA with in-text literal pools *)
-let unsafe_shapes_for = function
-  | K23_isa.Isa.X86_64 -> unsafe_shapes
-  | K23_isa.Isa.Arm64 -> [ Svc_alias; Execve_scrub ]
-
-let all_shapes_for isa = default_shapes @ unsafe_shapes_for isa
 
 (** A generated program, tagged by the ISA its items are written in.
     Both arms assemble to the neutral {!Asm.program}; the tag is what
@@ -97,13 +85,113 @@ type prog = {
 
 (* --- building blocks ----------------------------------------------- *)
 
+let pick rng arr = arr.(Rng.int rng (Array.length arr))
+
+let boundary_args = [| 0; 1; -1; 4095; 4096; 4097; max_int; min_int; 0xdeadbeef |]
+
+let sigill = 4
+let sigtrap = 5
+
+(* one generator state for both ISAs; labels must be unique per
+   program *)
+type ('insn, 'reg) st = {
+  kit : ('insn, 'reg) kit;
+  rng : Rng.t;
+  mutable uid : int;
+  mutable data : ('insn, 'reg) Asm.t list;  (** accumulated data-section items *)
+  mutable tail : ('insn, 'reg) Asm.t list;  (** code placed after the epilogue *)
+  mutable used : shape list;
+  mutable sysnrs : int list;
+}
+
+(** What the shapes need from an ISA beyond its {!Asm.kit}.  Every
+    shape that makes no per-ISA draw is written once over this. *)
+and ('insn, 'reg) kit = {
+  asm : ('insn, 'reg) Asm.kit;
+  draw_trap : Rng.t -> 'insn;  (** a drawn trapping instruction *)
+  counter : 'reg;  (** the loop counter, reserved *)
+  decrement : 'insn;  (** counter -= 1, setting the flags *)
+  test : 'reg -> 'insn;  (** set Z from a register's zero-ness *)
+  zero : 'reg -> 'insn;  (** clear a register (execve-scrub's NULL envp) *)
+  smc_base : 'reg;  (** holds the SMC page *)
+  smc_stub : int -> Bytes.t;  (** fresh code: syscall [nr], return *)
+  store_byte : 'reg -> int -> int -> ('insn, 'reg) Asm.t list;  (** [store_byte base off v] *)
+  ud : ('insn, 'reg) Asm.t;  (** raises SIGILL *)
+  breakpoint : ('insn, 'reg) Asm.t;  (** raises SIGTRAP *)
+  filler : ('insn, 'reg) st -> ('insn, 'reg) Asm.t list;
+      (** executed filler with syscall patterns in its immediates *)
+  straddle : ('insn, 'reg) st -> ('insn, 'reg) Asm.t list;
+  diverge : shape * (('insn, 'reg) st -> ('insn, 'reg) Asm.t list);
+      (** the ISA's designed-to-diverge shape *)
+}
+
+let fresh st prefix =
+  st.uid <- st.uid + 1;
+  Printf.sprintf "%s%d" prefix st.uid
+
+let note_nr st nr = st.sysnrs <- nr :: st.sysnrs
+
+let li kit r v = List.map (fun i -> Asm.I i) (kit.asm.li r v)
+
+(* load the leading syscall arguments, then the number *)
+let set_sys kit nr args =
+  List.concat (List.mapi (fun i v -> li kit kit.asm.args.(i) v) args) @ li kit kit.asm.nr nr
+
+(* a syscall through the plain trapping instruction *)
+let syscall kit nr args = set_sys kit nr args @ [ Asm.I kit.asm.trap ]
+
+let trap st = Asm.I (st.kit.draw_trap st.rng)
+
+let exit_items st code =
+  note_nr st Sysno.exit_group;
+  syscall st.kit Sysno.exit_group [ code ]
+
+(* a console write of [msg]; the bytes land in the shared console
+   buffer and are part of the oracle's comparison *)
+let write_msg st msg =
+  let lbl = fresh st "m" in
+  st.data <- st.data @ [ Asm.Label lbl; Asm.Strz msg ];
+  note_nr st Sysno.write;
+  let k = st.kit in
+  let a = k.asm.args in
+  li k a.(0) 1
+  @ [ Asm.Mov_sym (a.(1), lbl) ]
+  @ li k a.(2) (String.length msg)
+  @ li k k.asm.nr Sysno.write
+  @ [ trap st ]
+
+(* ... of a fresh short message *)
+let write_items st =
+  let len = 1 + Rng.int st.rng 8 in
+  write_msg st (String.init len (fun _ -> Char.chr (Char.code 'a' + Rng.int st.rng 26)))
+
+let raw_syscall_items st =
+  (* one drawn syscall; the trap is drawn before the arguments *)
+  let sys nr args =
+    note_nr st nr;
+    let t = trap st in
+    set_sys st.kit nr (args ()) @ [ t ]
+  in
+  match Rng.int st.rng 6 with
+  | 0 -> sys Sysno.getpid (fun () -> [])
+  | 1 -> sys Sysno.gettid (fun () -> [])
+  | 2 ->
+    (* the non-existent syscall with boundary arguments, drawn last
+       register first: the kernel answers -ENOSYS whatever the
+       registers hold, so wild values are conformance-safe while
+       stressing argument plumbing *)
+    sys Sysno.bench_nonexistent (fun () ->
+        List.rev (List.init 6 (fun _ -> pick st.rng boundary_args)))
+  | 3 -> sys Sysno.brk (fun () -> [ 0 ])
+  | 4 -> sys Sysno.close (fun () -> [ 99 + Rng.int st.rng 100 ])
+  | _ -> write_items st
+
+(* --- x86-64 -------------------------------------------------------- *)
+
 (* Scratch registers safe across raw syscalls: not argument registers,
    not RAX (result), not RCX/R11 (clobbered by the syscall
    instruction), not R13 (loop counter). *)
 let scratch = [| Reg.RBX; R12; R14; R15 |]
-
-let pick rng arr = arr.(Rng.int rng (Array.length arr))
-let pick_l rng l = List.nth l (Rng.int rng (List.length l))
 
 (* Immediates whose little-endian bytes contain the interposition-
    relevant patterns: 0f 05 (syscall), 0f 34 (sysenter), ff d0
@@ -113,90 +201,8 @@ let pick_l rng l = List.nth l (Rng.int rng (List.length l))
 let hazard_imms =
   [| 0x050f; 0x340f; 0xd0ff; 0x050f_050f; 0x050f_340f; 0x90d0_ff05_0f90; 0x0f05_050f_340f |]
 
-let boundary_args = [| 0; 1; -1; 4095; 4096; 4097; max_int; min_int; 0xdeadbeef |]
-
-let sigill = 4
-let sigtrap = 5
-
-(* one raw syscall: load the six argument registers (as needed), load
-   RAX, execute SYSCALL or SYSENTER *)
-let trap_insn rng = if Rng.int rng 4 = 0 then Insn.Sysenter else Insn.Syscall
-
-(* one generator state for both ISAs; labels must be unique per
-   program *)
-type ('insn, 'reg) st = {
-  rng : Rng.t;
-  mutable uid : int;
-  mutable data : ('insn, 'reg) Asm.t list;  (** accumulated data-section items *)
-  mutable tail : ('insn, 'reg) Asm.t list;  (** code placed after the epilogue *)
-  mutable used : shape list;
-  mutable sysnrs : int list;
-}
-
-let fresh st prefix =
-  st.uid <- st.uid + 1;
-  Printf.sprintf "%s%d" prefix st.uid
-
-let note_nr st nr = st.sysnrs <- nr :: st.sysnrs
-
-let exit_items st code =
-  note_nr st Sysno.exit_group;
-  [ Asm.I (Insn.Mov_ri (RDI, code)); Asm.I (Insn.Mov_ri (RAX, Sysno.exit_group)); Asm.I Insn.Syscall ]
-
-(* a console write of a fresh short message; the bytes land in the
-   shared console buffer and are part of the oracle's comparison *)
-let write_items st =
-  let lbl = fresh st "m" in
-  let len = 1 + Rng.int st.rng 8 in
-  let msg = String.init len (fun _ -> Char.chr (Char.code 'a' + Rng.int st.rng 26)) in
-  st.data <- st.data @ [ Asm.Label lbl; Asm.Strz msg ];
-  note_nr st Sysno.write;
-  [
-    Asm.I (Insn.Mov_ri (RDI, 1));
-    Asm.Mov_sym (Reg.RSI, lbl);
-    Asm.I (Insn.Mov_ri (RDX, len));
-    Asm.I (Insn.Mov_ri (RAX, Sysno.write));
-    Asm.I (trap_insn st.rng);
-  ]
-
-let raw_syscall_items st =
-  match Rng.int st.rng 6 with
-  | 0 ->
-    note_nr st Sysno.getpid;
-    [ Asm.I (Insn.Mov_ri (RAX, Sysno.getpid)); Asm.I (trap_insn st.rng) ]
-  | 1 ->
-    note_nr st Sysno.gettid;
-    [ Asm.I (Insn.Mov_ri (RAX, Sysno.gettid)); Asm.I (trap_insn st.rng) ]
-  | 2 ->
-    (* the non-existent syscall with boundary arguments: the kernel
-       answers -ENOSYS whatever the registers hold, so wild values are
-       conformance-safe while stressing argument plumbing *)
-    note_nr st Sysno.bench_nonexistent;
-    [
-      Asm.I (Insn.Mov_ri (RDI, pick st.rng boundary_args));
-      Asm.I (Insn.Mov_ri (RSI, pick st.rng boundary_args));
-      Asm.I (Insn.Mov_ri (RDX, pick st.rng boundary_args));
-      Asm.I (Insn.Mov_ri (R10, pick st.rng boundary_args));
-      Asm.I (Insn.Mov_ri (R8, pick st.rng boundary_args));
-      Asm.I (Insn.Mov_ri (R9, pick st.rng boundary_args));
-      Asm.I (Insn.Mov_ri (RAX, Sysno.bench_nonexistent));
-      Asm.I (trap_insn st.rng);
-    ]
-  | 3 ->
-    note_nr st Sysno.brk;
-    [ Asm.I (Insn.Mov_ri (RDI, 0)); Asm.I (Insn.Mov_ri (RAX, Sysno.brk)); Asm.I (trap_insn st.rng) ]
-  | 4 ->
-    note_nr st Sysno.close;
-    [
-      Asm.I (Insn.Mov_ri (RDI, 99 + Rng.int st.rng 100));
-      Asm.I (Insn.Mov_ri (RAX, Sysno.close));
-      Asm.I (trap_insn st.rng);
-    ]
-  | _ -> write_items st
-
-(* executed filler with hazard bytes in the immediates; the registers
-   written are scratch, so the values never escape *)
-let embedded_filler st =
+(* the registers written are scratch, so the values never escape *)
+let x86_filler st =
   let r = pick st.rng scratch in
   match Rng.int st.rng 4 with
   | 0 -> [ Asm.I (Insn.Mov_ri (r, pick st.rng hazard_imms)) ]
@@ -208,32 +214,10 @@ let embedded_filler st =
     [ Asm.I (Insn.Mov_ri (r, pick st.rng hazard_imms)); Asm.I (Insn.Add_rr (r, r2)) ]
   | _ -> [ Asm.I (Insn.Lea (r, pick st.rng scratch, 0x050f)) ]
 
-(* --- shapes -------------------------------------------------------- *)
-
-let raw_block st =
-  let one () = raw_syscall_items st in
-  if Rng.int st.rng 3 = 0 then begin
-    (* bounded counted loop around one syscall (R13 is reserved) *)
-    let n = 2 + Rng.int st.rng 4 in
-    let lbl = fresh st "loop" in
-    let body = one () in
-    [ Asm.I (Insn.Mov_ri (R13, n)); Asm.Label lbl ]
-    @ body
-    @ [ Asm.I (Insn.Sub_ri (R13, 1)); Asm.Jc (Insn.NZ, lbl) ]
-  end
-  else
-    List.concat (List.init (1 + Rng.int st.rng 3) (fun _ -> one ()))
-
-let embedded_block st =
-  let fillers = List.concat (List.init (2 + Rng.int st.rng 3) (fun _ -> embedded_filler st)) in
-  (* a raw syscall right after the hazard bytes: a rewriter whose scan
-     desynchronised on them would miss or corrupt this site *)
-  fillers @ raw_syscall_items st
-
 (* place a long instruction (or a SYSCALL) across a page boundary of
    the app's text.  App text is mapped at a fixed page-aligned base, so
    an [Align 4096] inside the image is a runtime page boundary. *)
-let straddle_block st =
+let x86_straddle st =
   let k = 1 + Rng.int st.rng 9 in
   let r = pick st.rng scratch in
   let nops n = Asm.Blob (Bytes.make n '\x90') in
@@ -248,37 +232,176 @@ let straddle_block st =
     [ Asm.Align 4096; nops (4096 - k); Asm.I (Insn.Mov_ri (r, pick st.rng hazard_imms)) ]
     @ raw_syscall_items st
 
+(* P4a as a shape: call *rax with rax = 0.  Natively this is a fatal
+   jump to an unmapped page; a rewriting interposer without the NULL
+   check silently slides down its page-0 trampoline and "returns" from
+   a syscall the program never made.  RDI is parked on a dead fd so
+   the misdirected read(2) fails fast instead of blocking. *)
+let null_call_block _st =
+  [ Asm.I (Insn.Mov_ri (RDI, 199)); Asm.I (Insn.Xor_rr (RAX, RAX)); Asm.I (Insn.Call_reg RAX) ]
+
+let x86 =
+  {
+    asm = Asm.kit;
+    draw_trap = (fun rng -> if Rng.int rng 4 = 0 then Insn.Sysenter else Syscall);
+    counter = R13;
+    decrement = Sub_ri (R13, 1);
+    test = (fun r -> Test_rr (r, r));
+    zero = (fun r -> Xor_rr (r, r));
+    smc_base = R14;
+    smc_stub = (fun nr -> Encode.assemble [ Mov_ri32 (RAX, nr); Syscall; Ret ]);
+    store_byte = (fun base i v -> [ Asm.I (Insn.Mov_ri (RBX, v)); Asm.I (Store8 (base, i, RBX)) ]);
+    ud = Asm.I Ud2;
+    breakpoint = Asm.I Int3;
+    filler = x86_filler;
+    straddle = x86_straddle;
+    diverge = (Null_call, null_call_block);
+  }
+
+(* --- AArch64 ------------------------------------------------------- *)
+
+(* Register discipline mirrors x86: x0-x5 are syscall arguments, x8 the
+   number, x0 the (dirty) result; x16/x17 are the assembler's
+   literal-pool scratch, x19/x20 the loader's dispatch cell and x30
+   the link register — all avoided.  General scratch is x9-x15 (x14
+   holds the SMC page), the loop counter x21.  [svc] clobbers nothing,
+   so unlike x86 no register needs reloading across a syscall. *)
+
+module A = K23_isa_arm.Asm_arm
+module Arm = K23_isa_arm.Arm
+
+let ascratch = [| 9; 10; 11; 12; 13; 15 |]
+
+(* immediates and register values that contain the [svc] word pattern:
+   split across movz/movk 16-bit fields or materialised whole.  An
+   aligned sweep never treats them as sites; only in-text {e data}
+   words can alias (the [Svc_alias] shape). *)
+let arm_filler st =
+  let r = pick st.rng ascratch in
+  let alias = Arm.encode (Arm.Svc (Rng.int st.rng 0x10000)) in
+  match Rng.int st.rng 4 with
+  | 0 -> [ A.I (Arm.Movz (r, alias land 0xffff)) ]
+  | 1 -> li st.kit r alias
+  | 2 ->
+    let r2 = pick st.rng ascratch in
+    li st.kit r alias @ [ A.I (Arm.Add_rr (r, r, r2)) ]
+  | _ -> [ A.I (Arm.Movz (r, alias land 0xffff)); A.I (Arm.Movk (r, (alias lsr 16) land 0xffff, 1)) ]
+
+(* an executable sled of [nwords] nops (Blob keeps the item count and
+   therefore the page-offset arithmetic exact) *)
+let nop_pad nwords =
+  let w = Arm.bytes_of_word (Arm.encode Arm.Nop) in
+  let b = Bytes.create (4 * nwords) in
+  for i = 0 to nwords - 1 do
+    Bytes.blit w 0 b (4 * i) 4
+  done;
+  A.Blob b
+
+(* no instruction can straddle a page on a fixed-width ISA; the shape
+   instead parks genuine [svc] sites on both edges of a page boundary,
+   where a patcher's permission and barrier handling must span pages *)
+let arm_straddle st =
+  note_nr st Sysno.getpid;
+  if Rng.int st.rng 2 = 0 then
+    (* svc in the last word of a page *)
+    li st.kit 8 Sysno.getpid @ [ A.Align 4096; nop_pad 1023; A.I (Arm.Svc 0) ]
+  else begin
+    (* back-to-back sites bracketing the boundary: last word of one
+       page, first word of the next (x8 survives the first svc) *)
+    note_nr st Sysno.getpid;
+    li st.kit 8 Sysno.getpid @ [ A.Align 4096; nop_pad 1023; A.I (Arm.Svc 0); A.I (Arm.Svc 1) ]
+  end
+
+(* P3a as a shape: a literal-pool word whose value aliases the [svc]
+   encoding, read back and compared.  An exact aligned sweep cannot
+   tell it from code, so ASC-Hook patches it and the program observes
+   the rewrite — native and rewriting runs diverge by design. *)
+let svc_alias_block st =
+  let cont = fresh st "cont" and patched = fresh st "patched" and fin = fresh st "fin" in
+  let alias = Arm.encode (Arm.Svc (1 + Rng.int st.rng 0x7fff)) in
+  [ A.I (Arm.Ldr_lit (9, 2)) (* x9 := the quad two words below *); A.J cont; A.Quad alias; A.Label cont ]
+  @ li st.kit 10 alias
+  @ [ A.I (Arm.Subs_rr (31, 9, 10)); A.Jc (Insn.NZ, patched) ]
+  @ write_msg st "literal-intact"
+  @ [ A.J fin; A.Label patched ]
+  @ write_msg st "literal-PATCHED"
+  @ [ A.Label fin ]
+
+let arm =
+  {
+    asm = A.kit;
+    draw_trap = (fun rng -> Arm.Svc (Rng.int rng 8));
+    counter = 21;
+    decrement = Subs_imm (21, 21, 1);
+    test = (fun r -> Subs_imm (31, r, 0));
+    zero = (fun r -> Movz (r, 0));
+    smc_base = 14;
+    smc_stub = (fun nr -> Arm.assemble (Arm.li 8 nr @ [ Svc 0; Ret ]));
+    store_byte =
+      (fun base i v -> List.map (fun x -> A.I x) (Arm.li 9 v) @ [ A.I (Arm.Strb (9, base, i)) ]);
+    ud = A.Blob (Bytes.make 4 '\x00') (* zero word: undefined *);
+    breakpoint = A.I (Brk 0);
+    filler = arm_filler;
+    straddle = arm_straddle;
+    diverge = (Svc_alias, svc_alias_block);
+  }
+
+(** Every shape [isa] realises: the ISA-independent safe mix, then the
+    opt-in shapes designed to diverge — the kit's own (P4a's NULL call
+    is an x86 trampoline artefact, P3a's alias literal needs a
+    fixed-width ISA with in-text literal pools) and execve-scrub. *)
+let all_shapes_for isa =
+  let own = match isa with K23_isa.Isa.X86_64 -> fst x86.diverge | Arm64 -> fst arm.diverge in
+  default_shapes @ [ own; Execve_scrub ]
+
+(* --- shapes -------------------------------------------------------- *)
+
+let raw_block st =
+  let one () = raw_syscall_items st in
+  if Rng.int st.rng 3 = 0 then begin
+    (* bounded counted loop around one syscall *)
+    let n = 2 + Rng.int st.rng 4 in
+    let lbl = fresh st "loop" in
+    let body = one () in
+    li st.kit st.kit.counter n
+    @ [ Asm.Label lbl ]
+    @ body
+    @ [ Asm.I st.kit.decrement; Asm.Jc (Insn.NZ, lbl) ]
+  end
+  else List.concat (List.init (1 + Rng.int st.rng 3) (fun _ -> one ()))
+
+let embedded_block st =
+  let fillers = List.concat (List.init (2 + Rng.int st.rng 3) (fun _ -> st.kit.filler st)) in
+  (* a raw syscall right after the hazard bytes: a rewriter whose scan
+     desynchronised on them would miss or corrupt this site *)
+  fillers @ raw_syscall_items st
+
 (* mmap an anonymous RWX page, store a freshly "generated" stub into it
    byte by byte (exercising the store-over-code coherence path), then
    call it — pitfall P2a's late-appearing code as a fuzz shape *)
 let smc_block st =
-  let nr = pick_l st.rng [ Sysno.getpid; Sysno.gettid; Sysno.bench_nonexistent ] in
+  let k = st.kit in
+  let nr = pick st.rng [| Sysno.getpid; Sysno.gettid; Sysno.bench_nonexistent |] in
   note_nr st Sysno.mmap;
   note_nr st nr;
-  let stub = Encode.assemble [ Mov_ri32 (RAX, nr); Syscall; Ret ] in
-  let stores = ref [] in
-  Bytes.iteri
-    (fun i c ->
-      stores :=
-        !stores
-        @ [ Asm.I (Insn.Mov_ri (RBX, Char.code c)); Asm.I (Insn.Store8 (R14, i, RBX)) ])
-    stub;
-  [
-    Asm.I (Insn.Mov_ri (RDI, 0));
-    Asm.I (Insn.Mov_ri (RSI, 4096));
-    Asm.I (Insn.Mov_ri (RDX, 7));
-    Asm.I (Insn.Mov_ri (R10, 0x20));
-    Asm.I (Insn.Mov_ri (R8, -1));
-    Asm.I (Insn.Mov_ri (R9, 0));
-    Asm.I (Insn.Mov_ri (RAX, Sysno.mmap));
-    Asm.I Insn.Syscall;
-    Asm.I (Insn.Mov_rr (R14, RAX));
-  ]
-  @ !stores
-  @ [ Asm.I (Insn.Call_reg R14) ]
+  let stub = k.smc_stub nr in
+  syscall k Sysno.mmap [ 0; 4096; 7; 0x20; -1; 0 ]
+  @ [ Asm.I (k.asm.mov_rr k.smc_base k.asm.result) ]
+  @ List.concat
+      (List.init (Bytes.length stub) (fun i -> k.store_byte k.smc_base i (Bytes.get_uint8 stub i)))
+  @ [ Asm.I (k.asm.call_reg k.smc_base) ]
 
-(* fork; the child runs a small body and exits, the parent blocks in
-   wait4 before continuing — so console bytes stay ordered *)
+(* fork; the parent blocks in wait4 and jumps to [join], the child
+   continues at [child] *)
+let fork_wait st ~child ~join =
+  let k = st.kit in
+  syscall k Sysno.fork []
+  @ [ Asm.I (k.test k.asm.result); Asm.Jc (Insn.Z, child) ]
+  @ syscall k Sysno.wait4 [ -1; 0; 0; 0 ]
+  @ [ Asm.J join; Asm.Label child ]
+
+(* the child runs a small body and exits while the parent blocks in
+   wait4, so console bytes stay ordered *)
 let forky_block st =
   let child = fresh st "child" and join = fresh st "join" in
   note_nr st Sysno.fork;
@@ -288,22 +411,7 @@ let forky_block st =
     @ (if Rng.int st.rng 2 = 0 then write_items st else [])
     @ exit_items st (Rng.int st.rng 32)
   in
-  [
-    Asm.I (Insn.Mov_ri (RAX, Sysno.fork));
-    Asm.I Insn.Syscall;
-    Asm.I (Insn.Test_rr (RAX, RAX));
-    Asm.Jc (Insn.Z, child);
-    Asm.I (Insn.Mov_ri (RDI, -1));
-    Asm.I (Insn.Mov_ri (RSI, 0));
-    Asm.I (Insn.Mov_ri (RDX, 0));
-    Asm.I (Insn.Mov_ri (R10, 0));
-    Asm.I (Insn.Mov_ri (RAX, Sysno.wait4));
-    Asm.I Insn.Syscall;
-    Asm.J join;
-    Asm.Label child;
-  ]
-  @ child_body
-  @ [ Asm.Label join ]
+  fork_wait st ~child ~join @ child_body @ [ Asm.Label join ]
 
 (* install a handler for a synchronous fault signal, then fault; the
    handler writes a marker and exits — signal delivery, the sigframe
@@ -311,48 +419,33 @@ let forky_block st =
    after this block runs. *)
 let sig_block st =
   let handler = fresh st "handler" in
-  let signo, trigger = if Rng.int st.rng 2 = 0 then (sigill, Asm.I Insn.Ud2) else (sigtrap, Asm.I Insn.Int3) in
+  let signo, trigger =
+    if Rng.int st.rng 2 = 0 then (sigill, st.kit.ud) else (sigtrap, st.kit.breakpoint)
+  in
   note_nr st Sysno.rt_sigaction;
   let handler_code = write_items st @ exit_items st (32 + Rng.int st.rng 32) in
   st.tail <- st.tail @ [ Asm.Label handler ] @ handler_code;
-  [
-    Asm.I (Insn.Mov_ri (RDI, signo));
-    Asm.Mov_sym (Reg.RSI, handler);
-    Asm.I (Insn.Mov_ri (RAX, Sysno.rt_sigaction));
-    Asm.I Insn.Syscall;
-    trigger;
-  ]
-
-(* P4a as a shape: call *rax with rax = 0.  Natively this is a fatal
-   jump to an unmapped page; a rewriting interposer without the NULL
-   check silently slides down its page-0 trampoline and "returns" from
-   a syscall the program never made.  RDI is parked on a dead fd so
-   the misdirected read(2) fails fast instead of blocking. *)
-let null_call_block _st =
-  [
-    Asm.I (Insn.Mov_ri (RDI, 199));
-    Asm.I (Insn.Xor_rr (RAX, RAX));
-    Asm.I (Insn.Call_reg RAX);
-  ]
+  let k = st.kit in
+  li k k.asm.args.(0) signo
+  @ [ Asm.Mov_sym (k.asm.args.(1), handler) ]
+  @ syscall k Sysno.rt_sigaction []
+  @ [ trigger ]
 
 (* P1a as a shape: fork + execve(helper, argv, envp=NULL).  The
    scrubbed environment drops LD_PRELOAD, so preload-based mechanisms
    lose the child — and seccomp's inherited filter kills it. *)
 let exec_child_path = "/bin/fuzz_exec_child"
 
-let exec_child_items =
-  [
-    Asm.Label "main";
-    Asm.I (Insn.Mov_ri (R13, 3));
-    Asm.Label "el";
-    Asm.I (Insn.Mov_ri (RAX, Sysno.bench_nonexistent));
-    Asm.I Insn.Syscall;
-    Asm.I (Insn.Sub_ri (R13, 1));
-    Asm.Jc (Insn.NZ, "el");
-    Asm.I (Insn.Mov_ri (RDI, 7));
-    Asm.I (Insn.Mov_ri (RAX, Sysno.exit_group));
-    Asm.I Insn.Syscall;
-  ]
+(* the helper: three ENOSYS calls in a counted loop, then exit 7 *)
+let exec_child kit =
+  [ Asm.Label "main" ]
+  @ li kit kit.counter 3
+  @ [ Asm.Label "el" ]
+  @ syscall kit Sysno.bench_nonexistent []
+  @ [ Asm.I kit.decrement; Asm.Jc (Insn.NZ, "el") ]
+  @ syscall kit Sysno.exit_group [ 7 ]
+
+let exec_child_items = exec_child x86
 
 let execve_scrub_block st =
   let child = fresh st "xchild" and join = fresh st "xjoin" in
@@ -361,40 +454,28 @@ let execve_scrub_block st =
   note_nr st Sysno.fork;
   note_nr st Sysno.wait4;
   note_nr st Sysno.execve;
-  [
-    Asm.I (Insn.Mov_ri (RAX, Sysno.fork));
-    Asm.I Insn.Syscall;
-    Asm.I (Insn.Test_rr (RAX, RAX));
-    Asm.Jc (Insn.Z, child);
-    Asm.I (Insn.Mov_ri (RDI, -1));
-    Asm.I (Insn.Mov_ri (RSI, 0));
-    Asm.I (Insn.Mov_ri (RDX, 0));
-    Asm.I (Insn.Mov_ri (R10, 0));
-    Asm.I (Insn.Mov_ri (RAX, Sysno.wait4));
-    Asm.I Insn.Syscall;
-    Asm.J join;
-    Asm.Label child;
-    Asm.Mov_sym (Reg.RDI, epath);
-    Asm.Mov_sym (Reg.RSI, argvv);
-    Asm.I (Insn.Xor_rr (RDX, RDX));
-    Asm.I (Insn.Mov_ri (RAX, Sysno.execve));
-    Asm.I Insn.Syscall;
-    (* execve failed: die loudly *)
-    Asm.I (Insn.Mov_ri (RDI, 9));
-    Asm.I (Insn.Mov_ri (RAX, Sysno.exit_group));
-    Asm.I Insn.Syscall;
-    Asm.Label join;
-  ]
+  let k = st.kit in
+  let a = k.asm.args in
+  fork_wait st ~child ~join
+  @ [ Asm.Mov_sym (a.(0), epath); Asm.Mov_sym (a.(1), argvv); Asm.I (k.zero a.(2)) ]
+  @ syscall k Sysno.execve []
+  (* execve failed: die loudly *)
+  @ syscall k Sysno.exit_group [ 9 ]
+  @ [ Asm.Label join ]
 
-let block_of_shape st = function
-  | Raw | Svc_alias (* no x86 realisation: alias literals need fixed width *) -> raw_block st
-  | Embedded -> embedded_block st
-  | Straddle -> straddle_block st
-  | Smc -> smc_block st
-  | Forky -> forky_block st
-  | Sigheavy -> sig_block st
-  | Null_call -> null_call_block st
-  | Execve_scrub -> execve_scrub_block st
+let block_of_shape st s =
+  let diverging, diverge = st.kit.diverge in
+  if s = diverging then diverge st
+  else
+    match s with
+    | Raw | Null_call | Svc_alias (* the other ISA's diverging shape has no realisation here *) ->
+      raw_block st
+    | Embedded -> embedded_block st
+    | Straddle -> st.kit.straddle st
+    | Smc -> smc_block st
+    | Forky -> forky_block st
+    | Sigheavy -> sig_block st
+    | Execve_scrub -> execve_scrub_block st
 
 (* weights: raw syscalls dominate, structural shapes salt the mix *)
 let weight = function
@@ -417,219 +498,12 @@ let pick_shape rng shapes =
   in
   go 0 shapes
 
-(* --- the AArch64 generator ----------------------------------------- *)
-
-(* The same shape mix realised in the fixed-width ISA.  Register
-   discipline mirrors x86: x0-x5 are syscall arguments, x8 the number,
-   x0 the (dirty) result; x16/x17 are the assembler's literal-pool
-   scratch, x19/x20 the loader's dispatch cell and x30 the link
-   register — all avoided.  General scratch is x9-x15, the loop
-   counter x21.  [svc] clobbers nothing, so unlike x86 no register
-   needs reloading across a syscall. *)
-
-module A = K23_isa_arm.Asm_arm
-module Arm = K23_isa_arm.Arm
-
-let ascratch = [| 9; 10; 11; 12; 13; 15 |]
-let li rd v = List.map (fun i -> A.I i) (Arm.li rd v)
-let svc st = A.I (Arm.Svc (Rng.int st.rng 8))
-
-(* an executable sled of [nwords] nops (Blob keeps the item count and
-   therefore the page-offset arithmetic exact) *)
-let nop_pad nwords =
-  let w = Arm.bytes_of_word (Arm.encode Arm.Nop) in
-  let b = Bytes.create (4 * nwords) in
-  for i = 0 to nwords - 1 do
-    Bytes.blit w 0 b (4 * i) 4
-  done;
-  A.Blob b
-
-let exit_items_arm st code =
-  note_nr st Sysno.exit_group;
-  li 0 code @ li 8 Sysno.exit_group @ [ A.I (Arm.Svc 0) ]
-
-let write_msg_arm st msg =
-  let lbl = fresh st "m" in
-  st.data <- st.data @ [ A.Label lbl; A.Strz msg ];
-  note_nr st Sysno.write;
-  li 0 1 @ [ A.Mov_sym (1, lbl) ] @ li 2 (String.length msg) @ li 8 Sysno.write @ [ svc st ]
-
-let write_items_arm st =
-  let len = 1 + Rng.int st.rng 8 in
-  let msg = String.init len (fun _ -> Char.chr (Char.code 'a' + Rng.int st.rng 26)) in
-  write_msg_arm st msg
-
-let raw_syscall_items_arm st =
-  match Rng.int st.rng 6 with
-  | 0 ->
-    note_nr st Sysno.getpid;
-    li 8 Sysno.getpid @ [ svc st ]
-  | 1 ->
-    note_nr st Sysno.gettid;
-    li 8 Sysno.gettid @ [ svc st ]
-  | 2 ->
-    (* -ENOSYS whatever the registers hold; [Arm.li] materialises any
-       OCaml int exactly (movz/movk field reassembly), so the x86
-       boundary values carry over unchanged *)
-    note_nr st Sysno.bench_nonexistent;
-    List.concat (List.init 6 (fun i -> li i (pick st.rng boundary_args)))
-    @ li 8 Sysno.bench_nonexistent
-    @ [ svc st ]
-  | 3 ->
-    note_nr st Sysno.brk;
-    li 0 0 @ li 8 Sysno.brk @ [ svc st ]
-  | 4 ->
-    note_nr st Sysno.close;
-    li 0 (99 + Rng.int st.rng 100) @ li 8 Sysno.close @ [ svc st ]
-  | _ -> write_items_arm st
-
-(* immediates and register values that contain the [svc] word pattern:
-   split across movz/movk 16-bit fields or materialised whole.  An
-   aligned sweep never treats them as sites; only in-text {e data}
-   words can alias (the [Svc_alias] shape). *)
-let embedded_filler_arm st =
-  let r = pick st.rng ascratch in
-  let alias = Arm.encode (Arm.Svc (Rng.int st.rng 0x10000)) in
-  match Rng.int st.rng 4 with
-  | 0 -> [ A.I (Arm.Movz (r, alias land 0xffff)) ]
-  | 1 -> li r alias
-  | 2 ->
-    let r2 = pick st.rng ascratch in
-    li r alias @ [ A.I (Arm.Add_rr (r, r, r2)) ]
-  | _ -> [ A.I (Arm.Movz (r, alias land 0xffff)); A.I (Arm.Movk (r, (alias lsr 16) land 0xffff, 1)) ]
-
-let raw_block_arm st =
-  let one () = raw_syscall_items_arm st in
-  if Rng.int st.rng 3 = 0 then begin
-    (* bounded counted loop around one syscall (x21 is reserved) *)
-    let n = 2 + Rng.int st.rng 4 in
-    let lbl = fresh st "loop" in
-    let body = one () in
-    li 21 n @ [ A.Label lbl ] @ body
-    @ [ A.I (Arm.Subs_imm (21, 21, 1)); A.Jc (Insn.NZ, lbl) ]
-  end
-  else List.concat (List.init (1 + Rng.int st.rng 3) (fun _ -> one ()))
-
-let embedded_block_arm st =
-  let fillers = List.concat (List.init (2 + Rng.int st.rng 3) (fun _ -> embedded_filler_arm st)) in
-  fillers @ raw_syscall_items_arm st
-
-(* no instruction can straddle a page on a fixed-width ISA; the shape
-   instead parks genuine [svc] sites on both edges of a page boundary,
-   where a patcher's permission and barrier handling must span pages *)
-let straddle_block_arm st =
-  note_nr st Sysno.getpid;
-  if Rng.int st.rng 2 = 0 then
-    (* svc in the last word of a page *)
-    li 8 Sysno.getpid @ [ A.Align 4096; nop_pad 1023; A.I (Arm.Svc 0) ]
-  else begin
-    (* back-to-back sites bracketing the boundary: last word of one
-       page, first word of the next (x8 survives the first svc) *)
-    note_nr st Sysno.getpid;
-    li 8 Sysno.getpid @ [ A.Align 4096; nop_pad 1023; A.I (Arm.Svc 0); A.I (Arm.Svc 1) ]
-  end
-
-let smc_block_arm st =
-  let nr = pick_l st.rng [ Sysno.getpid; Sysno.gettid; Sysno.bench_nonexistent ] in
-  note_nr st Sysno.mmap;
-  note_nr st nr;
-  let stub = Arm.assemble (Arm.li 8 nr @ [ Arm.Svc 0; Arm.Ret ]) in
-  let stores = ref [] in
-  Bytes.iteri
-    (fun i c -> stores := !stores @ li 9 (Char.code c) @ [ A.I (Arm.Strb (9, 14, i)) ])
-    stub;
-  li 0 0 @ li 1 4096 @ li 2 7 @ li 3 0x20 @ li 4 (-1) @ li 5 0 @ li 8 Sysno.mmap
-  @ [ A.I (Arm.Svc 0); A.I (Arm.Mov_rr (14, 0)) ]
-  @ !stores
-  @ [ A.I (Arm.Blr 14) ]
-
-let forky_block_arm st =
-  let child = fresh st "child" and join = fresh st "join" in
-  note_nr st Sysno.fork;
-  note_nr st Sysno.wait4;
-  let child_body =
-    List.concat (List.init (1 + Rng.int st.rng 2) (fun _ -> raw_syscall_items_arm st))
-    @ (if Rng.int st.rng 2 = 0 then write_items_arm st else [])
-    @ exit_items_arm st (Rng.int st.rng 32)
-  in
-  li 8 Sysno.fork
-  @ [ A.I (Arm.Svc 0); A.I (Arm.Subs_imm (31, 0, 0)); A.Jc (Insn.Z, child) ]
-  @ li 0 (-1) @ li 1 0 @ li 2 0 @ li 3 0 @ li 8 Sysno.wait4
-  @ [ A.I (Arm.Svc 0); A.J join; A.Label child ]
-  @ child_body
-  @ [ A.Label join ]
-
-let sig_block_arm st =
-  let handler = fresh st "handler" in
-  let signo, trigger =
-    if Rng.int st.rng 2 = 0 then (sigill, A.Blob (Bytes.make 4 '\x00')) (* zero word: undefined *)
-    else (sigtrap, A.I (Arm.Brk 0))
-  in
-  note_nr st Sysno.rt_sigaction;
-  let handler_code = write_items_arm st @ exit_items_arm st (32 + Rng.int st.rng 32) in
-  st.tail <- st.tail @ [ A.Label handler ] @ handler_code;
-  li 0 signo @ [ A.Mov_sym (1, handler) ] @ li 8 Sysno.rt_sigaction @ [ A.I (Arm.Svc 0); trigger ]
-
-(* P3a as a shape: a literal-pool word whose value aliases the [svc]
-   encoding, read back and compared.  An exact aligned sweep cannot
-   tell it from code, so ASC-Hook patches it and the program observes
-   the rewrite — native and rewriting runs diverge by design. *)
-let svc_alias_block st =
-  let cont = fresh st "cont" and patched = fresh st "patched" and fin = fresh st "fin" in
-  let alias = Arm.encode (Arm.Svc (1 + Rng.int st.rng 0x7fff)) in
-  [ A.I (Arm.Ldr_lit (9, 2)) (* x9 := the quad two words below *); A.J cont; A.Quad alias; A.Label cont ]
-  @ li 10 alias
-  @ [ A.I (Arm.Subs_rr (31, 9, 10)); A.Jc (Insn.NZ, patched) ]
-  @ write_msg_arm st "literal-intact"
-  @ [ A.J fin; A.Label patched ]
-  @ write_msg_arm st "literal-PATCHED"
-  @ [ A.Label fin ]
-
-let exec_child_items_arm =
-  [ A.Label "main" ]
-  @ li 21 3
-  @ [ A.Label "el" ]
-  @ li 8 Sysno.bench_nonexistent
-  @ [ A.I (Arm.Svc 0); A.I (Arm.Subs_imm (21, 21, 1)); A.Jc (Insn.NZ, "el") ]
-  @ li 0 7 @ li 8 Sysno.exit_group
-  @ [ A.I (Arm.Svc 0) ]
-
-let execve_scrub_block_arm st =
-  let child = fresh st "xchild" and join = fresh st "xjoin" in
-  let epath = fresh st "epath" and argvv = fresh st "argvv" in
-  st.data <-
-    st.data @ [ A.Label epath; A.Strz exec_child_path; A.Align 8; A.Label argvv; A.Quad 0 ];
-  note_nr st Sysno.fork;
-  note_nr st Sysno.wait4;
-  note_nr st Sysno.execve;
-  li 8 Sysno.fork
-  @ [ A.I (Arm.Svc 0); A.I (Arm.Subs_imm (31, 0, 0)); A.Jc (Insn.Z, child) ]
-  @ li 0 (-1) @ li 1 0 @ li 2 0 @ li 3 0 @ li 8 Sysno.wait4
-  @ [ A.I (Arm.Svc 0); A.J join; A.Label child; A.Mov_sym (0, epath); A.Mov_sym (1, argvv) ]
-  @ li 2 0 @ li 8 Sysno.execve
-  @ [ A.I (Arm.Svc 0) ]
-  (* execve failed: die loudly *)
-  @ li 0 9 @ li 8 Sysno.exit_group
-  @ [ A.I (Arm.Svc 0); A.Label join ]
-
-let block_of_shape_arm st = function
-  | Raw | Null_call (* no ARM realisation: NULL-call misdirection is an x86 trampoline artefact *) ->
-    raw_block_arm st
-  | Embedded -> embedded_block_arm st
-  | Straddle -> straddle_block_arm st
-  | Smc -> smc_block_arm st
-  | Forky -> forky_block_arm st
-  | Sigheavy -> sig_block_arm st
-  | Svc_alias -> svc_alias_block st
-  | Execve_scrub -> execve_scrub_block_arm st
-
 (* Structure: 1-4 shape blocks, a final exit_group, plus any handler
    code and the data section.  At most one straddle and one terminal
    (signal) block per program; the terminal block, if drawn, goes
-   last.  Both ISAs share this loop, so they draw the rng in the same
-   order. *)
-let draw ~shapes ~block_of_shape ~exit_items ~wrap rng =
-  let st = { rng; uid = 0; data = []; tail = []; used = []; sysnrs = [] } in
+   last. *)
+let draw kit ~shapes ~wrap rng =
+  let st = { kit; rng; uid = 0; data = []; tail = []; used = []; sysnrs = [] } in
   let nblocks = 1 + Rng.int rng 4 in
   let straddled = ref false and terminal = ref false in
   let body = ref [] in
@@ -653,13 +527,21 @@ let draw ~shapes ~block_of_shape ~exit_items ~wrap rng =
   { items = wrap items; shapes = st.used; nrs = List.rev st.sysnrs }
 
 (** Generate one program for [isa].  Same seed, same ISA => the same
-    program byte-for-byte; the two ISAs draw from the rng in different
-    orders and are unrelated streams. *)
+    program byte-for-byte.  Both ISAs run one copy of each shape, so a
+    seed whose program avoids the per-ISA draws (embedded, straddle,
+    the diverging shapes) draws the same logical program on both. *)
 let generate ?(shapes = default_shapes) ?(isa = K23_isa.Isa.X86_64) rng =
   match isa with
-  | K23_isa.Isa.X86_64 -> draw ~shapes ~block_of_shape ~exit_items ~wrap:(fun i -> X86 i) rng
-  | K23_isa.Isa.Arm64 ->
-    draw ~shapes ~block_of_shape:block_of_shape_arm ~exit_items:exit_items_arm ~wrap:(fun i -> A64 i) rng
+  | K23_isa.Isa.X86_64 -> draw x86 ~shapes ~wrap:(fun i -> X86 i) rng
+  | K23_isa.Isa.Arm64 -> draw arm ~shapes ~wrap:(fun i -> A64 i) rng
+
+(** The execve helper's program for [isa]. *)
+let exec_child_for = function
+  | K23_isa.Isa.X86_64 -> X86 exec_child_items
+  | K23_isa.Isa.Arm64 -> A64 (exec_child arm)
+
+(** Assemble a program with its ISA's assembler. *)
+let assemble = function X86 items -> Asm.assemble items | A64 items -> A.assemble items
 
 (* --- coverage accounting ------------------------------------------- *)
 

@@ -80,21 +80,18 @@ let default_max_steps = 3_000_000
     configuration.  Campaigns carry (and may override) this record. *)
 let default_world_cfg = { World.Config.default with World.Config.seed = default_world_seed }
 
-(* Register the target and the execve helper. *)
+(* Register the target and the execve helper; on x86-64 both link
+   libc. *)
 let install w (items : Gen.items) =
-  if w.Kern.isa <> Gen.items_isa items then
+  let isa = Gen.items_isa items in
+  if w.Kern.isa <> isa then
     invalid_arg
-      (Printf.sprintf "Oracle: %s program on a %s world"
-         (K23_isa.Isa.to_string (Gen.items_isa items))
+      (Printf.sprintf "Oracle: %s program on a %s world" (K23_isa.Isa.to_string isa)
          (K23_isa.Isa.to_string w.Kern.isa));
-  (match items with
-  | Gen.X86 its ->
-    ignore (Sim.register_app w ~path:target_path its);
-    ignore (Sim.register_app w ~path:Gen.exec_child_path Gen.exec_child_items)
-  | Gen.A64 its ->
-    let module A = K23_isa_arm.Asm_arm in
-    ignore (Sim.register_app_prog w ~path:target_path (A.assemble its));
-    ignore (Sim.register_app_prog w ~path:Gen.exec_child_path (A.assemble Gen.exec_child_items_arm)))
+  let needed = match isa with K23_isa.Isa.X86_64 -> [ Libc.path ] | Arm64 -> [] in
+  let register path items = ignore (Sim.register_app_prog w ~path ~needed (Gen.assemble items)) in
+  register target_path items;
+  register Gen.exec_child_path (Gen.exec_child_for isa)
 
 (* Install [items] in [w] and run them as one traced session.  Takes
    the world as an argument so the fresh-world ({!run_raw}) and

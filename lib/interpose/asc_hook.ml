@@ -43,6 +43,7 @@ open K23_kernel
 open Kern
 open Interpose
 module Arm = K23_isa_arm.Arm
+module Asm_arm = K23_isa_arm.Asm_arm
 
 let lib_path = "/usr/lib/libasc.so"
 
@@ -173,5 +174,5 @@ let image ~handler ~stats () : image =
   (* branch + host entry: no signal, no stack switch *)
   let cfg = config "asc-hook" ~pre_cost:30 ~post_cost:15 ~handler ~stats in
   library ~name:lib_path ~init:"__asc_init"
-    (arm.assemble (ctor_items arm "__asc_init" "asc_init"))
+    (Asm_arm.assemble (ctor_items Asm_arm.kit "__asc_init" "asc_init"))
     [ ("asc_init", fun ctx -> patch_all ctx cfg) ]

@@ -20,7 +20,6 @@ open K23_isa
 open K23_machine
 open K23_kernel
 open Kern
-module Arm = K23_isa_arm.Arm
 
 (* ------------------------------------------------------------------ *)
 (* Handler ABI                                                         *)
@@ -287,32 +286,8 @@ let sigsys_handler_sym = "__sigsys_handler"
 
 let sigsys_post_sym = "__sigsys_post"
 
-(** What the SIGSYS skeleton and a constructor stub need from an ISA. *)
-type ('insn, 'reg) kit = {
-  syscall : 'insn;  (** the trapping instruction *)
-  ret : 'insn;
-  load_nr : int -> 'insn list;  (** load the syscall-number register *)
-  assemble : ('insn, 'reg) Asm.t list -> Asm.program;
-}
-
-let x86 =
-  {
-    syscall = Insn.Syscall;
-    ret = Insn.Ret;
-    load_nr = (fun n -> [ Insn.Mov_ri (RAX, n) ]);
-    assemble = Asm.assemble;
-  }
-
-let arm =
-  {
-    syscall = Arm.Svc 0;
-    ret = Arm.Ret;
-    load_nr = Arm.li 8;
-    assemble = K23_isa_arm.Asm_arm.assemble;
-  }
-
 (** A constructor stub: [label: vcall fn; ret]. *)
-let ctor_items kit label fn = [ Asm.Label label; Asm.Vcall_named fn; Asm.I kit.ret ]
+let ctor_items (kit : _ Asm.kit) label fn = [ Asm.Label label; Asm.Vcall_named fn; Asm.I kit.ret ]
 
 (** One zeroed 64-byte data buffer per label (a selector's 64 TLS
     slots, K23's handoff buffer). *)
@@ -325,26 +300,26 @@ let buffer_items = function
     pre-vcall / syscall gadget / post-vcall / rt_sigreturn sequence.
     The gadget and the sigreturn syscall live in the interposer's own
     text, which SUD allowlists — the standard recipe from Section 2.1. *)
-let sigsys_handler_items kit ?(extra_items = []) () =
+let sigsys_handler_items (kit : _ Asm.kit) ?(extra_items = []) () =
   [ Asm.Label sigsys_handler_sym ]
   @ extra_items
   @ [
       Asm.Vcall_named "sigsys_pre";
       Asm.Label "__sigsys_gadget";
-      Asm.I kit.syscall;
+      Asm.I kit.trap;
       Asm.Label sigsys_post_sym;
       Asm.Vcall_named "sigsys_post";
     ]
-  @ List.map (fun i -> Asm.I i) (kit.load_nr Sysno.rt_sigreturn)
-  @ [ Asm.I kit.syscall ]
+  @ List.map (fun i -> Asm.I i) (kit.li kit.nr Sysno.rt_sigreturn)
+  @ [ Asm.I kit.trap ]
 
 (** A SIGSYS interposer's program on [isa]: the constructor stub, the
     handler skeleton and the [buffers]. *)
 let sigsys_program isa ~ctor:(label, fn) buffers =
-  let build kit =
+  let build (kit : _ Asm.kit) =
     kit.assemble (ctor_items kit label fn @ sigsys_handler_items kit () @ buffer_items buffers)
   in
-  match isa with Isa.X86_64 -> build x86 | Isa.Arm64 -> build arm
+  match isa with Isa.X86_64 -> build Asm.kit | Isa.Arm64 -> build K23_isa_arm.Asm_arm.kit
 
 (** Host side of the SIGSYS path.  [sym] resolves the interposer
     image's own labels; [on_sigsys] is an optional extra step run

@@ -11,7 +11,9 @@
     relocation list, vcall numbering) are ISA-neutral; an ISA supplies
     a {!backend}: the sizes and encodings of its instruction-bearing
     items and its text padding.  {!assemble} is the x86-64 backend;
-    [K23_isa_arm.Asm_arm] is the AArch64 one.
+    [K23_isa_arm.Asm_arm] is the AArch64 one.  Next to each assembler
+    sits the ISA's {!kit}, the spelling that lets a program be written
+    once for both ISAs.
 
     Sections: [`Text] (mapped r-x) and [`Data] (mapped rw-).  Placing
     [Blob]s in [`Text] is how test programs embed data in executable
@@ -170,3 +172,34 @@ let x86 =
   }
 
 let assemble items = assemble_with x86 items
+
+type ('insn, 'reg) kit = {
+  reg : int -> 'reg;
+  args : 'reg array;
+  nr : 'reg;
+  result : 'reg;
+  li : 'reg -> int -> 'insn list;
+  trap : 'insn;
+  ret : 'insn;
+  cmp_ri : 'reg -> int -> 'insn;
+  mov_rr : 'reg -> 'reg -> 'insn;
+  call_reg : 'reg -> 'insn;
+  jmp_reg : 'reg -> 'insn;
+  assemble : ('insn, 'reg) t list -> program;
+}
+
+let kit =
+  {
+    reg = Reg.of_index;
+    args = Array.map Reg.of_index (Isa.arg_indices Isa.X86_64);
+    nr = Reg.of_index (Isa.nr_index Isa.X86_64);
+    result = RAX;
+    li = (fun r v -> [ Insn.Mov_ri (r, v) ]);
+    trap = Syscall;
+    ret = Ret;
+    cmp_ri = (fun r v -> Cmp_ri (r, v));
+    mov_rr = (fun d s -> Mov_rr (d, s));
+    call_reg = (fun r -> Call_reg r);
+    jmp_reg = (fun r -> Jmp_reg r);
+    assemble;
+  }

@@ -63,3 +63,24 @@ type ('insn, 'reg) backend = {
 
 val assemble_with : ('insn, 'reg) backend -> ('insn, 'reg) t list -> program
 val assemble : item list -> program
+
+(** How an ISA spells what hand-written programs share, so that ld.so,
+    the vdso, the SIGSYS skeleton and the fuzz generator are each
+    written once for both ISAs. *)
+type ('insn, 'reg) kit = {
+  reg : int -> 'reg;  (** the register at a flat GPR index *)
+  args : 'reg array;  (** the six syscall argument registers, ABI order *)
+  nr : 'reg;  (** the syscall-number register *)
+  result : 'reg;  (** the syscall result register *)
+  li : 'reg -> int -> 'insn list;  (** load an immediate *)
+  trap : 'insn;  (** the trapping instruction *)
+  ret : 'insn;
+  cmp_ri : 'reg -> int -> 'insn;  (** compare with a small immediate *)
+  mov_rr : 'reg -> 'reg -> 'insn;  (** [mov_rr dst src] *)
+  call_reg : 'reg -> 'insn;
+  jmp_reg : 'reg -> 'insn;
+  assemble : ('insn, 'reg) t list -> program;
+}
+
+val kit : (Insn.t, Reg.t) kit
+(** x86-64: rdi/rsi/rdx/r10/r8/r9, rax, [syscall]. *)

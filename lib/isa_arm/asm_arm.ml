@@ -85,3 +85,21 @@ let backend : (Arm.insn, int) Asm.backend =
   }
 
 let assemble items = Asm.assemble_with backend items
+
+(** AArch64's {!Asm.kit}: x0..x5, x8, x0, [svc #0]; a compare is
+    [subs xzr, xN, #imm]. *)
+let kit : (Arm.insn, int) Asm.kit =
+  {
+    reg = Fun.id;
+    args = Isa.arg_indices Isa.Arm64;
+    nr = Isa.nr_index Isa.Arm64;
+    result = 0;
+    li = Arm.li;
+    trap = Svc 0;
+    ret = Ret;
+    cmp_ri = (fun r v -> Subs_imm (31, r, v));
+    mov_rr = (fun d s -> Mov_rr (d, s));
+    call_reg = (fun r -> Blr r);
+    jmp_reg = (fun r -> Br r);
+    assemble;
+  }

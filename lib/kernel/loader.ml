@@ -14,6 +14,7 @@
 open K23_machine
 open K23_isa
 open Kern
+module Asm_arm = K23_isa_arm.Asm_arm
 
 let at_fdcwd = -100
 
@@ -48,8 +49,8 @@ let nosys nr = Op_sys { nr; make_args = (fun () -> [| 0; 0; 0; 0; 0; 0 |]); post
 (* The interpreter's dispatch registers: a flag ("issue a syscall" /
    "call a ctor" / "enter main") and a branch target.  Callee-saved on
    either ABI: rbx/r12 on x86, x19/x20 on arm64. *)
-let dispatch_flag_index = function K23_isa.Isa.X86_64 -> 3 (* rbx *) | K23_isa.Isa.Arm64 -> 19
-let dispatch_target_index = function K23_isa.Isa.X86_64 -> 12 (* r12 *) | K23_isa.Isa.Arm64 -> 20
+let dispatch_flag_index = function Isa.X86_64 -> 3 (* rbx *) | Arm64 -> 19
+let dispatch_target_index = function Isa.X86_64 -> 12 (* r12 *) | Arm64 -> 20
 
 let ldso_step (ctx : ctx) =
   let th = ctx.thread in
@@ -94,12 +95,9 @@ let ldso_ret (ctx : ctx) =
     f (Regs.get ctx.thread.regs RAX)
   | None -> ()
 
-let ldso_path = "/usr/lib/ld-linux-x86-64.so.2"
-let ldso_path_arm = "/usr/lib/ld-linux-aarch64.so.1"
-
-let ldso_path_for = function
-  | K23_isa.Isa.X86_64 -> ldso_path
-  | K23_isa.Isa.Arm64 -> ldso_path_arm
+let ldso_path = function
+  | Isa.X86_64 -> "/usr/lib/ld-linux-x86-64.so.2"
+  | Arm64 -> "/usr/lib/ld-linux-aarch64.so.1"
 
 (** The interpreter loop.  The dispatch flag is rbx/x19 and the branch
     target r12/x20; the syscall gadget is a genuine trapping
@@ -107,52 +105,35 @@ let ldso_path_for = function
     fidelity: all pre-preload startup syscalls execute as real
     [syscall]/[svc #0]). *)
 let ldso_image isa : image =
+  let items (k : _ Asm.kit) =
+    let flag = k.reg (dispatch_flag_index isa) in
+    let target = k.reg (dispatch_target_index isa) in
+    [
+      Asm.Label "_start";
+      Label "loop";
+      Vcall_named "ldso_step";
+      I (k.cmp_ri flag 0);
+      Jc (NZ, "not_sys");
+      Label "ldso_syscall_gadget";
+      I k.trap;
+      Vcall_named "ldso_ret";
+      J "loop";
+      Label "not_sys";
+      I (k.cmp_ri flag 1);
+      Jc (NZ, "enter_main");
+      I (k.call_reg target);
+      J "loop";
+      Label "enter_main";
+      I (k.jmp_reg target);
+    ]
+  in
   let prog =
     match isa with
-    | K23_isa.Isa.X86_64 ->
-      Asm.assemble
-        [
-          Label "_start";
-          Label "loop";
-          Vcall_named "ldso_step";
-          I (Cmp_ri (RBX, 0));
-          Jc (NZ, "not_sys");
-          Label "ldso_syscall_gadget";
-          I Syscall;
-          Vcall_named "ldso_ret";
-          J "loop";
-          Label "not_sys";
-          I (Cmp_ri (RBX, 1));
-          Jc (NZ, "enter_main");
-          I (Call_reg R12);
-          J "loop";
-          Label "enter_main";
-          I (Jmp_reg R12);
-        ]
-    | K23_isa.Isa.Arm64 ->
-      K23_isa_arm.(
-        Asm_arm.assemble
-          [
-            Label "_start";
-            Label "loop";
-            Vcall_named "ldso_step";
-            I (Arm.Subs_imm (31, 19, 0)) (* cmp x19, #0 *);
-            Jc (NZ, "not_sys");
-            Label "ldso_syscall_gadget";
-            I (Arm.Svc 0);
-            Vcall_named "ldso_ret";
-            J "loop";
-            Label "not_sys";
-            I (Arm.Subs_imm (31, 19, 1)) (* cmp x19, #1 *);
-            Jc (NZ, "enter_main");
-            I (Arm.Blr 20);
-            J "loop";
-            Label "enter_main";
-            I (Arm.Br 20);
-          ])
+    | Isa.X86_64 -> Asm.assemble (items Asm.kit)
+    | Arm64 -> Asm_arm.(assemble (items kit))
   in
   {
-    im_name = ldso_path_for isa;
+    im_name = ldso_path isa;
     im_prog = prog;
     im_host_fns = [ ("ldso_step", ldso_step); ("ldso_ret", ldso_ret) ];
     im_init = None;
@@ -181,13 +162,13 @@ let vdso_clock_gettime (ctx : ctx) =
   Regs.set th.regs RAX 0
 
 let vdso_image isa : image =
+  let items (k : _ Asm.kit) =
+    [ Asm.Label "__vdso_clock_gettime"; Vcall_named "vdso_clock_gettime"; I k.ret ]
+  in
   let prog =
     match isa with
-    | K23_isa.Isa.X86_64 ->
-      Asm.assemble [ Label "__vdso_clock_gettime"; Vcall_named "vdso_clock_gettime"; I Ret ]
-    | K23_isa.Isa.Arm64 ->
-      K23_isa_arm.(
-        Asm_arm.assemble [ Label "__vdso_clock_gettime"; Vcall_named "vdso_clock_gettime"; I Arm.Ret ])
+    | Isa.X86_64 -> Asm.assemble (items Asm.kit)
+    | Arm64 -> Asm_arm.(assemble (items kit))
   in
   {
     im_name = vdso_name;
@@ -382,7 +363,7 @@ let do_execve (ctx : ctx) ~path ~argv ~envp : int =
     w.core_resident.(th.core) <- -1;
     (* map interpreter, main binary and (unless disabled) the vdso *)
     let ldso =
-      match find_library w (ldso_path_for w.isa) with Some i -> i | None -> panic "no ld.so"
+      match find_library w (ldso_path w.isa) with Some i -> i | None -> panic "no ld.so"
     in
     ignore (Mapper.map_image w p ldso);
     ignore (Mapper.map_image w p main_im);
@@ -404,7 +385,7 @@ let do_execve (ctx : ctx) ~path ~argv ~envp : int =
     let per_lib = List.concat_map (fun lp -> lib_ops w p ~buf lp) load_order in
     let images_loaded () =
       (* every image with a recorded base, for relocation *)
-      List.filter_map (find_library w) (ldso_path_for w.isa :: path :: load_order)
+      List.filter_map (find_library w) (ldso_path w.isa :: path :: load_order)
     in
     let ctor_of im_path =
       match find_library w im_path with

@@ -307,9 +307,10 @@ let do_clone_thread (w : world) (th : thread) ~fn ~stack ~arg =
   let nt = new_thread w th.t_proc in
   Regs.restore nt.regs ~from:th.regs;
   nt.regs.rip <- fn;
-  Regs.set nt.regs RSP stack;
-  Regs.set nt.regs RDI arg;
+  Regs.seti nt.regs (K23_isa.Isa.sp_index w.isa) stack;
+  (* the result before the argument: x0 is both on arm64 *)
   Regs.set nt.regs RAX 0;
+  Regs.seti nt.regs (K23_isa.Isa.arg_indices w.isa).(0) arg;
   nt.sud <- Option.map (fun s -> { sel_addr = s.sel_addr; allow_lo = s.allow_lo; allow_hi = s.allow_hi }) th.sud;
   nt.tid
 

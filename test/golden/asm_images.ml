@@ -66,10 +66,6 @@ let interposer_images () =
       ("asc-hook", prog (K23_interpose.Asc_hook.image ~handler ~stats ()));
     ]
 
-let assemble = function
-  | Gen.X86 items -> Asm.assemble items
-  | Gen.A64 items -> K23_isa_arm.Asm_arm.assemble items
-
 (* 1,000 programs per ISA over every shape it has: each program's
    shapes, syscall numbers, assembled image and corpus file feed one
    digest *)
@@ -79,7 +75,7 @@ let generated isa =
   let text = ref 0 in
   for seed = 0 to 999 do
     let p = Gen.generate ~shapes ~isa (K23_util.Rng.create ~seed) in
-    let prog = assemble p.Gen.items in
+    let prog = Gen.assemble p.Gen.items in
     text := !text + Bytes.length prog.text;
     Buffer.add_string buf (String.concat "," (List.map Gen.shape_to_string p.Gen.shapes));
     Buffer.add_string buf (String.concat "," (List.map string_of_int p.Gen.nrs));
@@ -100,6 +96,7 @@ let generated isa =
 let () =
   List.iter world_images Isa.all;
   interposer_images ();
-  line "exec-child:x86-64" (Asm.assemble Gen.exec_child_items);
-  line "exec-child:arm64" (K23_isa_arm.Asm_arm.assemble Gen.exec_child_items_arm);
+  List.iter
+    (fun isa -> line ("exec-child:" ^ Isa.to_string isa) (Gen.assemble (Gen.exec_child_for isa)))
+    Isa.all;
   List.iter generated Isa.all

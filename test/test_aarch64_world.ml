@@ -156,6 +156,33 @@ let test_vcall_panic_address () =
     Alcotest.(check string) "names the vcall" suffix
       (String.sub msg (String.length msg - String.length suffix) (String.length suffix))
 
+(* clone(fn, stack, 42) on arm64: the thread starts with its argument
+   in x0 and sp at the stack it was given (exit 1 and 2 name the
+   miss), while the parent thread exits alone *)
+let clone_items =
+  let exit_group code = i (Arm.li 0 code) @ i (Arm.li 8 Sysno.exit_group) @ [ A.I (Arm.Svc 0) ] in
+  [ A.Label "main"; A.Mov_sym (0, "thread"); A.Mov_sym (1, "stack_top") ]
+  @ i (Arm.li 2 42)
+  @ i (Arm.li 8 Sysno.clone)
+  @ [ A.I (Arm.Svc 0) ]
+  @ i (Arm.li 0 0)
+  @ i (Arm.li 8 Sysno.exit)
+  @ [ A.I (Arm.Svc 0); A.Label "thread" ]
+  @ i (Arm.li 10 42)
+  @ [ A.I (Arm.Subs_rr (31, 0, 10)); A.Jc (K23_isa.Insn.NZ, "bad_arg") ]
+  @ [ A.I (Arm.Add_imm (9, 31, 0)) (* mov x9, sp *); A.Mov_sym (10, "stack_top") ]
+  @ [ A.I (Arm.Subs_rr (31, 9, 10)); A.Jc (K23_isa.Insn.NZ, "bad_stack") ]
+  @ exit_group 0
+  @ [ A.Label "bad_arg" ]
+  @ exit_group 1
+  @ [ A.Label "bad_stack" ]
+  @ exit_group 2
+  @ [ A.Section `Data; A.Zeros 4096; A.Label "stack_top"; A.Quad 0 ]
+
+let test_clone_thread_registers () =
+  let p, _ = boot clone_items in
+  Alcotest.(check (option int)) "x0 = 42 on the given stack" (Some 0) p.Kern.exit_status
+
 (* a world is single-ISA: resetting under a different ISA must refuse *)
 let test_reset_isa_mismatch () =
   let w = Sim.create_world ~isa () in
@@ -173,4 +200,5 @@ let tests =
       Alcotest.test_case "mech availability partitions by isa" `Quick test_mech_availability;
       Alcotest.test_case "reset refuses isa mismatch" `Quick test_reset_isa_mismatch;
       Alcotest.test_case "vcall panic names the vcall's address" `Quick test_vcall_panic_address;
+      Alcotest.test_case "clone passes x0 and sp to the thread" `Quick test_clone_thread_registers;
     ] )

@@ -10,6 +10,7 @@ module Corpus = K23_fuzz.Corpus
 module Campaign = K23_fuzz.Campaign
 module Mech = K23_eval.Mech
 module Rng = K23_util.Rng
+module Sim = K23_userland.Sim
 
 (* the smoke invariant the CI fuzz pass scales up: the conformance-safe
    shape mix must produce identical observable behaviour natively and
@@ -53,6 +54,41 @@ let test_programs_terminate () =
           | K23_eval.Session.Running -> Alcotest.failf "seed %d: pid %d still running" seed cpid
           | _ -> ())
         pr.Oracle.fates
+  done
+
+(* The second ISA checks the first: the shapes that make no per-ISA
+   draw are one copy over each ISA's kit, so a seed draws the same
+   logical program on both, and both must run it alike natively.
+   Neither links libc (on x86 its constructor adds syscalls). *)
+let test_cross_isa_native_parity () =
+  let shapes = Gen.[ Raw; Smc; Forky; Sigheavy; Execve_scrub ] in
+  let native isa (p : Gen.prog) =
+    let w = Sim.create_world_cfg { Oracle.default_world_cfg with K23_kernel.World.Config.isa } in
+    let register path items = ignore (Sim.register_app_prog w ~path (Gen.assemble items)) in
+    register Oracle.target_path p.Gen.items;
+    register Gen.exec_child_path (Gen.exec_child_for isa);
+    match
+      K23_eval.Session.run ~sink:Bounded ~max_steps:Oracle.default_max_steps w ~mech:Mech.Native
+        ~path:Oracle.target_path
+    with
+    | Error e -> Alcotest.failf "%s launch failed (%d)" (K23_isa.Isa.to_string isa) e
+    | Ok (_, _, s) -> Oracle.project_run s
+  in
+  for seed = 0 to 199 do
+    let gen isa = Gen.generate ~shapes ~isa (Rng.create ~seed) in
+    let x86 = gen K23_isa.Isa.X86_64 and arm = gen K23_isa.Isa.Arm64 in
+    let name what = Printf.sprintf "seed %d %s" seed what in
+    Alcotest.(check (list string)) (name "shapes")
+      (List.map Gen.shape_to_string x86.Gen.shapes)
+      (List.map Gen.shape_to_string arm.Gen.shapes);
+    Alcotest.(check (list int)) (name "syscall numbers") x86.Gen.nrs arm.Gen.nrs;
+    match
+      Oracle.compare_projected ~mech:Mech.Native
+        (native K23_isa.Isa.X86_64 x86)
+        (native K23_isa.Isa.Arm64 arm)
+    with
+    | Some d -> Alcotest.failf "seed %d: x86-64 vs arm64 %s" seed (Oracle.render_divergence d)
+    | None -> ()
   done
 
 (* a disabled mitigation must be caught: zpoline without the NULL check
@@ -106,7 +142,7 @@ let test_shrink_minimizes () =
 (* corpus serialisation round-trips exactly *)
 let test_corpus_roundtrip () =
   let rng = Rng.create ~seed:7 in
-  let prog = Gen.generate ~shapes:Gen.all_shapes rng in
+  let prog = Gen.generate ~shapes:(Gen.all_shapes_for K23_isa.Isa.X86_64) rng in
   let e =
     {
       Corpus.e_mech = Mech.Zpoline_default;
@@ -273,4 +309,5 @@ let tests =
       Alcotest.test_case "arm svc-alias detected (P3a)" `Quick test_aarch64_svc_alias_detected;
       Alcotest.test_case "arm corpus round-trip (isa header)" `Quick test_aarch64_corpus_roundtrip;
       Alcotest.test_case "corpus replay" `Quick test_corpus_replay;
+      Alcotest.test_case "cross-isa native parity (200 seeds)" `Quick test_cross_isa_native_parity;
     ] )

@@ -319,21 +319,7 @@ let test_corpus_record_replay () =
       | Error err -> Alcotest.failf "%s: record failed (%d)" name err
       | Ok r -> (
         let r = Recording.of_string (Recording.to_string r) in
-        let register w =
-          match e.Corpus.e_items with
-          | Gen.X86 its ->
-            ignore (K23_userland.Sim.register_app w ~path:Oracle.target_path its);
-            ignore
-              (K23_userland.Sim.register_app w ~path:Gen.exec_child_path Gen.exec_child_items)
-          | Gen.A64 its ->
-            let module A = K23_isa_arm.Asm_arm in
-            ignore
-              (K23_userland.Sim.register_app_prog w ~path:Oracle.target_path (A.assemble its));
-            ignore
-              (K23_userland.Sim.register_app_prog w ~path:Gen.exec_child_path
-                 (A.assemble Gen.exec_child_items_arm))
-        in
-        match Replayer.replay ~register r with
+        match Replayer.replay ~register:(fun w -> Oracle.install w e.Corpus.e_items) r with
         | Error err -> Alcotest.failf "%s: replay launch failed (%d)" name err
         | Ok o ->
           Alcotest.(check bool)
