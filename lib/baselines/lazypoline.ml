@@ -121,7 +121,7 @@ let image ~handler ~stats () : image =
   let cfg =
     {
       (config "lazypoline" ~pre_cost:16 ~post_cost:6 ~handler ~stats) with
-      sud_selector = (fun p -> sym p "lp_selector");
+      sud_selector = Mapper.prog_sym_memo ~name:lib_path prog "lp_selector";
     }
   in
   let init (ctx : ctx) =

@@ -19,7 +19,7 @@ let image ?(interpose_on = true) ?(isa = Isa.X86_64) ~handler ~stats () : image 
   let cfg =
     {
       (config "sud" ~pre_cost:120 ~post_cost:60 ~handler ~stats) with
-      sud_selector = (fun p -> sym p "sud_selector");
+      sud_selector = Mapper.prog_sym_memo ~name:lib_path prog "sud_selector";
     }
   in
   let init (ctx : ctx) =

@@ -159,7 +159,7 @@ let image ~variant ~handler ~stats () : image =
       (config (variant_to_string variant) ~pre_cost:4 ~post_cost:2 ~handler ~stats) with
       null_check = (match variant with Default -> None | Ultra | Ultra_plus -> Some (17, null_check));
       stack_switch = variant = Ultra_plus;
-      sud_selector = (fun p -> sym p "k23_selector");
+      sud_selector = Mapper.prog_sym_memo ~name:lib_path prog "k23_selector";
     }
   in
   library ~name:lib_path ~init:"__k23_init" prog

@@ -62,7 +62,7 @@ let image ~stats () : image =
   let cfg =
     {
       (config "liblogger" ~pre_cost:150 ~post_cost:80 ~handler:(counting_handler stats) ~stats) with
-      sud_selector = (fun p -> sym p "logger_selector");
+      sud_selector = Mapper.prog_sym_memo ~name:lib_path prog "logger_selector";
     }
   in
   let init (ctx : ctx) =

@@ -113,18 +113,29 @@ let client_for spec ~rounds =
       }
   | Sqlite _ -> None
 
+(** Run the world until a server listens on [port].
+    @raise Failure naming the port when the run ends first: every
+    process exited or the step budget ran out. *)
 let wait_for_listener w port =
-  Kern.run ~max_steps:20_000_000 ~until:(fun () -> Hashtbl.mem w.Kern.net.listeners port) w
+  let listening () = Hashtbl.mem w.Kern.net.listeners port in
+  Kern.run ~max_steps:20_000_000 ~until:listening w;
+  if not (listening ()) then
+    failwith (Printf.sprintf "no listener on port %d: the run ended before a server bound it" port)
 
 let kill_everything w =
   List.iter (fun p -> if not (Kern.proc_dead p) then Kern.kill_proc p ~signal:9) w.Kern.procs
 
-(** Spawn the client against a running server; returns requests/sec. *)
+(** Spawn the client against a running server; returns requests/sec.
+    @raise Failure naming the client when its step budget runs out
+    before it exits. *)
 let drive_client w ~client =
   let results = Apps.Wrk.register w client in
   (match World.spawn w ~path:client.Apps.Wrk.path () with
   | Error e -> failwith (Printf.sprintf "client spawn failed: %d" e)
-  | Ok cp -> Kern.run ~max_steps:400_000_000 ~until:(fun () -> Kern.proc_dead cp) w);
+  | Ok cp ->
+    Kern.run ~max_steps:400_000_000 ~until:(fun () -> Kern.proc_dead cp) w;
+    if not (Kern.proc_dead cp) then
+      failwith (Printf.sprintf "client %s still running: its step budget ran out" client.path));
   let t_end = Kern.now w in
   match results.started_at with
   | Some t0 when results.completed > 0 && t_end > t0 ->

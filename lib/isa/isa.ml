@@ -34,10 +34,13 @@ let vcall_len = function X86_64 -> 6 | Arm64 -> 4
 (** Index of the syscall-number register in the flat GPR file. *)
 let nr_index = function X86_64 -> 0 (* rax *) | Arm64 -> 8 (* x8 *)
 
-(** Indices of the six syscall argument registers, ABI order. *)
-let arg_indices = function
-  | X86_64 -> [| 7; 6; 2; 10; 8; 9 |] (* rdi rsi rdx r10 r8 r9 *)
-  | Arm64 -> [| 0; 1; 2; 3; 4; 5 |] (* x0..x5 *)
+(** Indices of the six syscall argument registers, ABI order.  Every
+    call returns the same array (one per ISA, built once: the kernel
+    reads it on each syscall); never write to it. *)
+let arg_indices =
+  let x86 = [| 7; 6; 2; 10; 8; 9 |] (* rdi rsi rdx r10 r8 r9 *)
+  and arm = [| 0; 1; 2; 3; 4; 5 |] (* x0..x5 *) in
+  function X86_64 -> x86 | Arm64 -> arm
 
 (** Index of the stack pointer. *)
 let sp_index = function X86_64 -> 4 (* rsp *) | Arm64 -> 31 (* sp *)

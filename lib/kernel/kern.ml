@@ -138,6 +138,7 @@ and proc = {
   mutable parent : proc option;
   mutable mem : Memory.t;
   mutable regions : region list;
+  rmemo : region_memo;  (** {!find_region}'s memo over [regions] *)
   mutable threads : thread list;
   mutable fds : (int, fdesc) Hashtbl.t;
   mutable next_fd : int;
@@ -167,6 +168,25 @@ and proc = {
       (** installed seccomp filters, most recent first; inherited on
           fork, preserved across execve (Linux semantics) *)
   w : world;
+}
+
+(** {!find_region}'s memo: per address looked up, the region found
+    there and the vcall last resolved there.  Valid for one physical
+    [regions] list: the list is immutable and so are a region's bounds
+    and image, so an answer is a function of the address and the list.
+    Every change of [regions] (add, remove, fork sharing, exec reset)
+    installs a different list, and the memo empties itself on its next
+    use.  Lookups come from code sites (vcalls, syscalls), so the memo
+    stays small. *)
+and region_memo = {
+  mutable rm_regions : region list;  (** the list the entries were found in *)
+  mutable rm_hits : region_hit Inttbl.t;  (** by address *)
+}
+
+and region_hit = {
+  rh_region : region option;
+  mutable rh_vindex : int;  (** the vcall index last resolved at this address, or -1 *)
+  mutable rh_vcall : (string * hostfn) option;
 }
 
 and world = {
@@ -298,6 +318,7 @@ let new_proc w ~parent ~cmd =
       parent;
       mem = Memory.create ();
       regions = [];
+      rmemo = { rm_regions = []; rm_hits = Inttbl.create 16 };
       threads = [];
       fds = Hashtbl.create 16;
       next_fd = 3;
@@ -385,8 +406,30 @@ let add_region (p : proc) r = p.regions <- r :: p.regions
 let remove_region (p : proc) ~start =
   p.regions <- List.filter (fun r -> r.r_start <> start) p.regions
 
-let find_region (p : proc) addr =
-  List.find_opt (fun r -> addr >= r.r_start && addr < r.r_start + r.r_len) p.regions
+(* Placeholder for a missing memo entry; never mutated. *)
+let no_hit = { rh_region = None; rh_vindex = -1; rh_vcall = None }
+
+(* [addr]'s memo entry, made on a miss; the memo is emptied first when
+   [p.regions] is no longer the list it was filled from. *)
+let region_hit (p : proc) addr =
+  let m = p.rmemo in
+  if m.rm_regions != p.regions then begin
+    m.rm_regions <- p.regions;
+    m.rm_hits <- Inttbl.create 16
+  end;
+  let h = Inttbl.find m.rm_hits addr ~default:no_hit in
+  if h != no_hit then h
+  else begin
+    let rh_region =
+      List.find_opt (fun r -> addr >= r.r_start && addr < r.r_start + r.r_len) p.regions
+    in
+    let h = { rh_region; rh_vindex = -1; rh_vcall = None } in
+    Inttbl.replace m.rm_hits addr h;
+    h
+  end
+
+(** The first region of [p.regions] holding [addr]. *)
+let find_region (p : proc) addr = (region_hit p addr).rh_region
 
 let region_owner p addr =
   match find_region p addr with Some r -> r.r_owner | None -> Anon
@@ -819,8 +862,15 @@ let sud_blocks (th : thread) ~site =
 let seccomp_install (p : proc) (f : Bpf.filter) = p.seccomp <- f :: p.seccomp
 
 let syscall_args (th : thread) =
-  let idx = K23_isa.Isa.arg_indices th.t_proc.w.isa in
-  Array.map (fun i -> Regs.geti th.regs i) idx
+  let idx = K23_isa.Isa.arg_indices th.t_proc.w.isa and r = th.regs in
+  [|
+    Regs.geti r idx.(0);
+    Regs.geti r idx.(1);
+    Regs.geti r idx.(2);
+    Regs.geti r idx.(3);
+    Regs.geti r idx.(4);
+    Regs.geti r idx.(5);
+  |]
 
 let exec_syscall (w : world) (th : thread) ~nr ~args =
   match w.syscall_impl with
@@ -1005,19 +1055,29 @@ let handle_syscall (w : world) (th : thread) ~site =
 
 let resolve_vcall (p : proc) ~rip_after ~index =
   (* the Vcall instruction is 6 bytes on x86 and one word on arm64;
-     its first byte locates the owning region *)
-  match find_region p (rip_after - K23_isa.Isa.vcall_len p.w.isa) with
-  | None -> None
-  | Some r -> (
-    match r.r_image with
-    | None -> None
-    | Some im -> (
-      match List.nth_opt im.im_prog.vcalls index with
+     its first byte locates the owning region, and its memo entry keeps
+     the last resolution made there *)
+  let h = region_hit p (rip_after - K23_isa.Isa.vcall_len p.w.isa) in
+  if h.rh_vindex = index then h.rh_vcall
+  else begin
+    let v =
+      match h.rh_region with
       | None -> None
-      | Some name -> (
-        match List.assoc_opt name im.im_host_fns with
+      | Some r -> (
+        match r.r_image with
         | None -> None
-        | Some f -> Some (name, f))))
+        | Some im -> (
+          match List.nth_opt im.im_prog.vcalls index with
+          | None -> None
+          | Some name -> (
+            match List.assoc_opt name im.im_host_fns with
+            | None -> None
+            | Some f -> Some (name, f))))
+    in
+    h.rh_vindex <- index;
+    h.rh_vcall <- v;
+    v
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Stepping                                                            *)

@@ -83,11 +83,34 @@ let map_image (w : world) (p : proc) (im : image) =
 (** Address of [label] in [p]'s address space, for the image [name]
     assembled as [prog].  A host function finds its own image's labels
     this way, before the image record exists. *)
+let section_base (t, d) = function `Text -> t | `Data -> d
+
 let prog_sym ~name (prog : K23_isa.Asm.program) (p : proc) label =
   match (Hashtbl.find_opt p.image_bases name, List.assoc_opt label prog.symbols) with
-  | Some (t, _d), Some (`Text, off) -> Some (t + off)
-  | Some (_t, d), Some (`Data, off) -> Some (d + off)
+  | Some bases, Some (sec, off) -> Some (section_base bases sec + off)
   | _ -> None
+
+(** [prog_sym_memo ~name prog label] is [fun p -> prog_sym ~name prog p
+    label], resolved once per address space: a process's answer is
+    kept, by pid, with the [image_bases] table it was read from, and
+    reused while the process still has that very table.  Exec replaces
+    the table and fork copies it, so neither can see a stale address.
+    Within one table a section's base, once non-zero, never changes, so
+    only answers from a mapped section are kept. *)
+let prog_sym_memo ~name (prog : K23_isa.Asm.program) label =
+  let sym = List.assoc_opt label prog.symbols in
+  let memo = Inttbl.create 8 in
+  fun (p : proc) ->
+    match Inttbl.find_opt memo p.pid with
+    | Some (bases, addr) when bases == p.image_bases -> addr
+    | _ -> (
+      match (Hashtbl.find_opt p.image_bases name, sym) with
+      | Some bases, Some (sec, off) ->
+        let base = section_base bases sec in
+        let addr = Some (base + off) in
+        if base <> 0 then Inttbl.replace memo p.pid (p.image_bases, addr);
+        addr
+      | _ -> None)
 
 (** Address of a symbol defined by [im] in [p]'s address space. *)
 let image_sym (p : proc) (im : image) = prog_sym ~name:im.im_name im.im_prog p

@@ -6,67 +6,65 @@
     Blocking behaviour (accept on an empty backlog, read on an empty
     queue) is implemented by the kernel scheduler, not here. *)
 
-(** One direction of a connection: an unbounded FIFO of bytes.
+(** One direction of a connection or a pipe: an unbounded FIFO of
+    bytes in a growable ring.
 
-    Two-list (Okasaki) queue: [push] conses onto [back], [pop] consumes
-    [front] and reverses [back] only when [front] drains — amortised
-    O(1) per chunk.  The previous representation appended with
-    [q.chunks <- q.chunks @ [b]], making an N-chunk enqueue burst O(N²)
-    — quadratic in exactly the server hot path (every [write] on a
-    connection pushes a chunk). *)
+    {!fill} and {!drain} copy straight between the ring and the
+    caller's memory (a syscall's guest pages), so a [read] or [write]
+    allocates no buffer of its own.  A fill that does not fit doubles
+    the ring, unwrapping the queued bytes to its start; the ring never
+    shrinks.  An empty queue restarts at offset 0. *)
 module Byteq = struct
   type t = {
-    mutable front : Bytes.t list;  (** oldest first *)
-    mutable back : Bytes.t list;  (** newest first *)
-    mutable head_off : int;  (** consumed prefix of [List.hd front] *)
-    mutable size : int;
+    mutable buf : Bytes.t;
+    mutable head : int;  (** offset of the oldest queued byte *)
+    mutable len : int;
   }
 
-  let create () = { front = []; back = []; head_off = 0; size = 0 }
+  let create () = { buf = Bytes.create 64; head = 0; len = 0 }
 
-  let length q = q.size
+  let length q = q.len
 
-  let push q b =
-    if Bytes.length b > 0 then begin
-      q.back <- b :: q.back;
-      q.size <- q.size + Bytes.length b
+  (* Room for [need] bytes, the queued ones moved to offset 0. *)
+  let grow q need =
+    let cap = Bytes.length q.buf in
+    let rec double c = if c >= need then c else double (2 * c) in
+    let buf = Bytes.create (double (2 * cap)) in
+    let first = min q.len (cap - q.head) in
+    Bytes.blit q.buf q.head buf 0 first;
+    Bytes.blit q.buf 0 buf first (q.len - first);
+    q.buf <- buf;
+    q.head <- 0
+
+  (* Ring offset of [i], an offset below twice the capacity. *)
+  let wrap q i = if i >= Bytes.length q.buf then i - Bytes.length q.buf else i
+
+  (* [blit i buf off k] for the [n] bytes from ring offset [start]:
+     one call, or two when the run wraps. *)
+  let spans q start n blit =
+    let k = min n (Bytes.length q.buf - start) in
+    blit 0 q.buf start k;
+    if k < n then blit k q.buf 0 (n - k)
+
+  let fill q n blit =
+    if n > 0 then begin
+      if q.len + n > Bytes.length q.buf then grow q (q.len + n);
+      spans q (wrap q (q.head + q.len)) n blit;
+      q.len <- q.len + n
     end
 
-  (* oldest chunk, shifting the back list in when the front drains *)
-  let head q =
-    match q.front with
-    | c :: _ -> Some c
-    | [] -> (
-      match List.rev q.back with
-      | [] -> None
-      | front ->
-        q.front <- front;
-        q.back <- [];
-        (match front with c :: _ -> Some c | [] -> None))
-
-  let drop_head q =
-    (match q.front with [] -> () | _ :: rest -> q.front <- rest);
-    q.head_off <- 0
-
-  (** Pop up to [max] bytes. *)
-  let pop q max =
-    let out = Buffer.create (min max q.size) in
-    let rec go () =
-      if Buffer.length out >= max then ()
-      else
-        match head q with
-        | None -> ()
-        | Some c ->
-          let avail = Bytes.length c - q.head_off in
-          let want = min avail (max - Buffer.length out) in
-          Buffer.add_subbytes out c q.head_off want;
-          if want = avail then drop_head q else q.head_off <- q.head_off + want;
-          if want > 0 then go ()
-    in
-    go ();
-    let b = Buffer.to_bytes out in
-    q.size <- q.size - Bytes.length b;
-    b
+  let drain q max blit =
+    let n = min max q.len in
+    if n <= 0 then 0
+    else begin
+      let head = q.head in
+      q.head <- (if q.len = n then 0 else wrap q (head + n));
+      q.len <- q.len - n;
+      (* consumed first: a raising [blit] leaves them consumed; the
+         bytes stay in place until the next fill *)
+      spans q head n blit;
+      n
+    end
 end
 
 type conn = {
@@ -79,7 +77,7 @@ type conn = {
 
 type endpoint = A | B
 
-(** Pending connections, same two-list queue shape as {!Byteq}:
+(** Pending connections as a two-list (Okasaki) queue:
     [connect] conses onto [bl_back], [accept] pops [bl_front] and
     reverses [bl_back] in only when the front drains — amortised O(1)
     per connection while keeping strict FIFO accept order.  The

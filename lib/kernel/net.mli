@@ -3,15 +3,27 @@
     (clients and servers on one machine, Section 6.2.2).  Blocking is
     the scheduler's job, not this module's. *)
 
+(** One direction of a connection or a pipe: an unbounded byte FIFO
+    in a growable ring, owned by the connection or pipe.  Bytes move
+    between the ring and the caller's memory through a [blit i buf off
+    k] callback, which copies bytes [i, i+k) of the transfer to or from
+    [buf] at [off]: once per call, twice when the run wraps around the
+    ring's end. *)
 module Byteq : sig
   type t
 
   val create : unit -> t
   val length : t -> int
-  val push : t -> Bytes.t -> unit
 
-  val pop : t -> int -> Bytes.t
-  (** Pop up to [max] bytes (may span pushed chunks). *)
+  val fill : t -> int -> (int -> Bytes.t -> int -> int -> unit) -> unit
+  (** [fill q n blit] appends [n] bytes, which [blit] stores into the
+      ring.  If [blit] raises, nothing is queued: the queue's length and
+      bytes are as before. *)
+
+  val drain : t -> int -> (int -> Bytes.t -> int -> int -> unit) -> int
+  (** [drain q max blit] consumes the [min max (length q)] oldest bytes,
+      hands them to [blit] in order, and returns how many.  They are
+      consumed before [blit] runs: if it raises, all of them are gone. *)
 end
 
 type conn = {
@@ -30,7 +42,7 @@ type listener = private {
   mutable bl_front : conn list;  (** oldest first *)
   mutable bl_back : conn list;  (** newest first *)
 }
-(** Pending connections as a two-list FIFO (the {!Byteq} shape):
+(** Pending connections as a two-list FIFO:
     amortised O(1) per connect/accept instead of the old O(n²)
     list-append backlog.  [private] so only [connect]/[accept] shift
     the lists; read the depth via {!backlog_length}. *)

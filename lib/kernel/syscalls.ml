@@ -62,6 +62,15 @@ let read_user_strv (p : proc) addr =
 (* ------------------------------------------------------------------ *)
 (* File descriptors                                                    *)
 
+(* Byte-queue I/O straight between the ring and the guest buffer.  A
+   faulting read has consumed the bytes it popped and stored the mapped
+   prefix of [buf]; a faulting write has queued nothing. *)
+let drain_to_user (p : proc) q buf count =
+  Net.Byteq.drain q count (fun i ring off k -> Memory.write_from_raw p.mem (buf + i) ring off k)
+
+let fill_from_user (p : proc) q buf count =
+  Net.Byteq.fill q count (fun i ring off k -> Memory.read_into_raw p.mem (buf + i) ring off k)
+
 let do_read (w : world) (th : thread) fd buf count =
   let p = th.t_proc in
   if count < 0 then Errno.ret Errno.einval
@@ -88,24 +97,18 @@ let do_read (w : world) (th : thread) fd buf count =
                ready = (fun () -> Net.Byteq.length q > 0 || Net.peer_closed c ep);
                deadline = None })
     else begin
-      let b = Net.Byteq.pop q count in
-      (try
-         Memory.write_bytes_raw p.mem buf b;
-         charge w th (Bytes.length b / 16);
-         Bytes.length b
-       with Memory.Fault _ -> Errno.ret Errno.efault)
+      try
+        let n = drain_to_user p q buf count in
+        charge w th (n / 16);
+        n
+      with Memory.Fault _ -> Errno.ret Errno.efault
     end
   | Some (Fd_pipe_r q) ->
     if Net.Byteq.length q = 0 then
       raise
         (Would_block
            { why = "read(pipe)"; ready = (fun () -> Net.Byteq.length q > 0); deadline = None })
-    else
-      let b = Net.Byteq.pop q count in
-      (try
-         Memory.write_bytes_raw p.mem buf b;
-         Bytes.length b
-       with Memory.Fault _ -> Errno.ret Errno.efault)
+    else (try drain_to_user p q buf count with Memory.Fault _ -> Errno.ret Errno.efault)
   | Some (Fd_console _) | Some (Fd_devnull) -> 0
   | Some (Fd_listener _) | Some (Fd_pipe_w _) -> Errno.ret Errno.einval
 
@@ -139,15 +142,13 @@ let do_write (w : world) (th : thread) fd buf count =
     if Net.peer_closed c ep then Errno.ret Errno.eio
     else
       try
-        let b = Memory.read_bytes_raw p.mem buf count in
-        Net.Byteq.push (Net.send_q c ep) b;
+        fill_from_user p (Net.send_q c ep) buf count;
         charge w th (count / 16);
         count
       with Memory.Fault _ -> Errno.ret Errno.efault)
   | Some (Fd_pipe_w q) -> (
     try
-      let b = Memory.read_bytes_raw p.mem buf count in
-      Net.Byteq.push q b;
+      fill_from_user p q buf count;
       count
     with Memory.Fault _ -> Errno.ret Errno.efault)
   | Some Fd_devnull -> count

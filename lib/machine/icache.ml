@@ -57,6 +57,11 @@ let line_size = 64
 
 type line = {
   bytes : Bytes.t;
+  nop_tail : int;
+      (** offset where the line's trailing run of nop ([0x90]) bytes
+          starts: [line_size] when the last byte is not a nop, 0 for an
+          all-nop line.  A function of [bytes], computed at fill; it is
+          kept and dropped with them *)
   decoded : (Insn.t * int, Decode.error) result option array;
       (** memoised decode per entry offset; only for instructions whose
           decode stayed within this line *)
@@ -66,7 +71,7 @@ type line = {
 }
 
 type t = {
-  lines : (int, line) Hashtbl.t;
+  lines : line Inttbl.t;  (** by line index, [addr lsr line_shift] *)
   mutable epoch : int;  (** bumped by {!flush}; only current-epoch lines are served unchecked *)
   mutable last_base : int;
       (** one-entry line lookaside: base of [last_line], or [min_int].
@@ -76,16 +81,22 @@ type t = {
   predecode : bool;
 }
 
-(* Shared placeholder behind an empty [last_base]; never read because
-   every access guards on [last_base]. *)
-let no_line = { bytes = Bytes.empty; decoded = [||]; stamp = -1 }
+(* Shared placeholder behind an empty [last_base] and a missing table
+   entry.  Its stamp matches no epoch, and it is never mutated. *)
+let no_line = { bytes = Bytes.empty; nop_tail = 0; decoded = [||]; stamp = -1 }
 
 (* The table starts small: every world creation and reset builds one
    cache per core, and most cores of a short run never fetch. *)
 let create ?(predecode = true) () =
-  { lines = Hashtbl.create 16; epoch = 0; last_base = min_int; last_line = no_line; predecode }
+  { lines = Inttbl.create 16; epoch = 0; last_base = min_int; last_line = no_line; predecode }
 
+let line_shift = 6
 let line_base addr = addr land lnot (line_size - 1)
+
+(* Offset where the trailing run of nops in [bytes] starts. *)
+let nop_tail bytes =
+  let rec go i = if i > 0 && Bytes.unsafe_get bytes (i - 1) = '\x90' then go (i - 1) else i in
+  go line_size
 
 (* Whether [line] and [page] agree on the line's bytes from offset [i],
    [page] read from [off]: eight word compares, no allocation. *)
@@ -104,26 +115,24 @@ let get_line t (mem : Memory.t) addr =
   let base = line_base addr in
   if t.last_base = base then t.last_line
   else
+    let key = addr lsr line_shift in
+    let cached = Inttbl.find t.lines key ~default:no_line in
     let line =
-      match Hashtbl.find_opt t.lines base with
-      | Some line when line.stamp = t.epoch -> line
-      | cached -> (
+      if cached.stamp = t.epoch then cached
+      else
         let page = (Memory.exec_page mem addr).Memory.bytes in
         let off = base land (Memory.page_size - 1) in
-        match cached with
-        | Some line when same_bytes line.bytes page off 0 ->
-          line.stamp <- t.epoch;
-          line
-        | _ ->
+        if cached != no_line && same_bytes cached.bytes page off 0 then begin
+          cached.stamp <- t.epoch;
+          cached
+        end
+        else
+          let bytes = Bytes.sub page off line_size in
           let line =
-            {
-              bytes = Bytes.sub page off line_size;
-              decoded = Array.make line_size None;
-              stamp = t.epoch;
-            }
+            { bytes; nop_tail = nop_tail bytes; decoded = Array.make line_size None; stamp = t.epoch }
           in
-          Hashtbl.replace t.lines base line;
-          line)
+          Inttbl.replace t.lines key line;
+          line
     in
     t.last_base <- base;
     t.last_line <- line;
@@ -143,16 +152,19 @@ let rec nop_run_end bytes off =
 
 (** First address at or after [addr] whose cached byte is not a nop
     ([0x90]), or else the first address whose line fill faults.  One
-    {!get_line} per line, each line scanned in place: lines are filled
-    (or rechecked) in the order a {!fetch_u8} walk would fill them, and
-    the walk would stop at the same address. *)
+    {!get_line} per line: lines are filled (or rechecked) in the order
+    a {!fetch_u8} walk would fill them, and the walk would stop at the
+    same address.  From inside a line's trailing nop run the walk
+    crosses the rest of the line at once; before it, the first non-nop
+    lies at or before [nop_tail - 1], found by a scan. *)
 let rec skip_nops t (mem : Memory.t) addr =
   match get_line t mem addr with
   | exception Memory.Fault _ -> addr
   | line ->
     let base = line_base addr in
-    let off = nop_run_end line.bytes (addr - base) in
-    if off < line_size then base + off else skip_nops t mem (base + line_size)
+    let off = addr - base in
+    if off < line.nop_tail then base + nop_run_end line.bytes off
+    else skip_nops t mem (base + line_size)
 
 (** Fetch one aligned 32-bit little-endian instruction word (arm64
     fixed-width fetch).  [addr] must be 4-aligned, so the word never
@@ -194,7 +206,7 @@ let invalidate_range t ~addr ~len =
   let first = line_base addr and last = line_base (addr + len - 1) in
   let b = ref first in
   while !b <= last do
-    Hashtbl.remove t.lines !b;
+    Inttbl.remove t.lines (!b lsr line_shift);
     b := !b + line_size
   done;
   if t.last_base >= first && t.last_base <= last then begin
@@ -213,7 +225,4 @@ let flush t =
 (** True when the cache currently holds a (possibly stale) copy of the
     line containing [addr]; used by tests.  A line marked by a flush
     and not fetched since is not held. *)
-let holds t addr =
-  match Hashtbl.find_opt t.lines (line_base addr) with
-  | Some line -> line.stamp = t.epoch
-  | None -> false
+let holds t addr = (Inttbl.find t.lines (addr lsr line_shift) ~default:no_line).stamp = t.epoch

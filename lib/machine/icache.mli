@@ -32,9 +32,11 @@ val fetch_u8 : t -> Memory.t -> int -> int
 val skip_nops : t -> Memory.t -> int -> int
 (** [skip_nops t mem addr] is the first address at or after [addr]
     whose cached byte is not a nop ([0x90]), or else the first address
-    whose line fill faults.  It scans whole lines in place and fills
-    lines in the order a {!fetch_u8} walk would, so it ends where that
-    walk would stop and leaves the cache as the walk would.  Never
+    whose line fill faults.  Each line records, at fill, where its
+    trailing run of nops starts, so crossing an all-nop line costs one
+    lookup; only the part of a line before that run is scanned.  It
+    fills lines in the order a {!fetch_u8} walk would, so it ends where
+    that walk would stop and leaves the cache as the walk would.  Never
     raises. *)
 
 val fetch_u32 : t -> Memory.t -> int -> int

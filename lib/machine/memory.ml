@@ -40,7 +40,7 @@ exception Fault of fault
 type page = { bytes : Bytes.t; mutable perm : perm; mutable pkey : int }
 
 type t = {
-  pages : (int, page) Hashtbl.t;
+  pages : page Inttbl.t;
   mutable committed_bytes : int;
       (** physical memory actually allocated (touched pages) *)
   mutable reserved_bytes : int;
@@ -48,7 +48,7 @@ type t = {
           that never allocate pages (zpoline's full-address-space
           bitmap); the basis of the P4b memory-overhead measurement *)
   (* One-entry data-TLBs: the last (page_index, page) pair seen per
-     access kind, so the hot word-access paths skip the hashtable.
+     access kind, so the hot word-access paths skip the page table.
      They cache only the index->page *binding* — permissions are
      re-read from the page record on every access (set_perm/set_pkey
      mutate in place), so only map/unmap, which replace or drop page
@@ -62,12 +62,13 @@ type t = {
 }
 
 (* Placeholder behind an empty TLB slot (idx = -1, never a real page
-   index since addresses shift right logically). *)
+   index since addresses shift right logically), and the page table's
+   answer for an unmapped index. *)
 let no_page = { bytes = Bytes.empty; perm = perm_none; pkey = 0 }
 
 let create () =
   {
-    pages = Hashtbl.create 1024;
+    pages = Inttbl.create 1024;
     committed_bytes = 0;
     reserved_bytes = 0;
     tlb_r_idx = -1;
@@ -92,9 +93,9 @@ let align_down addr = addr land lnot (page_size - 1)
 
 let align_up addr = (addr + page_size - 1) land lnot (page_size - 1)
 
-let is_mapped t addr = Hashtbl.mem t.pages (page_index addr)
+let is_mapped t addr = Inttbl.mem t.pages (page_index addr)
 
-let find_page t addr = Hashtbl.find_opt t.pages (page_index addr)
+let find_page t addr = Inttbl.find_opt t.pages (page_index addr)
 
 (** [map t ~addr ~len ~perm] maps (and commits) pages covering
     [addr, addr+len).  [addr] must be page-aligned.  Already-mapped
@@ -107,11 +108,11 @@ let map ?(pkey = 0) t ~addr ~len ~perm =
   let npages = (align_up len) lsr page_shift in
   for i = 0 to npages - 1 do
     let idx = page_index addr + i in
-    if not (Hashtbl.mem t.pages idx) then begin
+    if not (Inttbl.mem t.pages idx) then begin
       t.committed_bytes <- t.committed_bytes + page_size;
       t.reserved_bytes <- t.reserved_bytes + page_size
     end;
-    Hashtbl.replace t.pages idx { bytes = Bytes.make page_size '\000'; perm; pkey }
+    Inttbl.replace t.pages idx { bytes = Bytes.make page_size '\000'; perm; pkey }
   done;
   tlb_flush t
 
@@ -127,8 +128,8 @@ let unmap t ~addr ~len =
   let npages = (align_up len) lsr page_shift in
   for i = 0 to npages - 1 do
     let idx = page_index addr + i in
-    if Hashtbl.mem t.pages idx then begin
-      Hashtbl.remove t.pages idx;
+    if Inttbl.mem t.pages idx then begin
+      Inttbl.remove t.pages idx;
       t.committed_bytes <- t.committed_bytes - page_size;
       t.reserved_bytes <- t.reserved_bytes - page_size
     end
@@ -139,7 +140,7 @@ let unmap t ~addr ~len =
 let set_perm t ~addr ~len ~perm =
   let npages = (align_up (len + (addr land (page_size - 1)))) lsr page_shift in
   for i = 0 to max 0 (npages - 1) do
-    match Hashtbl.find_opt t.pages (page_index addr + i) with
+    match Inttbl.find_opt t.pages (page_index addr + i) with
     | Some p -> p.perm <- perm
     | None -> ()
   done
@@ -147,7 +148,7 @@ let set_perm t ~addr ~len ~perm =
 let set_pkey t ~addr ~len ~pkey =
   let npages = (align_up (len + (addr land (page_size - 1)))) lsr page_shift in
   for i = 0 to max 0 (npages - 1) do
-    match Hashtbl.find_opt t.pages (page_index addr + i) with
+    match Inttbl.find_opt t.pages (page_index addr + i) with
     | Some p -> p.pkey <- pkey
     | None -> ()
   done
@@ -162,12 +163,11 @@ let[@inline] lookup_raw t addr (access : access) =
   let idx = addr lsr page_shift in
   if t.tlb_raw_idx = idx then t.tlb_raw_pg
   else
-    match Hashtbl.find_opt t.pages idx with
-    | Some p ->
-      t.tlb_raw_idx <- idx;
-      t.tlb_raw_pg <- p;
-      p
-    | None -> raise (Fault { fault_addr = addr; access })
+    let p = Inttbl.find t.pages idx ~default:no_page in
+    if p == no_page then raise (Fault { fault_addr = addr; access });
+    t.tlb_raw_idx <- idx;
+    t.tlb_raw_pg <- p;
+    p
 
 let read_u8_raw t addr =
   let p = lookup_raw t addr `Read in
@@ -194,13 +194,18 @@ let iter_chunks t addr len access f =
     i := !i + n
   done
 
+let read_into_raw t addr dst dst_off len =
+  iter_chunks t addr len `Read (fun page off i n -> Bytes.blit page off dst (dst_off + i) n)
+
+let write_from_raw t addr src src_off len =
+  iter_chunks t addr len `Write (fun page off i n -> Bytes.blit src (src_off + i) page off n)
+
 let read_bytes_raw t addr len =
   let out = Bytes.create len in
-  iter_chunks t addr len `Read (fun page off i n -> Bytes.blit page off out i n);
+  read_into_raw t addr out 0 len;
   out
 
-let write_bytes_raw t addr b =
-  iter_chunks t addr (Bytes.length b) `Write (fun page off i n -> Bytes.blit b i page off n)
+let write_bytes_raw t addr b = write_from_raw t addr b 0 (Bytes.length b)
 
 (* Word accesses that stay within one page read/write the page buffer
    directly; straddles fall back byte-by-byte (same per-byte fault
@@ -256,13 +261,13 @@ let[@inline] lookup_r t ~pkru addr =
   let idx = addr lsr page_shift in
   let p =
     if t.tlb_r_idx = idx then t.tlb_r_pg
-    else
-      match Hashtbl.find_opt t.pages idx with
-      | Some p ->
-        t.tlb_r_idx <- idx;
-        t.tlb_r_pg <- p;
-        p
-      | None -> raise (Fault { fault_addr = addr; access = `Read })
+    else begin
+      let p = Inttbl.find t.pages idx ~default:no_page in
+      if p == no_page then raise (Fault { fault_addr = addr; access = `Read });
+      t.tlb_r_idx <- idx;
+      t.tlb_r_pg <- p;
+      p
+    end
   in
   if (not p.perm.r) || pkru_access_disabled pkru p.pkey then
     raise (Fault { fault_addr = addr; access = `Read });
@@ -272,13 +277,13 @@ let[@inline] lookup_w t ~pkru addr =
   let idx = addr lsr page_shift in
   let p =
     if t.tlb_w_idx = idx then t.tlb_w_pg
-    else
-      match Hashtbl.find_opt t.pages idx with
-      | Some p ->
-        t.tlb_w_idx <- idx;
-        t.tlb_w_pg <- p;
-        p
-      | None -> raise (Fault { fault_addr = addr; access = `Write })
+    else begin
+      let p = Inttbl.find t.pages idx ~default:no_page in
+      if p == no_page then raise (Fault { fault_addr = addr; access = `Write });
+      t.tlb_w_idx <- idx;
+      t.tlb_w_pg <- p;
+      p
+    end
   in
   if (not p.perm.w) || pkru_access_disabled pkru p.pkey || pkru_write_disabled pkru p.pkey then
     raise (Fault { fault_addr = addr; access = `Write });
@@ -292,9 +297,8 @@ let check_write t ~pkru addr = ignore (lookup_w t ~pkru addr : page)
     to fetches (the XOM / P4a story).  Returns the page holding
     [addr]. *)
 let exec_page t addr =
-  match find_page t addr with
-  | Some p when p.perm.x -> p
-  | _ -> raise (Fault { fault_addr = addr; access = `Exec })
+  let p = Inttbl.find t.pages (page_index addr) ~default:no_page in
+  if p.perm.x then p else raise (Fault { fault_addr = addr; access = `Exec })
 
 let check_exec t addr = ignore (exec_page t addr : page)
 
@@ -341,10 +345,8 @@ let fetch_u8 t addr =
 
 (** Deep copy, for fork(). *)
 let clone t =
-  let pages = Hashtbl.create (Hashtbl.length t.pages) in
-  Hashtbl.iter
-    (fun idx p -> Hashtbl.replace pages idx { p with bytes = Bytes.copy p.bytes })
-    t.pages;
+  let pages = Inttbl.create (Inttbl.length t.pages) in
+  Inttbl.iter (fun idx p -> Inttbl.replace pages idx { p with bytes = Bytes.copy p.bytes }) t.pages;
   {
     pages;
     committed_bytes = t.committed_bytes;

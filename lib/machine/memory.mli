@@ -30,7 +30,7 @@ type fault = { fault_addr : int; access : access }
 exception Fault of fault
 
 type t = {
-  pages : (int, page) Hashtbl.t;
+  pages : page Inttbl.t;  (** by page index *)
   mutable committed_bytes : int;  (** physical memory actually allocated *)
   mutable reserved_bytes : int;
       (** virtual reservations incl. MAP_NORESERVE mappings — the basis
@@ -92,6 +92,15 @@ val read_bytes_raw : t -> int -> int -> Bytes.t
 val write_bytes_raw : t -> int -> Bytes.t -> unit
 (** Chunked like {!read_bytes_raw}.  On a fault, every byte before the
     faulting address has been stored, as with a byte-at-a-time loop. *)
+
+val read_into_raw : t -> int -> Bytes.t -> int -> int -> unit
+(** [read_into_raw t addr dst off len] is {!read_bytes_raw} into
+    [dst] at [off]: no buffer is allocated.  On a fault, [dst] holds
+    the bytes before the faulting address. *)
+
+val write_from_raw : t -> int -> Bytes.t -> int -> int -> unit
+(** [write_from_raw t addr src off len] is {!write_bytes_raw} of
+    [src]'s bytes [off, off+len), with the same fault behaviour. *)
 
 val read_u64_raw : t -> int -> int
 val write_u64_raw : t -> int -> int -> unit

@@ -1,6 +1,7 @@
 (* Evaluation-harness sanity: the headline shapes of Tables 2 and 5
-   must hold on every test run (full repetitions live in bench/), and
-   Table 6's sharded sweep must fold into the sequential table. *)
+   must hold on every test run (full repetitions live in bench/),
+   Table 6's sharded sweep must fold into the sequential table, and
+   its run budgets must not end silently. *)
 
 module Micro = K23_eval.Micro
 module Macro = K23_eval.Macro
@@ -93,6 +94,14 @@ let test_mech_roundtrip () =
   Alcotest.(check bool) "asc-hook parses" true (Mech.of_string "asc-hook" = Some Mech.Asc_hook);
   Alcotest.(check bool) "unknown rejected" true (Mech.of_string "frobnicate" = None)
 
+(* No silent budgets: waiting for a server that never comes up fails,
+   naming the port, instead of returning as if it had. *)
+let test_wait_for_listener_fails () =
+  let w = K23_userland.Sim.create_world () in
+  Alcotest.check_raises "no server"
+    (Failure "no listener on port 8080: the run ended before a server bound it")
+    (fun () -> Macro.wait_for_listener w 8080)
+
 let test_fig3_format () =
   let log = OC.fig3 () in
   let lines = String.split_on_char '\n' log |> List.filter (fun l -> l <> "") in
@@ -115,4 +124,5 @@ let tests =
       Alcotest.test_case "Table 6 fan-out: any jobs == folded by hand" `Slow test_table6_fanout;
       Alcotest.test_case "Figure 3 log format" `Quick test_fig3_format;
       Alcotest.test_case "Mech name registry round-trip" `Quick test_mech_roundtrip;
+      Alcotest.test_case "wait_for_listener fails without a server" `Quick test_wait_for_listener_fails;
     ] )

@@ -43,40 +43,94 @@ let test_vfs_listdir () =
 
 (* ---------------- net ---------------- *)
 
+(* [Byteq] with plain byte buffers on the far side of its blits *)
+let byteq_push q b = Net.Byteq.fill q (Bytes.length b) (fun i ring off k -> Bytes.blit b i ring off k)
+
+let byteq_pop q max =
+  let out = Bytes.create (min max (Net.Byteq.length q)) in
+  ignore (Net.Byteq.drain q max (fun i ring off k -> Bytes.blit ring off out i k) : int);
+  out
+
+exception Blit_fault
+
+(* A blit that moves only the first half of an [n]-byte run, then
+   raises, as a guest copy does at an unmapped page. *)
+let halfway n copy i ring off k =
+  copy i ring off (max 0 (min k ((n / 2) - i)));
+  if i + k > n / 2 then raise Blit_fault
+
+let byteq_push_faulting q n =
+  try Net.Byteq.fill q n (halfway n (fun _ ring off k -> Bytes.fill ring off k '!'))
+  with Blit_fault -> ()
+
+let byteq_pop_faulting q max =
+  let n = min max (Net.Byteq.length q) in
+  let out = Bytes.create n in
+  try ignore (Net.Byteq.drain q max (halfway n (fun i ring off k -> Bytes.blit ring off out i k)) : int)
+  with Blit_fault -> ()
+
 let test_byteq_framing () =
   let q = Net.Byteq.create () in
-  Net.Byteq.push q (Bytes.make 64 'a');
-  Net.Byteq.push q (Bytes.make 64 'b');
-  let first = Net.Byteq.pop q 64 in
+  byteq_push q (Bytes.make 64 'a');
+  byteq_push q (Bytes.make 64 'b');
+  let first = byteq_pop q 64 in
   Alcotest.(check int) "frame size" 64 (Bytes.length first);
   Alcotest.(check char) "first frame" 'a' (Bytes.get first 0);
-  let second = Net.Byteq.pop q 200 in
+  let second = byteq_pop q 200 in
   Alcotest.(check int) "drains rest" 64 (Bytes.length second);
   Alcotest.(check char) "second frame" 'b' (Bytes.get second 0)
 
 let test_byteq_partial_pop () =
   let q = Net.Byteq.create () in
-  Net.Byteq.push q (Bytes.of_string "abcdef");
-  Alcotest.(check string) "first 3" "abc" (Bytes.to_string (Net.Byteq.pop q 3));
-  Alcotest.(check string) "rest" "def" (Bytes.to_string (Net.Byteq.pop q 100));
+  byteq_push q (Bytes.of_string "abcdef");
+  Alcotest.(check string) "first 3" "abc" (Bytes.to_string (byteq_pop q 3));
+  Alcotest.(check string) "rest" "def" (Bytes.to_string (byteq_pop q 100));
   Alcotest.(check int) "empty" 0 (Net.Byteq.length q)
 
+(* Random pushes and pops against a string model.  Chunks of up to 200
+   bytes and pops of up to 150 run past the ring's 64-byte starting
+   capacity, so runs wrap and the ring grows while wrapped.  A push
+   whose blit raises halfway queues nothing; a pop whose blit raises
+   halfway has still consumed [min max length] bytes. *)
 let prop_byteq =
+  let op =
+    QCheck.Gen.(
+      frequency
+        [
+          (4, map (fun s -> `Push s) (string_size (int_range 0 200)));
+          (4, map (fun n -> `Pop n) (int_range 0 150));
+          (1, map (fun n -> `Push_faulting n) (int_range 1 200));
+          (1, map (fun n -> `Pop_faulting n) (int_range 0 150));
+        ])
+  in
   QCheck.Test.make ~name:"byteq preserves byte order" ~count:300
-    QCheck.(list (string_of_size (QCheck.Gen.int_range 0 20)))
-    (fun chunks ->
+    (QCheck.make QCheck.Gen.(list_size (int_range 0 80) op))
+    (fun ops ->
       let q = Net.Byteq.create () in
-      List.iter (fun c -> Net.Byteq.push q (Bytes.of_string c)) chunks;
-      let out = Buffer.create 64 in
-      let rec drain () =
-        let b = Net.Byteq.pop q 7 in
-        if Bytes.length b > 0 then begin
-          Buffer.add_bytes out b;
-          drain ()
-        end
-      in
-      drain ();
-      Buffer.contents out = String.concat "" chunks)
+      let model = ref "" in
+      let drop k = model := String.sub !model k (String.length !model - k) in
+      List.for_all
+        (fun op ->
+          (match op with
+          | `Push s ->
+            byteq_push q (Bytes.of_string s);
+            model := !model ^ s;
+            true
+          | `Pop n ->
+            let k = min n (String.length !model) in
+            let ok = Bytes.to_string (byteq_pop q n) = String.sub !model 0 k in
+            drop k;
+            ok
+          | `Push_faulting n ->
+            byteq_push_faulting q n;
+            true
+          | `Pop_faulting n ->
+            byteq_pop_faulting q n;
+            drop (min n (String.length !model));
+            true)
+          && Net.Byteq.length q = String.length !model)
+        ops
+      && Bytes.to_string (byteq_pop q max_int) = !model)
 
 let test_listener_backlog () =
   let n = Net.create () in
@@ -159,6 +213,66 @@ let test_pipe_syscall () =
   let _, p = run_app items in
   Alcotest.(check (option int)) "read byte back" (Some (Char.code '*')) p.exit_status
 
+(* Pipe I/O against a guest buffer straddling the end of the app's
+   one-page data section into the unmapped page after it.  A faulting
+   read returns -EFAULT, stores the mapped prefix and still consumes
+   what it popped; a faulting write returns -EFAULT and queues nothing.
+   A final one-byte write and read show what the pipe still holds. *)
+let test_pipe_fault () =
+  let call fn ~fd ~buf ~len slot =
+    [
+      Asm.I (Insn.Mov_rr (RDI, fd));
+      Asm.Mov_sym (Reg.RSI, buf);
+      Asm.I (Insn.Mov_ri (RDX, len));
+      Asm.Call_sym fn;
+      Asm.Mov_sym (Reg.R9, "res");
+      Asm.I (Insn.Store (R9, 8 * slot, RAX));
+    ]
+  in
+  let items =
+    [
+      Asm.Label "main";
+      Asm.Mov_sym (Reg.RDI, "fds");
+      Asm.Call_sym "pipe";
+      Asm.Mov_sym (Reg.R9, "fds");
+      Asm.I (Insn.Load (R14, R9, 0));  (* read fd *)
+      Asm.I (Insn.Load (R13, R9, 8));  (* write fd *)
+    ]
+    @ call "write" ~fd:R13 ~buf:"payload" ~len:16 0
+    @ call "read" ~fd:R14 ~buf:"edge" ~len:16 1
+    @ call "write" ~fd:R13 ~buf:"edge" ~len:16 2
+    @ call "write" ~fd:R13 ~buf:"zed" ~len:1 3
+    @ call "read" ~fd:R14 ~buf:"buf2" ~len:16 4
+    @ [
+        Asm.I (Insn.Xor_rr (RDI, RDI));
+        Asm.Call_sym "exit";
+        Asm.Section `Data;
+        Asm.Label "fds";
+        Asm.Zeros 16;
+        Asm.Label "res";
+        Asm.Zeros 40;
+        Asm.Label "payload";
+        Asm.Strz "ABCDEFGHIJKLMNOP";
+        Asm.Label "zed";
+        Asm.Strz "Z";
+        Asm.Label "buf2";
+        Asm.Zeros 16;
+        Asm.Zeros (4096 - 91 - 8);
+        Asm.Label "edge";
+        Asm.Zeros 8;
+      ]
+  in
+  let _, p = run_app items in
+  let module M = K23_machine.Memory in
+  let sym s = Option.get (Mapper.lookup_sym p s) in
+  let edge = sym "edge" in
+  Alcotest.(check bool) "edge ends its page" true (M.is_mapped p.mem edge && not (M.is_mapped p.mem (edge + 8)));
+  Alcotest.(check (option int)) "exit" (Some 0) p.exit_status;
+  let res i = M.read_u64_raw p.mem (sym "res" + (8 * i)) in
+  Alcotest.(check (list int)) "returns" [ 16; -Errno.efault; -Errno.efault; 1; 1 ] (List.init 5 res);
+  Alcotest.(check string) "mapped prefix stored" "ABCDEFGH" (Bytes.to_string (M.read_bytes_raw p.mem edge 8));
+  Alcotest.(check char) "only the later byte left" 'Z' (Char.chr (M.read_u8_raw p.mem (sym "buf2")))
+
 let test_brk_and_heap () =
   (* malloc via libc host allocator, store + load through the pointer *)
   let items =
@@ -225,6 +339,66 @@ let test_sud_selector_and_allowlist () =
   K23_machine.Memory.write_u8_raw p.mem (Kern.selector_slot th 0x6000_0000) 0;
   Alcotest.(check bool) "selector ALLOW passes" false (Kern.sud_blocks th ~site:0x1000)
 
+(* ---------------- region memo ---------------- *)
+
+(* The memoised [find_region] answers with the very region a scan of
+   [p.regions] finds, across random adds and removes (overlaps
+   allowed), a second process sharing the list as fork leaves it, and
+   exec's reset to the empty list.  Lookups repeat addresses, so the
+   memo serves hits between changes. *)
+let prop_find_region_memo =
+  let open QCheck.Gen in
+  let addr = int_range 0 2300 in
+  let op =
+    frequency
+      [
+        (3, map2 (fun s l -> `Add (s, l)) (map (fun s -> 50 * s) (int_range 0 40)) (int_range 1 300));
+        (1, map (fun s -> `Remove (50 * s)) (int_range 0 40));
+        (1, return `Fork);
+        (1, return `Exec);
+        (8, map (fun a -> `Lookup a) addr);
+      ]
+  in
+  QCheck.Test.make ~name:"find_region memo == scan of p.regions" ~count:300
+    (QCheck.make (list_size (int_range 0 120) (pair bool op)))
+    (fun ops ->
+      let w = Sim.create_world () in
+      let p = Kern.new_proc w ~parent:None ~cmd:"p" and q = Kern.new_proc w ~parent:None ~cmd:"q" in
+      List.for_all
+        (fun (first, op) ->
+          let t, other = if first then (p, q) else (q, p) in
+          match op with
+          | `Add (s, l) ->
+            Kern.add_region t
+              {
+                Kern.r_start = s;
+                r_len = l;
+                r_perm = K23_machine.Memory.perm_rx;
+                r_name = "r";
+                r_owner = Kern.Anon;
+                r_image = None;
+                r_sec = `Other;
+              };
+            true
+          | `Remove s ->
+            Kern.remove_region t ~start:s;
+            true
+          | `Fork ->
+            other.regions <- t.regions;
+            true
+          | `Exec ->
+            t.regions <- [];
+            true
+          | `Lookup a -> (
+            let scan =
+              List.find_opt (fun r -> a >= r.Kern.r_start && a < r.r_start + r.r_len) t.regions
+            in
+            match (Kern.find_region t a, scan) with
+            | None, None -> true
+            | Some r, Some r' -> r == r'
+            | _ -> false))
+        ops)
+
 (* ---------------- stats helpers ---------------- *)
 
 let test_stats_drop_outliers () =
@@ -246,8 +420,10 @@ let tests =
       Alcotest.test_case "listener backlog" `Quick test_listener_backlog;
       QCheck_alcotest.to_alcotest prop_backlog_fifo;
       Alcotest.test_case "pipe syscalls" `Quick test_pipe_syscall;
+      Alcotest.test_case "pipe I/O faults" `Quick test_pipe_fault;
       Alcotest.test_case "heap allocation" `Quick test_brk_and_heap;
       Alcotest.test_case "/proc/self/maps" `Quick test_proc_maps_readable;
       Alcotest.test_case "SUD selector + allowlist" `Quick test_sud_selector_and_allowlist;
+      QCheck_alcotest.to_alcotest prop_find_region_memo;
       Alcotest.test_case "stats helpers" `Quick test_stats_drop_outliers;
     ] )

@@ -376,8 +376,10 @@ let sled_page = 0x2000
 
 (* [lines] mostly-nop lines at the end of an RX page, then two lines of
    the next page, which is RX, RW or unmapped; a history of warming
-   fetches, raw rewrites (stale while cached: no barrier) and flushes;
-   and a start address anywhere in the window *)
+   fetches, raw rewrites (stale while cached: no barrier), line
+   invalidations (a rewrite then a refill recomputes the line's
+   trailing-nop start) and flushes; and a start address anywhere in the
+   window *)
 let arb_sled =
   let open QCheck.Gen in
   let byte = frequency [ (40, return 0x90); (1, int_range 0 255) ] in
@@ -391,6 +393,7 @@ let arb_sled =
         [
           (3, map (fun a -> `Warm a) addr);
           (3, map2 (fun a b -> `Poke (a, b)) addr byte);
+          (2, map (fun a -> `Invalidate a) addr);
           (1, return `Flush);
         ]
     in
@@ -408,6 +411,7 @@ let arb_sled =
               (function
                 | `Warm a -> Printf.sprintf "warm 0x%x" a
                 | `Poke (a, b) -> Printf.sprintf "poke 0x%x=%02x" a b
+                | `Invalidate a -> Printf.sprintf "invalidate 0x%x" a
                 | `Flush -> "flush")
               ops))
         (String.concat "" (List.map (Printf.sprintf "%02x") bytes)))
@@ -433,6 +437,7 @@ let prop_skip_nops =
               (fun c -> try ignore (Icache.fetch_u8 c m a) with Memory.Fault _ -> ())
               [ ic; reference ]
           | `Poke (a, b) -> poke a b
+          | `Invalidate a -> List.iter (fun c -> Icache.invalidate_range c ~addr:a ~len:1) [ ic; reference ]
           | `Flush -> List.iter Icache.flush [ ic; reference ])
         ops;
       let same_line base =

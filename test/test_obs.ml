@@ -1,6 +1,6 @@
 (* ktrace observability subsystem (lib/obs) plus the satellite fixes
-   that ride along with it: the Net.Byteq two-list queue and the
-   Stats nan/non-positive hardening. *)
+   that ride along with it: the Net.Byteq byte queue and the Stats
+   nan/non-positive hardening. *)
 
 open K23_kernel
 module Ring = K23_obs.Ring
@@ -315,9 +315,12 @@ let test_counters_off_by_default () =
   Alcotest.(check bool) "flat record counts app syscalls" true (a > 0);
   Alcotest.(check bool) "flat record unchanged by tracing" true (off = flat_totals traced)
 
-(* --- Net.Byteq: two-list queue parity -------------------------------- *)
+(* --- Net.Byteq: ring parity ------------------------------------------ *)
 
-(* reference model: a plain byte list *)
+(* reference model: a plain byte list.  Chunks of up to 200 bytes and
+   pops of up to 150 run past the ring's 64-byte starting capacity, so
+   runs wrap and the ring grows while wrapped; one step in ten is a
+   push or pop whose blit raises halfway. *)
 let test_byteq_parity () =
   let q = Net.Byteq.create () in
   let model = Buffer.create 256 in
@@ -329,27 +332,34 @@ let test_byteq_parity () =
   in
   let pending () = Buffer.length model - !consumed in
   for _step = 1 to 2000 do
-    if rand 2 = 0 then begin
+    (match rand 10 with
+    | 0 ->
+      (* a faulting push queues nothing *)
+      Test_kernel.byteq_push_faulting q (1 + rand 200)
+    | 1 ->
+      (* a faulting pop still consumes what it popped *)
+      let want = rand 151 in
+      Test_kernel.byteq_pop_faulting q want;
+      consumed := !consumed + min want (pending ())
+    | r when r < 6 ->
       (* push a chunk, possibly empty *)
-      let n = rand 17 in
+      let n = rand 201 in
       let b = Bytes.init n (fun _ -> Char.chr (rand 256)) in
-      Net.Byteq.push q b;
+      Test_kernel.byteq_push q b;
       Buffer.add_bytes model b
-    end
-    else begin
-      let want = rand 23 in
-      let got = Net.Byteq.pop q want in
+    | _ ->
+      let want = rand 151 in
+      let got = Test_kernel.byteq_pop q want in
       let expect = min want (pending ()) in
       Alcotest.(check int) "pop size" expect (Bytes.length got);
       Alcotest.(check string) "pop bytes in FIFO order"
         (Buffer.sub model !consumed expect)
         (Bytes.to_string got);
-      consumed := !consumed + expect
-    end;
+      consumed := !consumed + expect);
     Alcotest.(check int) "length tracks model" (pending ()) (Net.Byteq.length q)
   done;
   (* drain *)
-  let rest = Net.Byteq.pop q max_int in
+  let rest = Test_kernel.byteq_pop q max_int in
   Alcotest.(check string) "drain" (Buffer.sub model !consumed (pending ())) (Bytes.to_string rest);
   Alcotest.(check int) "empty" 0 (Net.Byteq.length q)
 
@@ -359,7 +369,7 @@ let test_byteq_push_linear () =
   let q = Net.Byteq.create () in
   let t0 = Sys.time () in
   for _ = 1 to 20_000 do
-    Net.Byteq.push q (Bytes.make 8 'x')
+    Test_kernel.byteq_push q (Bytes.make 8 'x')
   done;
   let dt = Sys.time () -. t0 in
   Alcotest.(check int) "all bytes queued" 160_000 (Net.Byteq.length q);
