@@ -262,6 +262,116 @@ let test_short_io_framing_redis () =
     ~register_server:(fun w -> Apps.Redis_like.register w cfg)
     ~port:6399 ~rounds:20 ~resp_len:64 ~req_cost:12_500 ~fseed:8
 
+(* ------------------------------------------------------------------ *)
+(* fault classes, observed: which numbers draw which errno             *)
+
+(* What a step's result may do under a single-channel plan, beyond the
+   number's own fault class: [Stable] calls never change, [File_read]
+   and [Conn_io] tell a read/write on a file from one on a connection. *)
+type role = Stable | File_read | Conn_io | Other
+
+let fc_port = 7301
+
+(* One app syscall per step.  The listener sits in RBX, the connecting
+   socket in R12, the accepted end in R13 and the file in R14.  accept
+   takes fd -1 when connect failed, so no plan leaves it parked. *)
+let fault_class_steps =
+  let mov r v = Asm.I (Insn.Mov_ri (r, v)) and rr d s = Asm.I (Insn.Mov_rr (d, s)) in
+  let sys nr = [ mov RAX nr; Asm.I Insn.Syscall ] in
+  let io nr fd buf len = [ rr RDI fd; Asm.Mov_sym (Reg.RSI, buf); mov RDX len ] @ sys nr in
+  [
+    (Other, [ mov RDI 0; mov RSI 4096; mov RDX 3; mov R10 0x22; mov R8 (-1); mov R9 0 ] @ sys Sysno.mmap);
+    (Other, sys Sysno.socket @ [ rr RBX RAX ]);
+    (Other, [ rr RDI RBX; mov RSI fc_port ] @ sys Sysno.bind);
+    (Other, [ rr RDI RBX ] @ sys Sysno.listen);
+    (Other, sys Sysno.socket @ [ rr R12 RAX ]);
+    (Other, [ rr RDI R12; mov RSI fc_port ] @ sys Sysno.connect);
+    ( Other,
+      [ rr RDI RBX; Asm.I (Insn.Cmp_ri (RAX, 0)); Asm.Jc (Insn.Z, "acc"); mov RDI (-1); Asm.Label "acc" ]
+      @ sys Sysno.accept @ [ rr R13 RAX ] );
+    (Conn_io, io Sysno.write R12 "msg" 4);
+    (Conn_io, io Sysno.write R13 "msg" 4);
+    (Conn_io, io Sysno.read R12 "buf" 4);
+    (Conn_io, io Sysno.read R13 "buf" 4);
+    (Other, [ Asm.Mov_sym (Reg.RDI, "cache"); mov RSI 0 ] @ sys Sysno.open_ @ [ rr R14 RAX ]);
+    (File_read, io Sysno.read R14 "buf" 8);
+    (Other, [ mov RDI (-100); Asm.Mov_sym (Reg.RSI, "host"); mov RDX 0 ] @ sys Sysno.openat);
+    (Other, [ Asm.Mov_sym (Reg.RDI, "fds") ] @ sys Sysno.pipe);
+    (Other, [ Asm.Mov_sym (Reg.R9, "fds"); Asm.I (Insn.Load (R15, R9, 0)); rr RDI R15 ] @ sys Sysno.dup);
+    (Stable, [ rr RDI R15 ] @ sys Sysno.close);
+    (Stable, sys Sysno.getpid);
+    (Stable, [ mov RDI 0 ] @ sys Sysno.brk);
+    (Stable, [ Asm.Mov_sym (Reg.RDI, "buf"); mov RSI 64 ] @ sys Sysno.getcwd);
+    (Stable, [ mov RDI 0 ] @ sys Sysno.exit_group);
+  ]
+
+let fault_class_items =
+  (Asm.Label "main" :: List.concat_map snd fault_class_steps)
+  @ [
+      Asm.Section `Data;
+      Asm.Label "msg";
+      Asm.Strz "ping";
+      Asm.Label "cache";
+      Asm.Strz "/etc/ld.so.cache";
+      Asm.Label "host";
+      Asm.Strz "/etc/hostname";
+      Asm.Label "fds";
+      Asm.Zeros 16;
+      Asm.Label "buf";
+      Asm.Zeros 64;
+    ]
+
+let fault_class_run plan =
+  let cfg = { Oracle.default_world_cfg with World.Config.faults = plan } in
+  match Oracle.run_raw ~cfg ~mech:Mech.Native (K23_fuzz.Gen.X86 fault_class_items) with
+  | Error e -> Alcotest.failf "%s: launch error %d" (F.to_string plan) e
+  | Ok (p, _, { K23_eval.Session.events; _ }) ->
+    Alcotest.(check (option int)) (F.to_string plan ^ ": exits 0") (Some 0) p.Kern.exit_status;
+    let calls = Test_kernel.app_calls events in
+    Alcotest.(check int)
+      (F.to_string plan ^ ": one call per step")
+      (List.length fault_class_steps) (List.length calls);
+    calls
+
+(* Under each single-channel plan, the numbers of the channel's class
+   draw its errno and no other number does; the rest of a step's result
+   is checked against the fault-free run where it cannot depend on an
+   earlier injected failure. *)
+let test_fault_classes () =
+  let base = fault_class_run F.none in
+  let on nrs nr = List.mem nr nrs in
+  let fd_alloc = Sysno.[ socket; open_; openat; dup; accept ] in
+  let rw = Sysno.[ read; write ] in
+  let errno es ret = List.exists (fun e -> ret = -e) es in
+  let channel name plan expect =
+    let plan = { plan with F.fseed = 1 } in
+    List.iteri
+      (fun i ((role, _), ((nr, args, ret), (_, _, b))) ->
+        let ok =
+          match role with Stable -> ret = b | File_read | Conn_io | Other -> expect role nr args b ret
+        in
+        if not ok then
+          Alcotest.failf "%s: step %d %s(%d, ..., %d) returned %d (fault-free %d)" name i (Sysno.name nr)
+            args.(0) args.(2) ret b)
+      (List.combine fault_class_steps (List.combine (fault_class_run plan) base))
+  in
+  channel "enomem" { F.none with enomem_pm = 1000 } (fun _ nr _ b ret ->
+      if nr = Sysno.mmap then ret = -Errno.enomem else ret = b);
+  channel "emfile" { F.none with emfile_pm = 1000 } (fun _ nr _ _ ret ->
+      on fd_alloc nr = errno Errno.[ emfile; enfile ] ret);
+  channel "eagain" { F.none with eagain_pm = 1000 } (fun role nr args b ret ->
+      match role with
+      | File_read -> ret = b
+      | _ when nr = Sysno.connect -> ret = b
+      | Conn_io -> ret = -(if args.(0) >= 0 then Errno.eagain else Errno.ebadf)
+      | Stable | Other -> (nr = Sysno.accept) = errno [ Errno.eagain ] ret);
+  channel "reset" { F.none with reset_pm = 1000 } (fun role nr _ b ret ->
+      match role with
+      | File_read -> ret = b
+      | _ -> (nr = Sysno.connect) = errno [ Errno.econnreset ] ret);
+  channel "short" { F.none with short_pm = 1000 } (fun _ nr args b ret ->
+      if on rw nr && args.(2) > 1 then ret >= 1 && ret < args.(2) else ret = b)
+
 let tests =
   ( "faults",
     [
@@ -271,4 +381,5 @@ let tests =
       Alcotest.test_case "restart re-enters the interposer" `Quick test_restart_reenters_interposer;
       Alcotest.test_case "short-I/O framing (webserver)" `Quick test_short_io_framing_webserver;
       Alcotest.test_case "short-I/O framing (redis)" `Quick test_short_io_framing_redis;
+      Alcotest.test_case "fault classes, observed" `Quick test_fault_classes;
     ] )

@@ -339,6 +339,65 @@ let test_sud_selector_and_allowlist () =
   K23_machine.Memory.write_u8_raw p.mem (Kern.selector_slot th 0x6000_0000) 0;
   Alcotest.(check bool) "selector ALLOW passes" false (Kern.sud_blocks th ~site:0x1000)
 
+(* ---------------- raw programs under ktrace ---------------- *)
+
+module Event = K23_obs.Event
+
+(* the app's own calls of a traced run, in order: number, arguments,
+   result *)
+let app_calls events =
+  let entered = Hashtbl.create 4 in
+  List.filter_map
+    (fun ev ->
+      match ev.Event.ev_payload with
+      | Event.Syscall_enter { nr; owner; args; _ } ->
+        Hashtbl.replace entered ev.Event.ev_tid (nr, owner, args);
+        None
+      | Event.Syscall_exit { nr; ret } -> (
+        match Hashtbl.find_opt entered ev.Event.ev_tid with
+        | Some (n, "app", args) when n = nr -> Some (nr, args, ret)
+        | _ -> None)
+      | _ -> None)
+    events
+
+let run_raw ?(isa = Isa.X86_64) items =
+  let cfg = { K23_fuzz.Oracle.default_world_cfg with World.Config.isa } in
+  match K23_fuzz.Oracle.run_raw ~cfg ~mech:K23_eval.Mech.Native items with
+  | Error e -> Alcotest.failf "launch error %d" e
+  | Ok (p, _, { K23_eval.Session.events; _ }) -> (p, events)
+
+(* Numbers with no table slot, issued from rax on x86 and x8 on arm64:
+   each returns -ENOSYS, traces as syscall_<n>, and the program goes
+   on to exit 0. *)
+let test_out_of_range_nrs () =
+  let wild = [ -1; 1026; 4096; max_int; min_int ] in
+  let prog kit =
+    (Asm.Label "main" :: List.concat_map (fun nr -> K23_fuzz.Gen.syscall kit nr []) wild)
+    @ K23_fuzz.Gen.syscall kit Sysno.exit_group [ 0 ]
+  in
+  List.iter
+    (fun (isa, items) ->
+      let p, events = run_raw ~isa items in
+      let name = Isa.to_string isa in
+      Alcotest.(check (option int)) (name ^ ": exits 0") (Some 0) p.Kern.exit_status;
+      let exits =
+        List.filter_map
+          (fun ev ->
+            match ev.Event.ev_payload with
+            | Event.Syscall_exit { nr; _ } when List.mem nr wild ->
+              Some (nr, K23_obs.Render.human_event ~namer:Sysno.name ev)
+            | _ -> None)
+          events
+      in
+      Alcotest.(check (list int)) (name ^ ": each number traced once") wild (List.map fst exits);
+      List.iter
+        (fun (nr, line) ->
+          let want = Printf.sprintf "syscall_%d -> %d" nr (-Errno.enosys) in
+          if not (String.ends_with ~suffix:want line) then
+            Alcotest.failf "%s: %S does not end in %S" name line want)
+        exits)
+    [ (Isa.X86_64, K23_fuzz.Gen.X86 (prog K23_fuzz.Gen.x86)); (Arm64, K23_fuzz.Gen.A64 (prog K23_fuzz.Gen.arm)) ]
+
 (* ---------------- region memo ---------------- *)
 
 (* The memoised [find_region] answers with the very region a scan of
@@ -424,6 +483,7 @@ let tests =
       Alcotest.test_case "heap allocation" `Quick test_brk_and_heap;
       Alcotest.test_case "/proc/self/maps" `Quick test_proc_maps_readable;
       Alcotest.test_case "SUD selector + allowlist" `Quick test_sud_selector_and_allowlist;
+      Alcotest.test_case "out-of-range numbers are ENOSYS" `Quick test_out_of_range_nrs;
       QCheck_alcotest.to_alcotest prop_find_region_memo;
       Alcotest.test_case "stats helpers" `Quick test_stats_drop_outliers;
     ] )
