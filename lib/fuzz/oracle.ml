@@ -122,19 +122,6 @@ let keep_owner = function
   | "interposer" | "ld.so" | "vdso" -> false
   | _ -> true (* named shared libraries *)
 
-(* direct int tests, not [List.mem] over heap lists: [norm_ret] runs
-   once per kept record and the projection is on the campaign's hot
-   path *)
-let is_addr_nr nr = nr = Sysno.mmap || nr = Sysno.brk
-
-let is_fd_nr nr =
-  nr = Sysno.open_ || nr = Sysno.openat || nr = Sysno.dup || nr = Sysno.socket
-  || nr = Sysno.accept
-
-let is_pid_nr nr =
-  nr = Sysno.fork || nr = Sysno.clone || nr = Sysno.getpid || nr = Sysno.gettid
-  || nr = Sysno.wait4
-
 type pend = { pd_nr : int; pd_owner : string; mutable pd_blocked : bool }
 
 (** Project a finished run into comparable per-process syscall
@@ -190,11 +177,12 @@ let project_run ({ root = root_pid; console; fates; events } : Session.t) =
   in
   let norm_ret pid nr ret =
     if ret < 0 then string_of_int ret
-    else if is_addr_nr nr then (if ret >= 4096 then "addr" else string_of_int ret)
-    else if is_fd_nr nr then Printf.sprintf "fd%d" (canon_fd pid ret)
-    else if is_pid_nr nr then
-      if ret = 0 then "0" else Printf.sprintf "pid%d" (canon_pid ret)
-    else string_of_int ret
+    else
+      match Sysno.result nr with
+      | Plain -> string_of_int ret
+      | Addr -> if ret >= 4096 then "addr" else string_of_int ret
+      | Fd -> Printf.sprintf "fd%d" (canon_fd pid ret)
+      | Pid -> if ret = 0 then "0" else Printf.sprintf "pid%d" (canon_pid ret)
   in
   let streams : (int, string list ref) Hashtbl.t = Hashtbl.create 8 in
   let emit pid nr ret =

@@ -720,18 +720,6 @@ let do_sigreturn (w : world) (th : thread) =
 
 module Faults = K23_faults.Faults
 
-(** The syscalls the fault schedule ever considers.  Everything else
-    (getpid, prctl, the mechanisms' housekeeping...) never ticks the
-    per-nr clock, so a mechanism's extra calls cannot skew the
-    schedule relative to a native run. *)
-let faultable nr =
-  nr = Sysno.read || nr = Sysno.write || nr = Sysno.mmap || nr = Sysno.nanosleep
-  || nr = Sysno.socket || nr = Sysno.connect || nr = Sysno.accept || nr = Sysno.sendto
-  || nr = Sysno.recvfrom || nr = Sysno.wait4 || nr = Sysno.open_ || nr = Sysno.openat
-  || nr = Sysno.dup
-
-let is_rw nr = nr = Sysno.read || nr = Sysno.write || nr = Sysno.sendto || nr = Sysno.recvfrom
-
 (** Forget all fault-schedule progress: per-nr ticks and per-thread
     in-flight state.  {!K23_eval.Session} calls this between K23's
     offline phase and the measured launch, so native and mechanism
@@ -785,7 +773,10 @@ let fault_arm (w : world) (th : thread) ~nr =
     end
     else begin
       th.fault_key <- 0;
-      (if faultable nr then
+      (* only numbers with a fault class tick the per-nr clock, so a
+         mechanism's extra calls (getpid, prctl, its housekeeping...)
+         cannot skew the schedule relative to a native run *)
+      (if Sysno.fault nr <> No_faults then
          let eligible =
            match region_owner th.t_proc th.sc_site with
            | Interposer -> (
@@ -918,7 +909,7 @@ let finish_syscall (w : world) (th : thread) ~nr ~args =
   let fresh = fault_arm w th ~nr in
   (match w.faults with
   | Some plan
-    when fresh && is_rw nr && args.(2) > 1 && Faults.roll_short plan ~key:th.fault_key ->
+    when fresh && Sysno.fault nr = Rw && args.(2) > 1 && Faults.roll_short plan ~key:th.fault_key ->
     fault_event w th ~nr ~kind:"short";
     args.(2) <- Faults.short_len ~key:th.fault_key args.(2)
   | _ -> ());
@@ -940,7 +931,7 @@ let finish_syscall (w : world) (th : thread) ~nr ~args =
       | Some plan when th.fault_key <> 0 && Faults.roll_eintr plan ~key:th.fault_key ->
         let key = th.fault_key in
         th.fault_key <- 0;
-        if nr <> Sysno.wait4 && Faults.flip ~key then begin
+        if Sysno.fault nr <> Reap && Faults.flip ~key then begin
           fault_event w th ~nr ~kind:"eintr";
           complete_syscall w th ~nr ~ret:(-Errno.eintr);
           true
@@ -982,7 +973,7 @@ let handle_syscall (w : world) (th : thread) ~site =
     ktrace_count w "sud.block";
     (* the diverted attempt's re-issue from interposer code must tick
        the fault schedule as the application call it stands for *)
-    if w.faults <> None && faultable nr then Queue.push nr th.fault_divq;
+    if w.faults <> None && Sysno.fault nr <> No_faults then Queue.push nr th.fault_divq;
     (match w.ktrace with
     | None -> ()
     | Some t ->
@@ -1032,7 +1023,7 @@ let handle_syscall (w : world) (th : thread) ~site =
     | Bpf.Trap ->
       p.counters.c_sigsys <- p.counters.c_sigsys + 1;
       ktrace_count w "sigsys";
-      if w.faults <> None && faultable nr then Queue.push nr th.fault_divq;
+      if w.faults <> None && Sysno.fault nr <> No_faults then Queue.push nr th.fault_divq;
       if Hashtbl.mem p.sig_handlers sigsys then
         deliver_signal w th ~signo:sigsys ~sysno:nr ~site ~args
       else kill_proc p ~signal:sigsys

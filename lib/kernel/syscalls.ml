@@ -367,10 +367,297 @@ let do_prctl (w : world) (th : thread) args =
   | _ -> 0
 
 (* ------------------------------------------------------------------ *)
-(* Dispatch                                                            *)
+(* The system call table                                               *)
+
+(** One system call's body: its world, the calling thread, that
+    thread's process and the six arguments, to the result. *)
+type handler = world -> thread -> proc -> int array -> int
+
+let enosys : handler = fun _ _ _ _ -> Errno.ret Errno.enosys
+let noop : handler = fun _ _ _ _ -> 0
+
+let with_path (p : proc) addr k = match read_user_cstr p addr with Error e -> Errno.ret e | Ok path -> k path
+
+let path_exists : handler =
+ fun w _ p args ->
+  with_path p args.(0) (fun path -> if Vfs.exists w.vfs (resolve_path p path) then 0 else Errno.ret Errno.enoent)
+
+let time_to_user (w : world) (p : proc) buf =
+  let ns = now w * 10 / 32 in
+  try
+    Memory.write_u64_raw p.mem buf ns;
+    0
+  with Memory.Fault _ -> Errno.ret Errno.efault
+
+let handlers : (int * handler) list =
+  [
+    (Sysno.read, fun w th _ args -> do_read w th args.(0) args.(1) args.(2));
+    (Sysno.write, fun w th _ args -> do_write w th args.(0) args.(1) args.(2));
+    (Sysno.open_, fun w th p args -> with_path p args.(0) (fun path -> do_open w th path args.(1)));
+    (Sysno.openat, fun w th p args -> with_path p args.(1) (fun path -> do_open w th path args.(2)));
+    (Sysno.close, fun w _ p args ->
+      if Hashtbl.mem p.fds args.(0) then begin
+        (match Hashtbl.find_opt p.fds args.(0) with
+        | Some (Fd_conn (c, ep)) -> Net.close c ep
+        | Some (Fd_listener l) -> Net.unlisten w.net l.port
+        | _ -> ());
+        Hashtbl.remove p.fds args.(0);
+        0
+      end
+      else Errno.ret Errno.ebadf);
+    (Sysno.stat, path_exists);
+    (Sysno.access, path_exists);
+    (Sysno.fstat, fun _ _ p args ->
+      match Hashtbl.find_opt p.fds args.(0) with
+      | Some fd -> (
+        try
+          Memory.write_u64_raw p.mem args.(1) (match fd with Fd_file f -> Vfs.size f.file | _ -> 0);
+          0
+        with Memory.Fault _ -> Errno.ret Errno.efault)
+      | None -> Errno.ret Errno.ebadf);
+    (Sysno.lseek, fun _ _ p args ->
+      match Hashtbl.find_opt p.fds args.(0) with
+      | Some (Fd_file f) ->
+        let pos =
+          match args.(2) with
+          | 0 -> args.(1) (* SEEK_SET *)
+          | 1 -> f.pos + args.(1)
+          | 2 -> Vfs.size f.file + args.(1)
+          | _ -> -1
+        in
+        (* past the size limit: -EINVAL, as generic_file_llseek_size *)
+        if pos < 0 || pos > Vfs.max_file_size then Errno.ret Errno.einval
+        else begin
+          f.pos <- pos;
+          pos
+        end
+      | _ -> Errno.ret Errno.ebadf);
+    (Sysno.mmap, fun w th _ args -> do_mmap w th args.(0) args.(1) args.(2) args.(3) args.(4) args.(5));
+    (Sysno.mprotect, fun w th _ args -> do_mprotect w th args.(0) args.(1) args.(2));
+    (Sysno.munmap, fun _ _ p args ->
+      Memory.unmap p.mem ~addr:args.(0) ~len:args.(1);
+      remove_region p ~start:args.(0);
+      0);
+    (Sysno.brk, fun _ _ p args ->
+      if args.(0) > p.brk_cur then begin
+        let old = Memory.align_up p.brk_cur in
+        let new_ = Memory.align_up args.(0) in
+        if new_ > old then Memory.map p.mem ~addr:old ~len:(new_ - old) ~perm:Memory.perm_rw;
+        p.brk_cur <- args.(0)
+      end;
+      p.brk_cur);
+    (Sysno.rt_sigaction, fun _ _ p args ->
+      if args.(1) = 0 then Hashtbl.remove p.sig_handlers args.(0)
+      else Hashtbl.replace p.sig_handlers args.(0) args.(1);
+      0);
+    (Sysno.rt_sigprocmask, noop);
+    (Sysno.rt_sigreturn, fun w th _ _ ->
+      do_sigreturn w th;
+      Regs.get th.regs RAX);
+    (Sysno.ioctl, noop);
+    (Sysno.fcntl, noop);
+    (Sysno.futex, noop);
+    (Sysno.arch_prctl, noop);
+    (Sysno.pipe, fun _ _ p args ->
+      let q = Net.Byteq.create () in
+      let rfd = alloc_fd p (Fd_pipe_r q) in
+      let wfd = alloc_fd p (Fd_pipe_w q) in
+      try
+        Memory.write_u64_raw p.mem args.(0) rfd;
+        Memory.write_u64_raw p.mem (args.(0) + 8) wfd;
+        0
+      with Memory.Fault _ -> Errno.ret Errno.efault);
+    (Sysno.dup, fun _ _ p args ->
+      match Hashtbl.find_opt p.fds args.(0) with
+      | Some fd -> alloc_fd p fd
+      | None -> Errno.ret Errno.ebadf);
+    (Sysno.sched_yield, noop);
+    (Sysno.nanosleep, fun w _ _ args ->
+      (* arg0 is the duration in cycles.  The absolute deadline must
+         survive the block/retry cycle — the scheduler re-dispatches a
+         woken syscall with the same args array, and recomputing
+         [now + duration] there would re-arm the sleep forever — so the
+         first dispatch stashes it in args.(1) (the rem-pointer slot,
+         unused by this model; 0 from all in-tree callers). *)
+      let deadline = if args.(1) <> 0 then args.(1) else now w + args.(0) in
+      if now w >= deadline then 0
+      else begin
+        args.(1) <- deadline;
+        raise
+          (Would_block
+             { why = "nanosleep"; ready = (fun () -> now w >= deadline); deadline = Some deadline })
+      end);
+    (Sysno.getpid, fun _ _ p _ -> p.pid);
+    (Sysno.gettid, fun _ th _ _ -> th.tid);
+    (* socket(2): the fd is re-purposed by bind/listen/connect *)
+    (Sysno.socket, fun _ _ p _ -> alloc_fd p Fd_devnull);
+    (Sysno.bind, fun w _ p args ->
+      (* sockaddr is modelled as a bare port number (loopback only) *)
+      if Hashtbl.mem p.fds args.(0) then begin
+        Hashtbl.replace w.net.Net.bound_ports (p.pid, args.(0)) args.(1);
+        0
+      end
+      else Errno.ret Errno.ebadf);
+    (Sysno.listen, fun w _ p args ->
+      match Hashtbl.find_opt w.net.Net.bound_ports (p.pid, args.(0)) with
+      | None -> Errno.ret Errno.einval
+      | Some port -> (
+        match Net.listen w.net port with
+        | Error `Addrinuse -> Errno.ret Errno.eaddrinuse
+        | Ok l ->
+          Hashtbl.replace p.fds args.(0) (Fd_listener l);
+          0));
+    (Sysno.accept, fun w th p args ->
+      match Hashtbl.find_opt p.fds args.(0) with
+      | Some (Fd_listener l) -> (
+        match Net.accept l with
+        | Some c ->
+          charge w th 300;
+          alloc_fd p (Fd_conn (c, Net.B))
+        | None ->
+          raise
+            (Would_block
+               {
+                 why = Printf.sprintf "accept(:%d)" l.port;
+                 ready = (fun () -> Net.backlog_length l > 0);
+                 deadline = None;
+               }))
+      | _ -> Errno.ret Errno.ebadf);
+    (Sysno.connect, fun w th p args ->
+      charge w th 400;
+      match Net.connect w.net args.(1) with
+      | Error `Refused -> Errno.ret Errno.econnrefused
+      | Ok c ->
+        Hashtbl.replace p.fds args.(0) (Fd_conn (c, Net.A));
+        0);
+    (Sysno.sendto, fun w th _ args -> do_write w th args.(0) args.(1) args.(2));
+    (Sysno.recvfrom, fun w th _ args -> do_read w th args.(0) args.(1) args.(2));
+    (Sysno.shutdown, fun _ _ p args ->
+      match Hashtbl.find_opt p.fds args.(0) with
+      | Some (Fd_conn (c, ep)) ->
+        Net.close c ep;
+        0
+      | _ -> Errno.ret Errno.ebadf);
+    (Sysno.fork, fun w th _ _ -> do_fork w th);
+    (Sysno.clone, fun w th _ args -> do_clone_thread w th ~fn:args.(0) ~stack:args.(1) ~arg:args.(2));
+    (Sysno.execve, fun w th p args ->
+      match (read_user_cstr p args.(0), read_user_strv p args.(1), read_user_strv p args.(2)) with
+      | Ok path, Ok argv, Ok envp -> (
+        match w.execve_impl with
+        | None -> panic "no execve implementation installed"
+        | Some f -> f { world = w; thread = th } ~path ~argv ~envp)
+      | _ -> Errno.ret Errno.efault);
+    (Sysno.exit, fun _ th p args ->
+      th.state <- Dead;
+      if List.for_all (fun t -> t.state = Dead) p.threads then exit_proc p ~status:args.(0);
+      0);
+    (Sysno.exit_group, fun _ _ p args ->
+      exit_proc p ~status:args.(0);
+      0);
+    (Sysno.wait4, fun w th _ args -> do_wait4 w th ~pid_sel:args.(0) ~status_ptr:args.(1));
+    (Sysno.kill, fun w _ _ args ->
+      match List.find_opt (fun q -> q.pid = args.(0)) w.procs with
+      | Some q -> (
+        let signo = args.(1) in
+        (* a registered handler catches the signal instead of dying; the
+           delivery wakes a thread parked in a blocking syscall with
+           -EINTR before its deadline (the signal-wake contract
+           test_faults pins) *)
+        match
+          if Hashtbl.mem q.sig_handlers signo then
+            List.find_opt (fun t -> t.state <> Dead) q.threads
+          else None
+        with
+        | Some target ->
+          deliver_signal w target ~signo ~sysno:0 ~site:0 ~args:[||];
+          0
+        | None ->
+          kill_proc q ~signal:signo;
+          0)
+      | None -> Errno.ret Errno.esrch);
+    (Sysno.getcwd, fun _ _ p args ->
+      try
+        Memory.write_cstr p.mem args.(0) p.cwd;
+        String.length p.cwd + 1
+      with Memory.Fault _ -> Errno.ret Errno.efault);
+    (Sysno.chdir, fun w _ p args ->
+      with_path p args.(0) (fun path ->
+          let path = resolve_path p path in
+          if Vfs.is_dir w.vfs path then begin
+            p.cwd <- path;
+            0
+          end
+          else Errno.ret Errno.enoent));
+    (Sysno.mkdir, fun w _ p args ->
+      with_path p args.(0) (fun path ->
+          match Vfs.mkdir_p w.vfs (resolve_path p path) with Ok _ -> 0 | Error e -> vfs_err e));
+    (Sysno.unlink, fun w _ p args ->
+      with_path p args.(0) (fun path ->
+          match Vfs.unlink w.vfs (resolve_path p path) with Ok () -> 0 | Error e -> vfs_err e));
+    (Sysno.rename, fun w _ p args ->
+      match (read_user_cstr p args.(0), read_user_cstr p args.(1)) with
+      | Ok src, Ok dst -> (
+        match Vfs.rename w.vfs (resolve_path p src) (resolve_path p dst) with
+        | Ok () -> 0
+        | Error e -> vfs_err e)
+      | _ -> Errno.ret Errno.efault);
+    (Sysno.chmod, fun w _ p args ->
+      with_path p args.(0) (fun path ->
+          if Vfs.path_immutable w.vfs (resolve_path p path) then Errno.ret Errno.eperm else 0));
+    (Sysno.ftruncate, fun _ _ p args ->
+      match Hashtbl.find_opt p.fds args.(0) with
+      | Some (Fd_file f) ->
+        if Vfs.immutable f.file then Errno.ret Errno.eperm
+        else (match Vfs.truncate f.file args.(1) with Ok () -> 0 | Error e -> vfs_err e)
+      | _ -> Errno.ret Errno.ebadf);
+    (Sysno.fsync, fun w th _ _ ->
+      charge w th 3000;
+      0);
+    (Sysno.getdents64, fun w _ p args ->
+      match Hashtbl.find_opt p.fds args.(0) with
+      | Some (Fd_file f) when Vfs.size f.file = 0 && Vfs.is_dir w.vfs f.path -> (
+        (* opened a directory: emit the listing once *)
+        match Vfs.listdir w.vfs f.path with
+        | Error e -> vfs_err e
+        | Ok names ->
+          if f.pos > 0 then 0
+          else begin
+            let blob = String.concat "\000" names ^ "\000" in
+            try
+              Memory.write_bytes_raw p.mem args.(1) (Bytes.of_string blob);
+              f.pos <- 1;
+              String.length blob
+            with Memory.Fault _ -> Errno.ret Errno.efault
+          end)
+      | Some _ -> 0
+      | None -> Errno.ret Errno.ebadf);
+    (Sysno.gettimeofday, fun w _ p args -> time_to_user w p args.(0));
+    (Sysno.clock_gettime, fun w _ p args -> time_to_user w p args.(1));
+    (Sysno.prctl, fun w th _ args -> do_prctl w th args);
+    (Sysno.pkey_alloc, fun _ _ p _ ->
+      let k = p.next_pkey in
+      p.next_pkey <- k + 1;
+      if k > 15 then Errno.ret Errno.enomem else k);
+    (Sysno.pkey_free, noop);
+    (Sysno.pkey_mprotect, fun w th p args ->
+      let ret = do_mprotect w th args.(0) args.(1) args.(2) in
+      if ret = 0 then Memory.set_pkey p.mem ~addr:args.(0) ~len:args.(1) ~pkey:args.(3);
+      ret);
+  ]
+
+(** The handler of every number, indexed by number, as UNIX's
+    [sysent[]].  An empty slot is ENOSYS, as on Linux: the
+    microbenchmark's syscall 500, K23's fake calls when no tracer
+    intercepts them, and ptrace and process_vm_readv/writev, whose
+    tracers are host-level agents in this model (the numbers exist so
+    strace-style examples can show them). *)
+let sysent : handler array =
+  let a = Array.make (1 + List.fold_left (fun m (nr, _) -> max m nr) 0 handlers) enosys in
+  List.iter (fun (nr, h) -> a.(nr) <- h) handlers;
+  a
 
 (* Errno-storm half of the fault plane (DESIGN.md §4i): rolled before
-   the implementation runs — and before any availability check — so a
+   the handler runs — and before any availability check — so a
    decision can never depend on mechanism-relative timing.  Only
    consults the key armed by {!Kern.fault_arm}, so a retry of a parked
    call replays the first dispatch's (negative) decisions instead of
@@ -387,316 +674,27 @@ let fault_errno (w : world) (th : thread) (p : proc) ~nr ~args =
         th.fault_key <- 0;
         Some (Errno.ret e)
       in
-      if nr = Sysno.mmap then
-        if Faults.roll_enomem plan ~key then inject "enomem" Errno.enomem else None
-      else if
-        nr = Sysno.socket || nr = Sysno.open_ || nr = Sysno.openat || nr = Sysno.dup
-        || nr = Sysno.accept
-      then
-        if Faults.roll_emfile plan ~key then
-          if Faults.flip ~key then inject "emfile" Errno.emfile else inject "enfile" Errno.enfile
-        else if nr = Sysno.accept && Faults.roll_eagain plan ~key then
-          inject "eagain" Errno.eagain
-        else None
-      else if nr = Sysno.connect then
-        if Faults.roll_reset plan ~key then inject "reset" Errno.econnreset else None
-      else if is_rw nr then (
+      let fd_alloc () =
+        if not (Faults.roll_emfile plan ~key) then None
+        else if Faults.flip ~key then inject "emfile" Errno.emfile
+        else inject "enfile" Errno.enfile
+      in
+      let eagain () = if Faults.roll_eagain plan ~key then inject "eagain" Errno.eagain else None in
+      let reset () = if Faults.roll_reset plan ~key then inject "reset" Errno.econnreset else None in
+      match Sysno.fault nr with
+      | No_faults | Blocking | Reap -> None
+      | Enomem -> if Faults.roll_enomem plan ~key then inject "enomem" Errno.enomem else None
+      | Fd_alloc -> fd_alloc ()
+      | Accept -> ( match fd_alloc () with None -> eagain () | r -> r)
+      | Connect -> reset ()
+      | Rw -> (
         match Hashtbl.find_opt p.fds args.(0) with
-        | Some (Fd_conn _) ->
-          if Faults.roll_reset plan ~key then inject "reset" Errno.econnreset
-          else if Faults.roll_eagain plan ~key then inject "eagain" Errno.eagain
-          else None
+        | Some (Fd_conn _) -> ( match reset () with None -> eagain () | r -> r)
         | _ -> None)
-      else None
 
 let dispatch (ctx : ctx) ~nr ~args : int =
   let w = ctx.world and th = ctx.thread in
   let p = th.t_proc in
   match fault_errno w th p ~nr ~args with
   | Some ret -> ret
-  | None -> (
-  match nr with
-  | n when n = Sysno.read -> do_read w th args.(0) args.(1) args.(2)
-  | n when n = Sysno.write -> do_write w th args.(0) args.(1) args.(2)
-  | n when n = Sysno.open_ -> (
-    match read_user_cstr p args.(0) with
-    | Error e -> Errno.ret e
-    | Ok path -> do_open w th path args.(1))
-  | n when n = Sysno.openat -> (
-    match read_user_cstr p args.(1) with
-    | Error e -> Errno.ret e
-    | Ok path -> do_open w th path args.(2))
-  | n when n = Sysno.close ->
-    if Hashtbl.mem p.fds args.(0) then begin
-      (match Hashtbl.find_opt p.fds args.(0) with
-      | Some (Fd_conn (c, ep)) -> Net.close c ep
-      | Some (Fd_listener l) -> Net.unlisten w.net l.port
-      | _ -> ());
-      Hashtbl.remove p.fds args.(0);
-      0
-    end
-    else Errno.ret Errno.ebadf
-  | n when n = Sysno.stat || n = Sysno.access -> (
-    match read_user_cstr p args.(0) with
-    | Error e -> Errno.ret e
-    | Ok path -> if Vfs.exists w.vfs (resolve_path p path) then 0 else Errno.ret Errno.enoent)
-  | n when n = Sysno.fstat -> (
-    match Hashtbl.find_opt p.fds args.(0) with
-    | Some (Fd_file f) ->
-      (try
-         Memory.write_u64_raw p.mem args.(1) (Vfs.size f.file);
-         0
-       with Memory.Fault _ -> Errno.ret Errno.efault)
-    | Some _ ->
-      (try
-         Memory.write_u64_raw p.mem args.(1) 0;
-         0
-       with Memory.Fault _ -> Errno.ret Errno.efault)
-    | None -> Errno.ret Errno.ebadf)
-  | n when n = Sysno.lseek -> (
-    match Hashtbl.find_opt p.fds args.(0) with
-    | Some (Fd_file f) ->
-      let pos =
-        match args.(2) with
-        | 0 -> args.(1) (* SEEK_SET *)
-        | 1 -> f.pos + args.(1)
-        | 2 -> Vfs.size f.file + args.(1)
-        | _ -> -1
-      in
-      (* past the size limit: -EINVAL, as generic_file_llseek_size *)
-      if pos < 0 || pos > Vfs.max_file_size then Errno.ret Errno.einval
-      else begin
-        f.pos <- pos;
-        pos
-      end
-    | _ -> Errno.ret Errno.ebadf)
-  | n when n = Sysno.mmap -> do_mmap w th args.(0) args.(1) args.(2) args.(3) args.(4) args.(5)
-  | n when n = Sysno.mprotect -> do_mprotect w th args.(0) args.(1) args.(2)
-  | n when n = Sysno.munmap ->
-    Memory.unmap p.mem ~addr:args.(0) ~len:args.(1);
-    remove_region p ~start:args.(0);
-    0
-  | n when n = Sysno.brk ->
-    if args.(0) > p.brk_cur then begin
-      let old = Memory.align_up p.brk_cur in
-      let new_ = Memory.align_up args.(0) in
-      if new_ > old then Memory.map p.mem ~addr:old ~len:(new_ - old) ~perm:Memory.perm_rw;
-      p.brk_cur <- args.(0)
-    end;
-    p.brk_cur
-  | n when n = Sysno.rt_sigaction ->
-    if args.(1) = 0 then Hashtbl.remove p.sig_handlers args.(0)
-    else Hashtbl.replace p.sig_handlers args.(0) args.(1);
-    0
-  | n when n = Sysno.rt_sigprocmask -> 0
-  | n when n = Sysno.rt_sigreturn ->
-    do_sigreturn w th;
-    Regs.get th.regs RAX
-  | n when n = Sysno.ioctl || n = Sysno.fcntl || n = Sysno.futex || n = Sysno.arch_prctl -> 0
-  | n when n = Sysno.pipe ->
-    let q = Net.Byteq.create () in
-    let rfd = alloc_fd p (Fd_pipe_r q) in
-    let wfd = alloc_fd p (Fd_pipe_w q) in
-    (try
-       Memory.write_u64_raw p.mem args.(0) rfd;
-       Memory.write_u64_raw p.mem (args.(0) + 8) wfd;
-       0
-     with Memory.Fault _ -> Errno.ret Errno.efault)
-  | n when n = Sysno.dup -> (
-    match Hashtbl.find_opt p.fds args.(0) with
-    | Some fd -> alloc_fd p fd
-    | None -> Errno.ret Errno.ebadf)
-  | n when n = Sysno.sched_yield -> 0
-  | n when n = Sysno.nanosleep ->
-    (* arg0 is the duration in cycles.  The absolute deadline must
-       survive the block/retry cycle — the scheduler re-dispatches a
-       woken syscall with the same args array, and recomputing
-       [now + duration] there would re-arm the sleep forever — so the
-       first dispatch stashes it in args.(1) (the rem-pointer slot,
-       unused by this model; 0 from all in-tree callers). *)
-    let deadline = if args.(1) <> 0 then args.(1) else now w + args.(0) in
-    if now w >= deadline then 0
-    else begin
-      args.(1) <- deadline;
-      raise
-        (Would_block
-           { why = "nanosleep"; ready = (fun () -> now w >= deadline); deadline = Some deadline })
-    end
-  | n when n = Sysno.getpid -> p.pid
-  | n when n = Sysno.gettid -> th.tid
-  | n when n = Sysno.socket ->
-    (* socket(2): the fd is re-purposed by bind/listen/connect *)
-    alloc_fd p Fd_devnull
-  | n when n = Sysno.bind ->
-    (* sockaddr is modelled as a bare port number (loopback only) *)
-    if Hashtbl.mem p.fds args.(0) then begin
-      Hashtbl.replace w.net.Net.bound_ports (p.pid, args.(0)) args.(1);
-      0
-    end
-    else Errno.ret Errno.ebadf
-  | n when n = Sysno.listen -> (
-    match Hashtbl.find_opt w.net.Net.bound_ports (p.pid, args.(0)) with
-    | None -> Errno.ret Errno.einval
-    | Some port -> (
-      match Net.listen w.net port with
-      | Error `Addrinuse -> Errno.ret Errno.eaddrinuse
-      | Ok l ->
-        Hashtbl.replace p.fds args.(0) (Fd_listener l);
-        0))
-  | n when n = Sysno.accept -> (
-    match Hashtbl.find_opt p.fds args.(0) with
-    | Some (Fd_listener l) -> (
-      match Net.accept l with
-      | Some c ->
-        charge w th 300;
-        alloc_fd p (Fd_conn (c, Net.B))
-      | None ->
-        raise
-          (Would_block
-             {
-               why = Printf.sprintf "accept(:%d)" l.port;
-               ready = (fun () -> Net.backlog_length l > 0);
-               deadline = None;
-             }))
-    | _ -> Errno.ret Errno.ebadf)
-  | n when n = Sysno.connect -> (
-    charge w th 400;
-    match Net.connect w.net args.(1) with
-    | Error `Refused -> Errno.ret Errno.econnrefused
-    | Ok c ->
-      Hashtbl.replace p.fds args.(0) (Fd_conn (c, Net.A));
-      0)
-  | n when n = Sysno.sendto -> do_write w th args.(0) args.(1) args.(2)
-  | n when n = Sysno.recvfrom -> do_read w th args.(0) args.(1) args.(2)
-  | n when n = Sysno.shutdown -> (
-    match Hashtbl.find_opt p.fds args.(0) with
-    | Some (Fd_conn (c, ep)) ->
-      Net.close c ep;
-      0
-    | _ -> Errno.ret Errno.ebadf)
-  | n when n = Sysno.fork -> do_fork w th
-  | n when n = Sysno.clone -> do_clone_thread w th ~fn:args.(0) ~stack:args.(1) ~arg:args.(2)
-  | n when n = Sysno.execve -> (
-    match (read_user_cstr p args.(0), read_user_strv p args.(1), read_user_strv p args.(2)) with
-    | Ok path, Ok argv, Ok envp -> (
-      match w.execve_impl with
-      | None -> panic "no execve implementation installed"
-      | Some f -> f ctx ~path ~argv ~envp)
-    | _ -> Errno.ret Errno.efault)
-  | n when n = Sysno.exit ->
-    th.state <- Dead;
-    if List.for_all (fun t -> t.state = Dead) p.threads then exit_proc p ~status:args.(0);
-    0
-  | n when n = Sysno.exit_group ->
-    exit_proc p ~status:args.(0);
-    0
-  | n when n = Sysno.wait4 -> do_wait4 w th ~pid_sel:args.(0) ~status_ptr:args.(1)
-  | n when n = Sysno.kill -> (
-    match List.find_opt (fun q -> q.pid = args.(0)) w.procs with
-    | Some q -> (
-      let signo = args.(1) in
-      (* a registered handler catches the signal instead of dying; the
-         delivery wakes a thread parked in a blocking syscall with
-         -EINTR before its deadline (the signal-wake contract
-         test_faults pins) *)
-      match
-        if Hashtbl.mem q.sig_handlers signo then
-          List.find_opt (fun t -> t.state <> Dead) q.threads
-        else None
-      with
-      | Some target ->
-        deliver_signal w target ~signo ~sysno:0 ~site:0 ~args:[||];
-        0
-      | None ->
-        kill_proc q ~signal:signo;
-        0)
-    | None -> Errno.ret Errno.esrch)
-  | n when n = Sysno.getcwd -> (
-    try
-      Memory.write_cstr p.mem args.(0) p.cwd;
-      String.length p.cwd + 1
-    with Memory.Fault _ -> Errno.ret Errno.efault)
-  | n when n = Sysno.chdir -> (
-    match read_user_cstr p args.(0) with
-    | Error e -> Errno.ret e
-    | Ok path ->
-      let path = resolve_path p path in
-      if Vfs.is_dir w.vfs path then begin
-        p.cwd <- path;
-        0
-      end
-      else Errno.ret Errno.enoent)
-  | n when n = Sysno.mkdir -> (
-    match read_user_cstr p args.(0) with
-    | Error e -> Errno.ret e
-    | Ok path -> (
-      match Vfs.mkdir_p w.vfs (resolve_path p path) with Ok _ -> 0 | Error e -> vfs_err e))
-  | n when n = Sysno.unlink -> (
-    match read_user_cstr p args.(0) with
-    | Error e -> Errno.ret e
-    | Ok path -> ( match Vfs.unlink w.vfs (resolve_path p path) with Ok () -> 0 | Error e -> vfs_err e))
-  | n when n = Sysno.rename -> (
-    match (read_user_cstr p args.(0), read_user_cstr p args.(1)) with
-    | Ok src, Ok dst -> (
-      match Vfs.rename w.vfs (resolve_path p src) (resolve_path p dst) with
-      | Ok () -> 0
-      | Error e -> vfs_err e)
-    | _ -> Errno.ret Errno.efault)
-  | n when n = Sysno.chmod -> (
-    match read_user_cstr p args.(0) with
-    | Error e -> Errno.ret e
-    | Ok path ->
-      if Vfs.path_immutable w.vfs (resolve_path p path) then Errno.ret Errno.eperm else 0)
-  | n when n = Sysno.ftruncate -> (
-    match Hashtbl.find_opt p.fds args.(0) with
-    | Some (Fd_file f) ->
-      if Vfs.immutable f.file then Errno.ret Errno.eperm
-      else (match Vfs.truncate f.file args.(1) with Ok () -> 0 | Error e -> vfs_err e)
-    | _ -> Errno.ret Errno.ebadf)
-  | n when n = Sysno.fsync ->
-    charge w th 3000;
-    0
-  | n when n = Sysno.getdents64 -> (
-    match Hashtbl.find_opt p.fds args.(0) with
-    | Some (Fd_file f) when Vfs.size f.file = 0 && Vfs.is_dir w.vfs f.path -> (
-      (* opened a directory: emit the listing once *)
-      match Vfs.listdir w.vfs f.path with
-      | Error e -> vfs_err e
-      | Ok names ->
-        if f.pos > 0 then 0
-        else begin
-          let blob = String.concat "\000" names ^ "\000" in
-          (try
-             Memory.write_bytes_raw p.mem args.(1) (Bytes.of_string blob);
-             f.pos <- 1;
-             String.length blob
-           with Memory.Fault _ -> Errno.ret Errno.efault)
-        end)
-    | Some _ -> 0
-    | None -> Errno.ret Errno.ebadf)
-  | n when n = Sysno.gettimeofday || n = Sysno.clock_gettime ->
-    let ns = now w * 10 / 32 in
-    (try
-       let buf = if n = Sysno.clock_gettime then args.(1) else args.(0) in
-       Memory.write_u64_raw p.mem buf ns;
-       0
-     with Memory.Fault _ -> Errno.ret Errno.efault)
-  | n when n = Sysno.prctl -> do_prctl w th args
-  | n when n = Sysno.pkey_alloc ->
-    let k = p.next_pkey in
-    p.next_pkey <- k + 1;
-    if k > 15 then Errno.ret Errno.enomem else k
-  | n when n = Sysno.pkey_free -> 0
-  | n when n = Sysno.pkey_mprotect ->
-    let ret = do_mprotect w th args.(0) args.(1) args.(2) in
-    if ret = 0 then Memory.set_pkey p.mem ~addr:args.(0) ~len:args.(1) ~pkey:args.(3);
-    ret
-  | n when n = Sysno.ptrace || n = Sysno.process_vm_readv || n = Sysno.process_vm_writev ->
-    (* tracers are host-level agents in this model; the syscalls exist
-       only so strace-style examples can show them *)
-    Errno.ret Errno.enosys
-  | _ ->
-    (* unknown / non-existent syscalls, including the microbenchmark's
-       syscall 500 and K23's fake syscalls when no tracer intercepts
-       them: ENOSYS, as on Linux *)
-    Errno.ret Errno.enosys)
+  | None -> (if nr >= 0 && nr < Array.length sysent then sysent.(nr) else enosys) w th p args

@@ -7,21 +7,16 @@
    number fails `dune runtest`. *)
 
 module Sysno = K23_kernel.Sysno
-module Kern = K23_kernel.Kern
-module Oracle = K23_fuzz.Oracle
 
-let result nr =
-  if Oracle.is_addr_nr nr then "addr"
-  else if Oracle.is_fd_nr nr then "fd"
-  else if Oracle.is_pid_nr nr then "pid"
-  else "plain"
+let faultable nr = Sysno.fault nr <> No_faults
+let rw nr = Sysno.fault nr = Rw
+let result nr = match Sysno.result nr with Plain -> "plain" | Addr -> "addr" | Fd -> "fd" | Pid -> "pid"
 
 let line nr =
-  Printf.printf "%d %s faultable=%b rw=%b result=%s\n" nr (Sysno.name nr) (Kern.faultable nr)
-    (Kern.is_rw nr) (result nr)
+  Printf.printf "%d %s faultable=%b rw=%b result=%s\n" nr (Sysno.name nr) (faultable nr) (rw nr) (result nr)
 
 let has_facts nr =
-  Sysno.name nr <> Printf.sprintf "syscall_%d" nr || Kern.faultable nr || Kern.is_rw nr || result nr <> "plain"
+  Sysno.name nr <> Printf.sprintf "syscall_%d" nr || faultable nr || rw nr || result nr <> "plain"
 
 let () =
   line (-1);
