@@ -255,7 +255,9 @@ let panic fmt = Printf.ksprintf (fun s -> raise (Kernel_panic s)) fmt
 (* Signal numbers *)
 let sigill = 4
 let sigtrap = 5
+let sigkill = 9
 let sigsegv = 11
+let sigstop = 19
 let sigsys = 31
 
 (* ------------------------------------------------------------------ *)

@@ -447,9 +447,15 @@ let handlers : (int * handler) list =
       end;
       p.brk_cur);
     (Sysno.rt_sigaction, fun _ _ p args ->
-      if args.(1) = 0 then Hashtbl.remove p.sig_handlers args.(0)
-      else Hashtbl.replace p.sig_handlers args.(0) args.(1);
-      0);
+      if args.(1) = 0 then begin
+        Hashtbl.remove p.sig_handlers args.(0);
+        0
+      end
+      else if args.(0) = sigkill || args.(0) = sigstop then Errno.ret Errno.einval
+      else begin
+        Hashtbl.replace p.sig_handlers args.(0) args.(1);
+        0
+      end);
     (Sysno.rt_sigprocmask, noop);
     (Sysno.rt_sigreturn, fun w th _ _ ->
       do_sigreturn w th;
@@ -556,9 +562,12 @@ let handlers : (int * handler) list =
       0);
     (Sysno.wait4, fun w th _ args -> do_wait4 w th ~pid_sel:args.(0) ~status_ptr:args.(1));
     (Sysno.kill, fun w _ _ args ->
+      let signo = args.(1) in
       match List.find_opt (fun q -> q.pid = args.(0)) w.procs with
+      | None -> Errno.ret Errno.esrch
+      | Some _ when signo < 0 || signo > 64 -> Errno.ret Errno.einval
+      | Some _ when signo = 0 -> 0 (* the existence probe sends nothing *)
       | Some q -> (
-        let signo = args.(1) in
         (* a registered handler catches the signal instead of dying; the
            delivery wakes a thread parked in a blocking syscall with
            -EINTR before its deadline (the signal-wake contract
@@ -573,8 +582,7 @@ let handlers : (int * handler) list =
           0
         | None ->
           kill_proc q ~signal:signo;
-          0)
-      | None -> Errno.ret Errno.esrch);
+          0));
     (Sysno.getcwd, fun _ _ p args ->
       try
         Memory.write_cstr p.mem args.(0) p.cwd;

@@ -398,6 +398,39 @@ let test_out_of_range_nrs () =
         exits)
     [ (Isa.X86_64, K23_fuzz.Gen.X86 (prog K23_fuzz.Gen.x86)); (Arm64, K23_fuzz.Gen.A64 (prog K23_fuzz.Gen.arm)) ]
 
+(* ---------------- kill's signal argument ---------------- *)
+
+(* kill(self, 0) only probes, a signal outside 1..64 is refused, and
+   SIGKILL and SIGSTOP take no handler: a handler run by kill(self, 9)
+   would exit 3. *)
+let test_kill_validates_signal () =
+  let mov r v = Asm.I (Insn.Mov_ri (r, v)) in
+  let sys nr = [ mov RAX nr; Asm.I Insn.Syscall ] in
+  let sigaction signo = [ mov RDI signo; Asm.Mov_sym (Reg.RSI, "handler") ] @ sys Sysno.rt_sigaction in
+  let kill signo = [ Asm.I (Insn.Mov_rr (RDI, R12)); mov RSI signo ] @ sys Sysno.kill in
+  let items =
+    (Asm.Label "main" :: sigaction 9)
+    @ sigaction 19
+    @ sys Sysno.getpid
+    @ [ Asm.I (Insn.Mov_rr (R12, RAX)) ]
+    @ kill 0 @ kill (-5) @ kill 65
+    @ [ mov RDI 99999; mov RSI 0 ] @ sys Sysno.kill
+    @ kill 9
+    @ [ mov RDI 0 ] @ sys Sysno.exit_group
+    @ [ Asm.Label "handler"; mov RDI 3 ] @ sys Sysno.exit_group
+  in
+  let p, events = run_raw (K23_fuzz.Gen.X86 items) in
+  Alcotest.(check (option int)) "killed by SIGKILL" (Some 9) p.Kern.term_signal;
+  Alcotest.(check (option int)) "no exit status" None p.Kern.exit_status;
+  let einval = -Errno.einval in
+  Alcotest.(check (list (pair string int)))
+    "results"
+    [
+      ("rt_sigaction", einval); ("rt_sigaction", einval); ("getpid", p.Kern.pid); ("kill", 0);
+      ("kill", einval); ("kill", einval); ("kill", -Errno.esrch); ("kill", 0);
+    ]
+    (List.map (fun (nr, _, ret) -> (Sysno.name nr, ret)) (app_calls events))
+
 (* ---------------- region memo ---------------- *)
 
 (* The memoised [find_region] answers with the very region a scan of
@@ -484,6 +517,7 @@ let tests =
       Alcotest.test_case "/proc/self/maps" `Quick test_proc_maps_readable;
       Alcotest.test_case "SUD selector + allowlist" `Quick test_sud_selector_and_allowlist;
       Alcotest.test_case "out-of-range numbers are ENOSYS" `Quick test_out_of_range_nrs;
+      Alcotest.test_case "kill validates its signal" `Quick test_kill_validates_signal;
       QCheck_alcotest.to_alcotest prop_find_region_memo;
       Alcotest.test_case "stats helpers" `Quick test_stats_drop_outliers;
     ] )
