@@ -451,7 +451,9 @@ let handlers : (int * handler) list =
         Hashtbl.remove p.sig_handlers args.(0);
         0
       end
-      else if args.(0) = sigkill || args.(0) = sigstop then Errno.ret Errno.einval
+      else if args.(0) = sigkill || args.(0) = sigstop then
+        (* neither can be caught, as on Linux *)
+        Errno.ret Errno.einval
       else begin
         Hashtbl.replace p.sig_handlers args.(0) args.(1);
         0
