@@ -99,12 +99,23 @@ let ldso_path = function
   | Isa.X86_64 -> "/usr/lib/ld-linux-x86-64.so.2"
   | Arm64 -> "/usr/lib/ld-linux-aarch64.so.1"
 
+(* [per_domain build] is [build isa], run at most once per domain and
+   ISA (a [Domain.DLS] key each; a [Lazy] would raise [Lazy.Undefined]
+   when two domains force it at once), its sections split for sharing
+   ({!Mapper.share}).  For images with no per-instance state, which
+   every world of a domain shares; interposer images carry their
+   instance's state and stay per world (DESIGN.md §4f). *)
+let per_domain build =
+  let key isa = Domain.DLS.new_key (fun () -> Mapper.share (build isa)) in
+  let x86 = key Isa.X86_64 and arm = key Isa.Arm64 in
+  function Isa.X86_64 -> Domain.DLS.get x86 | Isa.Arm64 -> Domain.DLS.get arm
+
 (** The interpreter loop.  The dispatch flag is rbx/x19 and the branch
     target r12/x20; the syscall gadget is a genuine trapping
     instruction in the interpreter's own text on both ISAs (P2b
     fidelity: all pre-preload startup syscalls execute as real
     [syscall]/[svc #0]). *)
-let ldso_image isa : image =
+let build_ldso isa : image =
   let items (k : _ Asm.kit) =
     let flag = k.reg (dispatch_flag_index isa) in
     let target = k.reg (dispatch_target_index isa) in
@@ -142,6 +153,9 @@ let ldso_image isa : image =
     im_owner = Ldso;
   }
 
+(** The ld.so image for an ISA, one per domain. *)
+let ldso_image = per_domain build_ldso
+
 (* ------------------------------------------------------------------ *)
 (* vdso                                                                *)
 
@@ -161,7 +175,7 @@ let vdso_clock_gettime (ctx : ctx) =
   (try Memory.write_u64_raw p.mem (Regs.geti th.regs arg1) ns with Memory.Fault _ -> ());
   Regs.set th.regs RAX 0
 
-let vdso_image isa : image =
+let build_vdso isa : image =
   let items (k : _ Asm.kit) =
     [ Asm.Label "__vdso_clock_gettime"; Vcall_named "vdso_clock_gettime"; I k.ret ]
   in
@@ -179,6 +193,9 @@ let vdso_image isa : image =
     im_needed = [];
     im_owner = Vdso;
   }
+
+(** The vdso image for an ISA, one per domain. *)
+let vdso_image = per_domain build_vdso
 
 (* ------------------------------------------------------------------ *)
 (* Dependency resolution                                               *)

@@ -14,8 +14,35 @@ open Kern
 
 let align = Memory.align_up
 
+(* The page buffers of the images built once per domain, keyed on the
+   physical identity of each section's bytes (nothing writes an
+   assembled program's bytes).  Filled by {!share}. *)
+let split_key : (Bytes.t * Memory.frames) list ref Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> ref [])
+
+(** [share im] splits [im]'s sections into page buffers that every
+    later mapping of [im] on this domain shares copy-on-write, and
+    returns [im].  For an image built once per domain and shared by
+    all its worlds; run it once per such image.  Any other image is
+    split afresh each time it is mapped. *)
+let share (im : image) =
+  let split = Domain.DLS.get split_key in
+  List.iter
+    (fun b -> split := (b, Memory.frames_of_bytes b) :: !split)
+    [ im.im_prog.K23_isa.Asm.text; im.im_prog.K23_isa.Asm.data ];
+  im
+
+(** The page buffers that a section's [bytes] are mapped from: those
+    {!share} made for it, or a fresh split. *)
+let frames_of bytes =
+  match List.assq_opt bytes !(Domain.DLS.get split_key) with
+  | Some frames -> frames
+  | None -> Memory.frames_of_bytes bytes
+
 (** Map one section of [im] into [p]; returns the section base.
-    Idempotent per (image, section). *)
+    Idempotent per (image, section).  The pages share the section's
+    page buffers copy-on-write ({!Memory.map_frames}): those {!share}
+    made, or ones split for this mapping. *)
 let map_image_section (w : world) (p : proc) (im : image) ~section =
   let prog = im.im_prog in
   let existing = Hashtbl.find_opt p.image_bases im.im_name in
@@ -44,8 +71,7 @@ let map_image_section (w : world) (p : proc) (im : image) ~section =
   | Some b -> b
   | None ->
     let base = pick_base len in
-    Memory.map p.mem ~addr:base ~len ~perm;
-    Memory.write_bytes_raw p.mem base bytes;
+    Memory.map_frames p.mem ~addr:base ~perm (frames_of bytes);
     add_region p
       {
         r_start = base;

@@ -184,6 +184,7 @@ let step ?(cost = Cost.default) (regs : Regs.t) (mem : Memory.t) (icache : Icach
       | Call_rel d ->
         let sp = Regs.get regs RSP - 8 in
         Memory.write_u64 mem ~pkru:regs.pkru sp next;
+        Icache.invalidate_range icache ~addr:sp ~len:8;
         Regs.set regs RSP sp;
         regs.rip <- next + d;
         Stepped c
@@ -196,6 +197,7 @@ let step ?(cost = Cost.default) (regs : Regs.t) (mem : Memory.t) (icache : Icach
       | Call_reg r ->
         let sp = Regs.get regs RSP - 8 in
         Memory.write_u64 mem ~pkru:regs.pkru sp next;
+        Icache.invalidate_range icache ~addr:sp ~len:8;
         Regs.set regs RSP sp;
         regs.rip <- Regs.get regs r;
         Stepped c

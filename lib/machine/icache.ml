@@ -98,13 +98,6 @@ let nop_tail bytes =
   let rec go i = if i > 0 && Bytes.unsafe_get bytes (i - 1) = '\x90' then go (i - 1) else i in
   go line_size
 
-(* Whether [line] and [page] agree on the line's bytes from offset [i],
-   [page] read from [off]: eight word compares, no allocation. *)
-let rec same_bytes line page off i =
-  i = line_size
-  || Bytes.get_int64_ne line i = Bytes.get_int64_ne page (off + i)
-     && same_bytes line page off (i + 8)
-
 (* Line holding [addr].  A current-epoch line is served as is.  A miss
    or an old-epoch line first checks execute permission at [addr] (the
    fault names the fetch address, as a fill's always has), then
@@ -120,14 +113,14 @@ let get_line t (mem : Memory.t) addr =
     let line =
       if cached.stamp = t.epoch then cached
       else
-        let page = (Memory.exec_page mem addr).Memory.bytes in
+        let page = Memory.exec_page mem addr in
         let off = base land (Memory.page_size - 1) in
-        if cached != no_line && same_bytes cached.bytes page off 0 then begin
+        if cached != no_line && Memory.page_equal_sub page off cached.bytes then begin
           cached.stamp <- t.epoch;
           cached
         end
         else
-          let bytes = Bytes.sub page off line_size in
+          let bytes = Memory.page_sub page off line_size in
           let line =
             { bytes; nop_tail = nop_tail bytes; decoded = Array.make line_size None; stamp = t.epoch }
           in

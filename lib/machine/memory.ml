@@ -37,7 +37,20 @@ type fault = { fault_addr : int; access : access }
 
 exception Fault of fault
 
-type page = { bytes : Bytes.t; mutable perm : perm; mutable pkey : int }
+(* Pages on demand.  A page's buffer is either its own or shared, and
+   a shared buffer carries the [cow] mark: the one all-zero buffer
+   behind every fresh mapping, a page of an image section mapped by
+   {!map_frames}, or a page that {!clone} left to parent and child.
+   Every store below goes through {!own}, which copies a marked buffer
+   before the first write, so no shared buffer is ever written.  There
+   is no reference count: after a fork both sides copy a page on their
+   first store to it, even when the other side has since exited. *)
+type page = {
+  mutable bytes : Bytes.t;
+  mutable cow : bool;  (** [bytes] may be shared: copy before writing *)
+  mutable perm : perm;
+  mutable pkey : int;
+}
 
 type t = {
   pages : page Inttbl.t;
@@ -64,7 +77,20 @@ type t = {
 (* Placeholder behind an empty TLB slot (idx = -1, never a real page
    index since addresses shift right logically), and the page table's
    answer for an unmapped index. *)
-let no_page = { bytes = Bytes.empty; perm = perm_none; pkey = 0 }
+let no_page = { bytes = Bytes.empty; cow = true; perm = perm_none; pkey = 0 }
+
+(* The buffer every fresh mapping shares.  It is never written: each
+   page that holds it is marked [cow]. *)
+let zero_page = Bytes.make page_size '\000'
+
+(* The buffer a store may write into: a shared one is replaced by a
+   private copy first, once. *)
+let[@inline] own p =
+  if p.cow then begin
+    p.bytes <- Bytes.copy p.bytes;
+    p.cow <- false
+  end;
+  p.bytes
 
 let create () =
   {
@@ -97,24 +123,48 @@ let is_mapped t addr = Inttbl.mem t.pages (page_index addr)
 
 let find_page t addr = Inttbl.find_opt t.pages (page_index addr)
 
-(** [map t ~addr ~len ~perm] maps (and commits) pages covering
-    [addr, addr+len).  [addr] must be page-aligned.  Already-mapped
-    pages in the range are remapped fresh (MAP_FIXED semantics); only
-    newly added pages are committed and reserved, so map, remap, unmap
-    leaves both counters where they started. *)
-let map ?(pkey = 0) t ~addr ~len ~perm =
-  if addr land (page_size - 1) <> 0 then invalid_arg "Memory.map: unaligned addr";
-  if len <= 0 then invalid_arg "Memory.map: bad length";
-  let npages = (align_up len) lsr page_shift in
+(* Bind [npages] pages from [addr] to the shared buffers [frame i],
+   each marked copy-on-write.  Already-mapped pages are replaced
+   (MAP_FIXED semantics); only newly added pages are committed and
+   reserved, so map, remap, unmap leaves both counters where they
+   started. *)
+let install t ~addr ~npages ~perm ~pkey frame =
   for i = 0 to npages - 1 do
     let idx = page_index addr + i in
     if not (Inttbl.mem t.pages idx) then begin
       t.committed_bytes <- t.committed_bytes + page_size;
       t.reserved_bytes <- t.reserved_bytes + page_size
     end;
-    Inttbl.replace t.pages idx { bytes = Bytes.make page_size '\000'; perm; pkey }
+    Inttbl.replace t.pages idx { bytes = frame i; cow = true; perm; pkey }
   done;
   tlb_flush t
+
+(** [map t ~addr ~len ~perm] maps (and commits) zero pages covering
+    [addr, addr+len).  [addr] must be page-aligned.  Every page shares
+    the one zero buffer until its first store. *)
+let map ?(pkey = 0) t ~addr ~len ~perm =
+  if addr land (page_size - 1) <> 0 then invalid_arg "Memory.map: unaligned addr";
+  if len <= 0 then invalid_arg "Memory.map: bad length";
+  install t ~addr ~npages:(align_up len lsr page_shift) ~perm ~pkey (fun _ -> zero_page)
+
+(* An image section split into page-sized buffers, the last one padded
+   with zeros.  Nothing writes them: {!map_frames} installs them
+   copy-on-write. *)
+type frames = Bytes.t array
+
+let frames_of_bytes b =
+  let len = Bytes.length b in
+  Array.init
+    (max 1 (align_up len lsr page_shift))
+    (fun i ->
+      let f = Bytes.make page_size '\000' in
+      let off = i * page_size in
+      Bytes.blit b off f 0 (min page_size (len - off));
+      f)
+
+let map_frames ?(pkey = 0) t ~addr ~perm frames =
+  if addr land (page_size - 1) <> 0 then invalid_arg "Memory.map_frames: unaligned addr";
+  install t ~addr ~npages:(Array.length frames) ~perm ~pkey (Array.get frames)
 
 (** Record a virtual-only reservation (MAP_NORESERVE): no pages are
     committed, but the reservation is accounted, so the P4b bench can
@@ -175,7 +225,7 @@ let read_u8_raw t addr =
 
 let write_u8_raw t addr v =
   let p = lookup_raw t addr `Write in
-  Bytes.set p.bytes (addr land (page_size - 1)) (Char.chr (v land 0xff))
+  Bytes.set (own p) (addr land (page_size - 1)) (Char.chr (v land 0xff))
 
 (* Bulk copies: one page lookup and one blit per in-page chunk.  Each
    chunk starts either at [addr] or on a page boundary, and its lookup
@@ -183,22 +233,22 @@ let write_u8_raw t addr v =
    loop would have faulted on: the first byte of the first unmapped
    page.  Chunks go in address order, so a faulting write has already
    stored exactly the prefix the byte loop would have stored.
-   [f page_bytes page_off i n] copies bytes [i, i+n) of the range. *)
+   [f page page_off i n] copies bytes [i, i+n) of the range. *)
 let iter_chunks t addr len access f =
   let i = ref 0 in
   while !i < len do
     let a = addr + !i in
     let off = a land (page_size - 1) in
     let n = min (page_size - off) (len - !i) in
-    f (lookup_raw t a access).bytes off !i n;
+    f (lookup_raw t a access) off !i n;
     i := !i + n
   done
 
 let read_into_raw t addr dst dst_off len =
-  iter_chunks t addr len `Read (fun page off i n -> Bytes.blit page off dst (dst_off + i) n)
+  iter_chunks t addr len `Read (fun p off i n -> Bytes.blit p.bytes off dst (dst_off + i) n)
 
 let write_from_raw t addr src src_off len =
-  iter_chunks t addr len `Write (fun page off i n -> Bytes.blit src (src_off + i) page off n)
+  iter_chunks t addr len `Write (fun p off i n -> Bytes.blit src (src_off + i) (own p) off n)
 
 let read_bytes_raw t addr len =
   let out = Bytes.create len in
@@ -229,7 +279,7 @@ let write_u64_raw t addr v =
   let off = addr land (page_size - 1) in
   if off <= page_size - 8 then
     let p = lookup_raw t addr `Write in
-    Bytes.set_int64_le p.bytes off (Int64.logand (Int64.of_int v) word_mask)
+    Bytes.set_int64_le (own p) off (Int64.logand (Int64.of_int v) word_mask)
   else
     for i = 0 to 7 do
       write_u8_raw t (addr + i) ((v lsr (8 * i)) land 0xff)
@@ -244,7 +294,7 @@ let write_u32_raw t addr v =
     done
   else
     let p = lookup_raw t addr `Write in
-    Bytes.set_int32_le p.bytes (addr land (page_size - 1)) (Int32.of_int v)
+    Bytes.set_int32_le (own p) (addr land (page_size - 1)) (Int32.of_int v)
 
 (* ------------------------------------------------------------------ *)
 (* PKRU-checked (user-view) access                                     *)
@@ -302,13 +352,24 @@ let exec_page t addr =
 
 let check_exec t addr = ignore (exec_page t addr : page)
 
+let page_sub p off len = Bytes.sub p.bytes off len
+
+(* Whether [b] from [i] on equals [buf] from [off + i] on: word
+   compares, then bytes.  Top-level, so no closure is allocated. *)
+let rec equal_from b buf off i =
+  if i + 8 <= Bytes.length b then
+    Bytes.get_int64_ne b i = Bytes.get_int64_ne buf (off + i) && equal_from b buf off (i + 8)
+  else i = Bytes.length b || (Bytes.get b i = Bytes.get buf (off + i) && equal_from b buf off (i + 1))
+
+let page_equal_sub p off b = equal_from b p.bytes off 0
+
 let read_u8 t ~pkru addr =
   let p = lookup_r t ~pkru addr in
   Char.code (Bytes.get p.bytes (addr land (page_size - 1)))
 
 let write_u8 t ~pkru addr v =
   let p = lookup_w t ~pkru addr in
-  Bytes.set p.bytes (addr land (page_size - 1)) (Char.chr (v land 0xff))
+  Bytes.set (own p) (addr land (page_size - 1)) (Char.chr (v land 0xff))
 
 (* In-page words: one page lookup (usually a TLB hit) and one
    permission check cover all 8 bytes.  Page-straddling words keep the
@@ -329,7 +390,7 @@ let write_u64 t ~pkru addr v =
   let off = addr land (page_size - 1) in
   if off <= page_size - 8 then
     let p = lookup_w t ~pkru addr in
-    Bytes.set_int64_le p.bytes off (Int64.logand (Int64.of_int v) word_mask)
+    Bytes.set_int64_le (own p) off (Int64.logand (Int64.of_int v) word_mask)
   else begin
     for i = 0 to 7 do
       check_write t ~pkru (addr + i)
@@ -343,10 +404,17 @@ let fetch_u8 t addr =
 
 (* ------------------------------------------------------------------ *)
 
-(** Deep copy, for fork(). *)
+(** fork(): the child gets its own page records over the parent's
+    buffers, and both sides' pages are marked copy-on-write, so the
+    first store on either side copies that one page.  No buffer is
+    copied here. *)
 let clone t =
   let pages = Inttbl.create (Inttbl.length t.pages) in
-  Inttbl.iter (fun idx p -> Inttbl.replace pages idx { p with bytes = Bytes.copy p.bytes }) t.pages;
+  Inttbl.iter
+    (fun idx p ->
+      p.cow <- true;
+      Inttbl.replace pages idx { p with cow = true })
+    t.pages;
   {
     pages;
     committed_bytes = t.committed_bytes;

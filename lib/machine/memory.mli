@@ -6,7 +6,18 @@
     fetch is {e never} blocked by PKU — the property that makes
     PKU-based eXecute-Only Memory possible (and leaves pitfall P4a
     open).  [*_raw] accessors bypass checks (kernel view); checked
-    accessors raise {!Fault}. *)
+    accessors raise {!Fault}.
+
+    Pages are backed on demand.  A fresh mapping shares one all-zero
+    buffer, an image section's pages share the buffers {!frames_of_bytes}
+    split it into, and {!clone} shares every page between parent and
+    child.  A shared page is marked copy-on-write, and the writers of
+    this module copy it before their first store.  So only this
+    module's writers may store into a page buffer: {!page} is
+    abstract, and nothing outside reaches a buffer except through the
+    read-only {!page_sub} and {!page_equal_sub}.  None of this shows in
+    simulation: the accounting is done at map time, and no cycle is
+    charged for a copy. *)
 
 val page_size : int
 val page_shift : int
@@ -29,9 +40,16 @@ type fault = { fault_addr : int; access : access }
 
 exception Fault of fault
 
+type page
+(** One mapped page: its buffer, copy-on-write mark, permissions and
+    protection key. *)
+
 type t = {
   pages : page Inttbl.t;  (** by page index *)
-  mutable committed_bytes : int;  (** physical memory actually allocated *)
+  mutable committed_bytes : int;
+      (** simulated physical memory committed by {!map} and
+          {!map_frames}, counted at map time however the page is
+          backed *)
   mutable reserved_bytes : int;
       (** virtual reservations incl. MAP_NORESERVE mappings — the basis
           of the P4b memory measurement *)
@@ -47,8 +65,6 @@ type t = {
   mutable tlb_raw_pg : page;
 }
 
-and page = { bytes : Bytes.t; mutable perm : perm; mutable pkey : int }
-
 val create : unit -> t
 
 val page_index : int -> int
@@ -56,12 +72,28 @@ val align_down : int -> int
 val align_up : int -> int
 
 val is_mapped : t -> int -> bool
-val find_page : t -> int -> page option
 
 val map : ?pkey:int -> t -> addr:int -> len:int -> perm:perm -> unit
-(** Map (and commit) pages covering [addr, addr+len); [addr] must be
-    page-aligned.  MAP_FIXED semantics on overlap: remapped pages come
-    back zeroed, and only newly added pages are counted. *)
+(** Map (and commit) zero pages covering [addr, addr+len); [addr] must
+    be page-aligned.  MAP_FIXED semantics on overlap: remapped pages
+    come back zeroed, and only newly added pages are counted.  No
+    buffer is allocated: every page shares the one zero buffer until
+    its first store copies it. *)
+
+type frames
+(** A byte string split into page-sized buffers, the last padded with
+    zeros: an image section ready to be mapped by sharing.  Nothing
+    ever writes its buffers. *)
+
+val frames_of_bytes : Bytes.t -> frames
+(** Split [b] into [max 1 (ceil (length b / page_size))] page buffers.
+    [b] is copied: a later change to it does not reach the frames. *)
+
+val map_frames : ?pkey:int -> t -> addr:int -> perm:perm -> frames -> unit
+(** {!map} of one page per frame, each page sharing its frame's buffer
+    copy-on-write instead of the zero buffer: reads see the frames'
+    bytes, and the first store to a page copies it.  Accounting and
+    MAP_FIXED semantics are {!map}'s. *)
 
 val reserve : t -> len:int -> unit
 (** Virtual-only reservation (MAP_NORESERVE): accounted, not
@@ -126,6 +158,15 @@ val exec_page : t -> int -> page
 val check_exec : t -> int -> unit
 (** {!exec_page} for its check alone. *)
 
+val page_sub : page -> int -> int -> Bytes.t
+(** [page_sub p off len] is a fresh copy of [len] bytes of [p]'s
+    buffer from offset [off]: how the I-cache fills a line. *)
+
+val page_equal_sub : page -> int -> Bytes.t -> bool
+(** [page_equal_sub p off b] is whether [p]'s buffer holds [b] at
+    offset [off]: how the I-cache rechecks a line.  Allocates
+    nothing. *)
+
 val read_u8 : t -> pkru:int -> int -> int
 val write_u8 : t -> pkru:int -> int -> int -> unit
 val read_u64 : t -> pkru:int -> int -> int
@@ -133,7 +174,11 @@ val write_u64 : t -> pkru:int -> int -> int -> unit
 val fetch_u8 : t -> int -> int
 
 val clone : t -> t
-(** Deep copy, for fork(). *)
+(** fork(): a memory with the same pages, permissions, keys and
+    accounting, sharing every page buffer with [t].  Both sides' pages
+    are marked copy-on-write, so a store on either side copies that
+    one page first and the other side keeps the old bytes.  Copies no
+    buffer. *)
 
 val read_cstr : ?max:int -> t -> int -> string
 val write_cstr : t -> int -> string -> unit

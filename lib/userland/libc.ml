@@ -331,7 +331,7 @@ let host_fns =
     ("libc_dlsym", libc_dlsym);
   ]
 
-let image () : image =
+let build () : image =
   {
     im_name = path;
     im_prog = Asm.assemble items;
@@ -341,3 +341,11 @@ let image () : image =
     im_needed = [];
     im_owner = Libc;
   }
+
+(* The image holds no per-instance state, so it is assembled and split
+   into page buffers once per domain and shared by every world there
+   (DESIGN.md §4f). *)
+let image_key = Domain.DLS.new_key (fun () -> Mapper.share (build ()))
+
+(** The libc image, the same record for every world of a domain. *)
+let image () = Domain.DLS.get image_key

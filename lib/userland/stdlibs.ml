@@ -43,7 +43,7 @@ let libpcre = "/usr/lib/x86_64-linux-gnu/libpcre2-8.so.0"
 let libcrypto = "/usr/lib/x86_64-linux-gnu/libcrypto.so.3"
 let libz = "/usr/lib/x86_64-linux-gnu/libz.so.1"
 
-let all () =
+let build () =
   [
     stub ~path:libselinux ~deps:[ libpcre ] ();
     stub ~path:libcap ();
@@ -51,3 +51,11 @@ let all () =
     stub ~path:libcrypto ();
     stub ~path:libz ();
   ]
+
+(* Stateless like libc: assembled and split once per domain (DLS),
+   not per world. *)
+let all_key = Domain.DLS.new_key (fun () -> List.map Mapper.share (build ()))
+
+(** The five stub images, the same records for every world of a
+    domain. *)
+let all () = Domain.DLS.get all_key

@@ -203,6 +203,59 @@ let test_host_function_fault () =
                events))
     Mech.[ Native; Zpoline_default; Zpoline_ultra; Lazypoline; K23_default; K23_ultra ]
 
+(* Every exec maps libc, the stub libraries, ld.so and the vdso by
+   sharing page buffers split once per domain, and every fresh mapping
+   shares one zero buffer.  zpoline, lazypoline and K23 rewrite libc's
+   syscall sites in their processes; each rewrite must land in a copy
+   of the page it touches, so the shared images, their splits and the
+   zero buffer still equal a fresh assembly afterwards. *)
+let test_shared_pages_stay_pristine () =
+  let module M = K23_machine.Memory in
+  let fresh_libc = Asm.assemble Libc.items in
+  List.iter
+    (fun mech ->
+      let name = Mech.to_string mech in
+      let w = world_with_app 5 in
+      match K23_eval.Session.run ~sink:K23_eval.Session.Bounded w ~mech ~path:"/bin/bench" with
+      | Error e -> Alcotest.failf "%s: launch %d" name e
+      | Ok (p, _, _) ->
+        Alcotest.(check (option int)) (name ^ " exit 0") (Some 0) p.exit_status;
+        let text, _ = Hashtbl.find p.image_bases Libc.path in
+        let len = Bytes.length fresh_libc.text in
+        Alcotest.(check bool) (name ^ " rewrote its libc") false
+          (Bytes.equal fresh_libc.text (M.read_bytes_raw p.mem text len)))
+    Mech.[ Zpoline_default; Lazypoline; K23_default ];
+  let same_split what bytes =
+    let frames = Mapper.frames_of bytes in
+    Alcotest.(check bool) (what ^ " split once") true (frames == Mapper.frames_of bytes);
+    let m = M.create () in
+    M.map_frames m ~addr:0 ~perm:M.perm_r frames;
+    let padded = M.align_up (max 1 (Bytes.length bytes)) in
+    Alcotest.(check string) (what ^ " split")
+      (Bytes.to_string bytes ^ String.make (padded - Bytes.length bytes) '\000')
+      (Bytes.to_string (M.read_bytes_raw m 0 padded))
+  in
+  let same_image (im : Kern.image) (fresh : Kern.image) =
+    let what = im.im_name in
+    Alcotest.(check string) (what ^ " text") (Bytes.to_string fresh.im_prog.text)
+      (Bytes.to_string im.im_prog.text);
+    Alcotest.(check string) (what ^ " data") (Bytes.to_string fresh.im_prog.data)
+      (Bytes.to_string im.im_prog.data);
+    same_split (what ^ " text") im.im_prog.text;
+    same_split (what ^ " data") im.im_prog.data
+  in
+  same_image (Libc.image ()) { (Libc.build ()) with im_prog = fresh_libc };
+  List.iter2 same_image (Stdlibs.all ()) (Stdlibs.build ());
+  List.iter
+    (fun isa ->
+      same_image (Loader.ldso_image isa) (Loader.build_ldso isa);
+      same_image (Loader.vdso_image isa) (Loader.build_vdso isa))
+    K23_isa.Isa.[ X86_64; Arm64 ];
+  let m = M.create () in
+  M.map m ~addr:0 ~len:M.page_size ~perm:M.perm_r;
+  Alcotest.(check string) "zero buffer still zero" (String.make M.page_size '\000')
+    (Bytes.to_string (M.read_bytes_raw m 0 M.page_size))
+
 let tests =
   ( "interposers",
     [
@@ -216,4 +269,6 @@ let tests =
       Alcotest.test_case "emulation via SIGSYS path" `Quick test_emulation_sud;
       Alcotest.test_case "guest fault in a host function is SIGSEGV" `Quick
         test_host_function_fault;
+      Alcotest.test_case "rewrites leave the shared images and zero page intact" `Quick
+        test_shared_pages_stay_pristine;
     ] )

@@ -49,13 +49,23 @@ let test_fetch_needs_exec () =
     (Memory.Fault { fault_addr = 0x1000; access = `Exec })
     (fun () -> ignore (Memory.fetch_u8 m 0x1000))
 
+(* Stores on either side after a fork stay on that side, whichever
+   side writes a shared page first. *)
 let test_clone_is_deep () =
   let m = Memory.create () in
-  Memory.map m ~addr:0x1000 ~len:4096 ~perm:Memory.perm_rw;
+  Memory.map m ~addr:0x1000 ~len:8192 ~perm:Memory.perm_rw;
   Memory.write_u8_raw m 0x1000 7;
   let c = Memory.clone m in
   Memory.write_u8_raw m 0x1000 9;
-  Alcotest.(check int) "clone unaffected" 7 (Memory.read_u8_raw c 0x1000)
+  Alcotest.(check int) "clone unaffected" 7 (Memory.read_u8_raw c 0x1000);
+  Memory.write_u8_raw c 0x1001 5;
+  Alcotest.(check int) "parent unaffected" 0 (Memory.read_u8_raw m 0x1001);
+  Alcotest.(check int) "parent keeps its store" 9 (Memory.read_u8_raw m 0x1000);
+  Memory.write_u64 c ~pkru:0 0x2008 0x1234;
+  Alcotest.(check int) "child writes first: parent unaffected" 0 (Memory.read_u64_raw m 0x2008);
+  Memory.write_u64 m ~pkru:0 0x2008 0x5678;
+  Alcotest.(check int) "child keeps its store" 0x1234 (Memory.read_u64_raw c 0x2008);
+  Alcotest.(check int) "parent sees its store" 0x5678 (Memory.read_u64_raw m 0x2008)
 
 let test_cstr_roundtrip () =
   let m = Memory.create () in
@@ -123,6 +133,56 @@ let test_remap_accounting () =
   Memory.unmap m ~addr:0x1000 ~len:12288;
   Alcotest.(check int) "committed after unmap" 0 m.committed_bytes;
   Alcotest.(check int) "reserved after unmap" 0 m.reserved_bytes
+
+(* ---------------- pages on demand ---------------- *)
+
+(* Words [f ()] allocates in the major heap, with its result.  The
+   minor heap is emptied first, so nothing is promoted while [f] runs:
+   what is counted is what [f] allocates there directly, which every
+   page buffer is (4 KiB is over the minor heap's object limit), and
+   the few-word page records are not. *)
+let major_words f =
+  Gc.minor ();
+  let _, _, before = Gc.counters () in
+  let r = f () in
+  let _, _, after = Gc.counters () in
+  (after -. before, r)
+
+(* Seen through the allocator: mapping and cloning allocate no page
+   buffer, the first store to a shared page copies exactly that page,
+   a second store copies nothing, and the other side keeps its bytes. *)
+let test_pages_on_demand () =
+  let buffer = float_of_int ((Memory.page_size / 8) + 1) in
+  let no_buffer what w = if w >= buffer then Alcotest.failf "%s allocated %.0f words" what w in
+  let one_buffer what w =
+    if w < buffer || w >= 2. *. buffer then
+      Alcotest.failf "%s allocated %.0f words, not one page buffer" what w
+  in
+  let len = 64 * Memory.page_size in
+  let m = Memory.create () in
+  let w, () = major_words (fun () -> Memory.map m ~addr:0x10_0000 ~len ~perm:Memory.perm_rw) in
+  no_buffer "map" w;
+  Alcotest.(check int) "zero page reads zero" 0 (Memory.read_u64_raw m 0x10_0ff8);
+  let w, () = major_words (fun () -> Memory.write_u8_raw m 0x10_0010 0x11) in
+  one_buffer "first store after map" w;
+  let w, c = major_words (fun () -> Memory.clone m) in
+  no_buffer "clone" w;
+  let w, () = major_words (fun () -> Memory.write_u8_raw c 0x10_0010 0x5a) in
+  one_buffer "child's first store" w;
+  let w, () = major_words (fun () -> Memory.write_u8 c ~pkru:0 0x10_0011 0x5b) in
+  no_buffer "second store" w;
+  Alcotest.(check int) "parent keeps the old byte" 0x11 (Memory.read_u8_raw m 0x10_0010);
+  let w, () = major_words (fun () -> Memory.write_u64_raw m 0x10_0010 0x77) in
+  one_buffer "parent's first store after the fork" w;
+  Alcotest.(check int) "child keeps its byte" 0x5a (Memory.read_u8_raw c 0x10_0010);
+  let text = Bytes.init (3 * Memory.page_size) (fun i -> Char.chr (i land 0xff)) in
+  let frames = Memory.frames_of_bytes text in
+  let w, () =
+    major_words (fun () -> Memory.map_frames m ~addr:0x20_0000 ~perm:Memory.perm_rx frames)
+  in
+  no_buffer "map_frames" w;
+  Alcotest.(check string) "frames read back" (Bytes.to_string text)
+    (Bytes.to_string (Memory.read_bytes_raw m 0x20_0000 (Bytes.length text)))
 
 (* ---------------- bulk copies vs the byte loop ---------------- *)
 
@@ -237,6 +297,213 @@ let test_tlb_mprotect_immediate () =
     (Memory.Fault { fault_addr = 0x1000; access = `Read })
     (fun () -> ignore (Memory.read_u64 m ~pkru:(1 lsl 2) 0x1000))
 
+(* ---------------- copy-on-write vs a deep-copy model ---------------- *)
+
+(* The reference is memory without sharing: a table of page records,
+   each with its own buffer, copied whole by [clone] and written a
+   byte at a time.  Random maps, unmaps,
+   mprotects, pkey changes, clones (up to four live memories, so up to
+   three generations) and writes through every write path on any live
+   copy must leave every memory equal to its reference: the same
+   outcome (value or fault) per operation, and at the end the same
+   pages, permissions, keys, bytes and accounting. *)
+type ref_page = { rb : Bytes.t; mutable rperm : Memory.perm; mutable rpkey : int }
+
+let model_base = 0x40_0000
+let model_pages = 6
+
+type write_path = U8 | U64 | U8_raw | U64_raw | U32_raw | Bytes_raw | Cstr | From_raw
+
+type model_write = { mem : int; path : write_path; addr : int; v : int; len : int; pkru : int }
+
+type model_op =
+  | Map of int * int * int * Memory.perm  (** memory, first page, pages, perm *)
+  | Unmap of int * int * int
+  | Set_perm of int * int * int * Memory.perm
+  | Set_pkey of int * int * int * int
+  | Clone of int
+  | Write of model_write
+
+let path_name = function
+  | U8 -> "u8"
+  | U64 -> "u64"
+  | U8_raw -> "u8_raw"
+  | U64_raw -> "u64_raw"
+  | U32_raw -> "u32_raw"
+  | Bytes_raw -> "bytes_raw"
+  | Cstr -> "cstr"
+  | From_raw -> "from_raw"
+
+let show_op = function
+  | Map (i, pg, n, perm) -> Printf.sprintf "map m%d %d+%d %s" i pg n (Memory.perm_to_string perm)
+  | Unmap (i, pg, n) -> Printf.sprintf "unmap m%d %d+%d" i pg n
+  | Set_perm (i, pg, n, perm) ->
+    Printf.sprintf "mprotect m%d %d+%d %s" i pg n (Memory.perm_to_string perm)
+  | Set_pkey (i, pg, n, k) -> Printf.sprintf "pkey m%d %d+%d key%d" i pg n k
+  | Clone i -> Printf.sprintf "clone m%d" i
+  | Write w ->
+    Printf.sprintf "%s m%d 0x%x v=%d len=%d pkru=%d" (path_name w.path) w.mem w.addr w.v w.len
+      w.pkru
+
+let ref_fault addr = raise (Memory.Fault { fault_addr = addr; access = `Write })
+
+let ref_u8 r addr v =
+  match Hashtbl.find_opt r (Memory.page_index addr) with
+  | None -> ref_fault addr
+  | Some p -> Bytes.set p.rb (addr land (Memory.page_size - 1)) (Char.chr (v land 0xff))
+
+let ref_check r ~pkru addr =
+  match Hashtbl.find_opt r (Memory.page_index addr) with
+  | Some p
+    when p.rperm.w
+         && not (Memory.pkru_access_disabled pkru p.rpkey || Memory.pkru_write_disabled pkru p.rpkey)
+    ->
+    ()
+  | _ -> ref_fault addr
+
+let ref_bytes r addr b = Bytes.iteri (fun i c -> ref_u8 r (addr + i) (Char.code c)) b
+let le v n = Bytes.init n (fun i -> Char.chr ((v lsr (8 * i)) land 0xff))
+let payload v len = Bytes.init len (fun i -> Char.chr ((v + (i * 7)) land 0xff))
+let cstr v len = String.init len (fun i -> Char.chr (1 + ((v + i) land 0x7f)))
+
+let ref_write r { path; addr; v; len; pkru; mem = _ } =
+  match path with
+  | U8 ->
+    ref_check r ~pkru addr;
+    ref_u8 r addr v
+  | U64 ->
+    for i = 0 to 7 do
+      ref_check r ~pkru (addr + i)
+    done;
+    ref_bytes r addr (le v 8)
+  | U8_raw -> ref_u8 r addr v
+  | U64_raw -> ref_bytes r addr (le v 8)
+  | U32_raw -> ref_bytes r addr (le v 4)
+  | Bytes_raw | From_raw -> ref_bytes r addr (payload v len)
+  | Cstr -> ref_bytes r addr (Bytes.of_string (cstr v len ^ "\000"))
+
+let mem_write m { path; addr; v; len; pkru; mem = _ } =
+  match path with
+  | U8 -> Memory.write_u8 m ~pkru addr v
+  | U64 -> Memory.write_u64 m ~pkru addr v
+  | U8_raw -> Memory.write_u8_raw m addr v
+  | U64_raw -> Memory.write_u64_raw m addr v
+  | U32_raw -> Memory.write_u32_raw m addr v
+  | Bytes_raw -> Memory.write_bytes_raw m addr (payload v len)
+  | From_raw -> Memory.write_from_raw m addr (Bytes.cat (Bytes.make 3 'x') (payload v len)) 3 len
+  | Cstr -> Memory.write_cstr m addr (cstr v len)
+
+let fault_outcome f = match f () with () -> None | exception Memory.Fault flt -> Some flt
+
+let same_as_reference m r =
+  let mapped = Hashtbl.length r * Memory.page_size in
+  m.Memory.committed_bytes = mapped
+  && m.Memory.reserved_bytes = mapped
+  && List.for_all
+       (fun k ->
+         let addr = model_base + (k * Memory.page_size) in
+         match Hashtbl.find_opt r (Memory.page_index addr) with
+         | None -> not (Memory.is_mapped m addr)
+         | Some p ->
+           Memory.get_perm m addr = Some p.rperm
+           && Memory.get_pkey m addr = Some p.rpkey
+           && Bytes.equal (Memory.read_bytes_raw m addr Memory.page_size) p.rb)
+       (List.init (model_pages + 2) (fun k -> k - 1))
+
+let run_model ops =
+  let mems = Array.make 4 (Memory.create ()) and refs = Array.make 4 (Hashtbl.create 8) in
+  let live = ref 1 in
+  let pick i = i mod !live in
+  let pages pg n f =
+    for k = pg to pg + n - 1 do
+      f (Memory.page_index model_base + k)
+    done
+  in
+  let addr pg = model_base + (pg * Memory.page_size) in
+  let step = function
+    | Map (i, pg, n, perm) ->
+      let i = pick i in
+      Memory.map mems.(i) ~addr:(addr pg) ~len:(n * Memory.page_size) ~perm;
+      pages pg n (fun idx ->
+          Hashtbl.replace refs.(i) idx
+            { rb = Bytes.make Memory.page_size '\000'; rperm = perm; rpkey = 0 });
+      true
+    | Unmap (i, pg, n) ->
+      let i = pick i in
+      Memory.unmap mems.(i) ~addr:(addr pg) ~len:(n * Memory.page_size);
+      pages pg n (Hashtbl.remove refs.(i));
+      true
+    | Set_perm (i, pg, n, perm) ->
+      let i = pick i in
+      Memory.set_perm mems.(i) ~addr:(addr pg) ~len:(n * Memory.page_size) ~perm;
+      pages pg n (fun idx -> Option.iter (fun p -> p.rperm <- perm) (Hashtbl.find_opt refs.(i) idx));
+      true
+    | Set_pkey (i, pg, n, pkey) ->
+      let i = pick i in
+      Memory.set_pkey mems.(i) ~addr:(addr pg) ~len:(n * Memory.page_size) ~pkey;
+      pages pg n (fun idx -> Option.iter (fun p -> p.rpkey <- pkey) (Hashtbl.find_opt refs.(i) idx));
+      true
+    | Clone i ->
+      if !live < Array.length mems then begin
+        let i = pick i in
+        mems.(!live) <- Memory.clone mems.(i);
+        let copy = Hashtbl.create 8 in
+        Hashtbl.iter (fun idx p -> Hashtbl.replace copy idx { p with rb = Bytes.copy p.rb }) refs.(i);
+        refs.(!live) <- copy;
+        incr live
+      end;
+      true
+    | Write w ->
+      let i = pick w.mem in
+      fault_outcome (fun () -> mem_write mems.(i) w)
+      = fault_outcome (fun () -> ref_write refs.(i) w)
+  in
+  let zero = Memory.create () in
+  List.for_all step ops
+  && List.for_all (fun i -> same_as_reference mems.(i) refs.(i)) (List.init !live Fun.id)
+  && begin
+       Memory.map zero ~addr:0 ~len:Memory.page_size ~perm:Memory.perm_r;
+       Bytes.equal (Memory.read_bytes_raw zero 0 Memory.page_size)
+         (Bytes.make Memory.page_size '\000')
+     end
+
+let arb_model =
+  let open QCheck.Gen in
+  let span = model_pages * Memory.page_size in
+  let mem = int_range 0 3 in
+  let perm = oneofl Memory.[ perm_rw; perm_r; perm_rwx; perm_rx; perm_none ] in
+  let range =
+    int_range 0 (model_pages - 1) >>= fun pg ->
+    int_range 1 (min 3 (model_pages - pg)) >|= fun n -> (pg, n)
+  in
+  let write =
+    mem >>= fun mem ->
+    oneofl [ U8; U64; U8_raw; U64_raw; U32_raw; Bytes_raw; Cstr; From_raw ] >>= fun path ->
+    int_range (model_base - 16) (model_base + span + 16) >>= fun a ->
+    bool >>= fun aligned ->
+    int >>= fun v ->
+    frequency [ (3, int_range 0 64); (1, int_range 0 (2 * Memory.page_size)) ] >>= fun len ->
+    oneofl [ 0; 1 lsl 2; 1 lsl 3 ] >|= fun pkru ->
+    Write { mem; path; addr = (if aligned then a land lnot 7 else a); v; len; pkru }
+  in
+  let op =
+    frequency
+      [
+        (2, map3 (fun i (pg, n) p -> Map (i, pg, n, p)) mem range perm);
+        (1, map2 (fun i (pg, n) -> Unmap (i, pg, n)) mem range);
+        (1, map3 (fun i (pg, n) p -> Set_perm (i, pg, n, p)) mem range perm);
+        (1, map3 (fun i (pg, n) k -> Set_pkey (i, pg, n, k)) mem range (int_range 0 1));
+        (2, map (fun i -> Clone i) mem);
+        (10, write);
+      ]
+  in
+  let gen = list_size (int_range 1 40) op >|= fun ops -> Map (0, 0, model_pages, Memory.perm_rw) :: ops in
+  QCheck.make gen ~print:(fun ops -> String.concat "\n" (List.map show_op ops))
+
+let prop_cow_model =
+  QCheck.Test.make ~name:"memory: copy-on-write pages == deep-copy model" ~count:300 arb_model
+    run_model
+
 let test_u64_straddle_fault_addr () =
   let m = Memory.create () in
   Memory.map m ~addr:0x1000 ~len:4096 ~perm:Memory.perm_rw;
@@ -299,6 +566,28 @@ let test_predecode_self_store () =
     ignore (Cpu.step regs m ic)
   done;
   check_decode "self-store re-decodes" (Ok (Insn.Hlt, 1)) (Icache.fetch_decode ic m 0x1200)
+
+(* A call's return-address push is a store like [Push]'s: it snoops
+   the core's own lines, so a predecoded line under the new stack slot
+   is re-decoded, as a fresh cache would decode it. *)
+let test_predecode_call_push call () =
+  let m = Memory.create () in
+  Memory.map m ~addr:0x1000 ~len:4096 ~perm:Memory.perm_rwx;
+  Memory.write_bytes_raw m 0x1200 (Bytes.make 8 '\x90');
+  let ic = Icache.create () in
+  check_decode "target predecoded as nop" (Ok (Insn.Nop, 1)) (Icache.fetch_decode ic m 0x1200);
+  Memory.write_bytes_raw m 0x1000
+    (Encode.assemble [ Mov_ri (RSP, 0x1208); Mov_ri (RAX, 0x1100); call ]);
+  let regs = Regs.create () in
+  regs.rip <- 0x1000;
+  for _ = 1 to 3 do
+    ignore (Cpu.step regs m ic)
+  done;
+  Alcotest.(check int) "return address pushed at 0x1200" 0x1200 (Regs.get regs RSP);
+  Alcotest.(check bool) "memory changed" true (Memory.read_u8_raw m 0x1200 <> 0x90);
+  check_decode "call push re-decodes"
+    (Icache.fetch_decode (Icache.create ()) m 0x1200)
+    (Icache.fetch_decode ic m 0x1200)
 
 (* (b) a cross-core store without [Kern.code_write_barrier] leaves the
    other core's predecoded instruction stale — the byte-model
@@ -604,6 +893,9 @@ let tests =
       Alcotest.test_case "MAP_NORESERVE accounting" `Quick test_reservation_accounting;
       Alcotest.test_case "unmap accounting (partial/missing ranges)" `Quick test_unmap_accounting;
       Alcotest.test_case "remap accounting (map, remap, unmap)" `Quick test_remap_accounting;
+      Alcotest.test_case "pages on demand: map/clone share, a store copies one page" `Quick
+        test_pages_on_demand;
+      QCheck_alcotest.to_alcotest prop_cow_model;
       QCheck_alcotest.to_alcotest prop_bulk_read;
       QCheck_alcotest.to_alcotest prop_bulk_write;
       Alcotest.test_case "TLB: unmap faults" `Quick test_tlb_unmap_faults;
@@ -617,6 +909,10 @@ let tests =
       Alcotest.test_case "icache flush" `Quick test_icache_flush;
       Alcotest.test_case "predecode: self-store re-decodes (SMC)" `Quick
         test_predecode_self_store;
+      Alcotest.test_case "predecode: call_rel push re-decodes (SMC)" `Quick
+        (test_predecode_call_push (Call_rel 0));
+      Alcotest.test_case "predecode: call_reg push re-decodes (SMC)" `Quick
+        (test_predecode_call_push (Call_reg RAX));
       Alcotest.test_case "predecode: cross-core store stays stale (P5)" `Quick
         test_predecode_cross_core_stale;
       Alcotest.test_case "predecode: misaligned entry overlap (P2a/P3a)" `Quick
