@@ -24,7 +24,14 @@ let split_key : (Bytes.t * Memory.frames) list ref Domain.DLS.key =
     later mapping of [im] on this domain shares copy-on-write, and
     returns [im].  For an image built once per domain and shared by
     all its worlds; run it once per such image.  Any other image is
-    split afresh each time it is mapped. *)
+    split afresh each time it is mapped.
+
+    It runs inside those images' [Domain.DLS] initialisers and reads
+    [split_key], which is created before any of their keys.  That order
+    matters: [Domain.DLS.get] stores an initialiser's result into the
+    key array it read before running it, so an initialiser that reads
+    a key created after its own may grow the array and lose its own
+    value. *)
 let share (im : image) =
   let split = Domain.DLS.get split_key in
   List.iter

@@ -244,6 +244,14 @@ let test_shared_pages_stay_pristine () =
     same_split (what ^ " text") im.im_prog.text;
     same_split (what ^ " data") im.im_prog.data
   in
+  let once what get = Alcotest.(check bool) (what ^ " built once") true (get () == get ()) in
+  once "libc" Libc.image;
+  once "stubs" Stdlibs.all;
+  List.iter
+    (fun isa ->
+      once "ld.so" (fun () -> Loader.ldso_image isa);
+      once "vdso" (fun () -> Loader.vdso_image isa))
+    K23_isa.Isa.[ X86_64; Arm64 ];
   same_image (Libc.image ()) { (Libc.build ()) with im_prog = fresh_libc };
   List.iter2 same_image (Stdlibs.all ()) (Stdlibs.build ());
   List.iter
