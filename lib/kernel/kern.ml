@@ -646,11 +646,6 @@ let exit_proc (p : proc) ~status =
 
 let proc_dead (p : proc) = p.exit_status <> None || p.term_signal <> None
 
-(* Tests on the step and syscall paths, written as matches rather than
-   polymorphic [=]/[<>]. *)
-let runnable th = match th.state with Runnable -> true | _ -> false
-let has_faults w = match w.faults with Some _ -> true | None -> false
-
 (** Deliver a signal to [th].  With no registered handler the process
     dies (all the signals we model are fatal by default). *)
 let deliver_signal (w : world) (th : thread) ~signo ~sysno ~site ~args =
@@ -980,7 +975,7 @@ let handle_syscall (w : world) (th : thread) ~site =
     ktrace_count w "sud.block";
     (* the diverted attempt's re-issue from interposer code must tick
        the fault schedule as the application call it stands for *)
-    if has_faults w && Sysno.fault nr <> No_faults then Queue.push nr th.fault_divq;
+    if w.faults <> None && Sysno.fault nr <> No_faults then Queue.push nr th.fault_divq;
     (match w.ktrace with
     | None -> ()
     | Some t ->
@@ -994,7 +989,7 @@ let handle_syscall (w : world) (th : thread) ~site =
     (* Once SUD is initialised every kernel entry of that thread takes
        the slow path, even with interposition toggled off — the
        "SUD-no-interposition" overhead of Table 5. *)
-    (match th.sud with Some _ -> charge w th w.cost.sud_armed_extra | None -> ());
+    if th.sud <> None then charge w th w.cost.sud_armed_extra;
     (* base cost plus ~1% deterministic jitter, so repeated runs show
        realistic (non-zero) standard deviations *)
     charge w th (w.cost.syscall_base + Rng.int w.rng 3);
@@ -1030,7 +1025,7 @@ let handle_syscall (w : world) (th : thread) ~site =
     | Bpf.Trap ->
       p.counters.c_sigsys <- p.counters.c_sigsys + 1;
       ktrace_count w "sigsys";
-      if has_faults w && Sysno.fault nr <> No_faults then Queue.push nr th.fault_divq;
+      if w.faults <> None && Sysno.fault nr <> No_faults then Queue.push nr th.fault_divq;
       if Hashtbl.mem p.sig_handlers sigsys then
         deliver_signal w th ~signo:sigsys ~sysno:nr ~site ~args
       else kill_proc p ~signal:sigsys
@@ -1139,7 +1134,7 @@ let step_thread (w : world) (th : thread) =
 
 let runnable_threads (w : world) =
   List.concat_map
-    (fun p -> if proc_dead p then [] else List.filter runnable p.threads)
+    (fun p -> if proc_dead p then [] else List.filter (fun t -> t.state = Runnable) p.threads)
     w.procs
 
 let blocked_threads (w : world) =
@@ -1173,15 +1168,15 @@ let run_slice (w : world) (th : thread) =
         (K23_obs.Event.Sched_switch { core = th.core })
     end);
   (match th.pending with
-  | Some (nr, args) when runnable th ->
+  | Some (nr, args) when th.state = Runnable ->
     th.pending <- None;
     (* a retry of the parked call, not a new one: keep its fault key
        and don't tick the schedule again *)
-    if has_faults w then th.fault_retry <- true;
+    if w.faults <> None then th.fault_retry <- true;
     if not (finish_syscall w th ~nr ~args) then () (* re-blocked *)
   | _ -> ());
   let budget = ref w.quantum in
-  while !budget > 0 && runnable th && not (proc_dead th.t_proc) do
+  while !budget > 0 && th.state = Runnable && not (proc_dead th.t_proc) do
     step_thread w th;
     decr budget
   done
@@ -1232,7 +1227,7 @@ let run ?(max_steps = 200_000_000) ?(until = fun () -> false) (w : world) =
     else
       List.iter
         (fun th ->
-          if !continue_ && runnable th then begin
+          if !continue_ && th.state = Runnable then begin
             run_slice w th;
             if until () || w.steps - start_steps > max_steps then continue_ := false
           end)

@@ -55,7 +55,8 @@ type page = {
 type t = {
   pages : page Inttbl.t;
   mutable committed_bytes : int;
-      (** physical memory actually allocated (touched pages) *)
+      (** simulated memory committed by {!map} and {!map_frames},
+          counted at map time however the page is backed *)
   mutable reserved_bytes : int;
       (** virtual reservations including MAP_NORESERVE-style mappings
           that never allocate pages (zpoline's full-address-space
@@ -162,9 +163,9 @@ let frames_of_bytes b =
       Bytes.blit b off f 0 (min page_size (len - off));
       f)
 
-let map_frames ?(pkey = 0) t ~addr ~perm frames =
+let map_frames t ~addr ~perm frames =
   if addr land (page_size - 1) <> 0 then invalid_arg "Memory.map_frames: unaligned addr";
-  install t ~addr ~npages:(Array.length frames) ~perm ~pkey (Array.get frames)
+  install t ~addr ~npages:(Array.length frames) ~perm ~pkey:0 (Array.get frames)
 
 (** Record a virtual-only reservation (MAP_NORESERVE): no pages are
     committed, but the reservation is accounted, so the P4b bench can
@@ -354,14 +355,14 @@ let check_exec t addr = ignore (exec_page t addr : page)
 
 let page_sub p off len = Bytes.sub p.bytes off len
 
-(* Whether [b] from [i] on equals [buf] from [off + i] on: word
-   compares, then bytes.  Top-level, so no closure is allocated. *)
-let rec equal_from b buf off i =
-  if i + 8 <= Bytes.length b then
-    Bytes.get_int64_ne b i = Bytes.get_int64_ne buf (off + i) && equal_from b buf off (i + 8)
-  else i = Bytes.length b || (Bytes.get b i = Bytes.get buf (off + i) && equal_from b buf off (i + 1))
+(* Whether [line] and [page] agree on the line's bytes from offset [i],
+   [page] read from [off]: word compares, no allocation. *)
+let rec same_bytes line page off i =
+  i = Bytes.length line
+  || Bytes.get_int64_ne line i = Bytes.get_int64_ne page (off + i)
+     && same_bytes line page off (i + 8)
 
-let page_equal_sub p off b = equal_from b p.bytes off 0
+let page_equal_sub p off b = same_bytes b p.bytes off 0
 
 let read_u8 t ~pkru addr =
   let p = lookup_r t ~pkru addr in

@@ -89,11 +89,11 @@ val frames_of_bytes : Bytes.t -> frames
 (** Split [b] into [max 1 (ceil (length b / page_size))] page buffers.
     [b] is copied: a later change to it does not reach the frames. *)
 
-val map_frames : ?pkey:int -> t -> addr:int -> perm:perm -> frames -> unit
-(** {!map} of one page per frame, each page sharing its frame's buffer
-    copy-on-write instead of the zero buffer: reads see the frames'
-    bytes, and the first store to a page copies it.  Accounting and
-    MAP_FIXED semantics are {!map}'s. *)
+val map_frames : t -> addr:int -> perm:perm -> frames -> unit
+(** {!map} of one page per frame, with protection key 0, each page
+    sharing its frame's buffer copy-on-write instead of the zero
+    buffer: reads see the frames' bytes, and the first store to a page
+    copies it.  Accounting and MAP_FIXED semantics are {!map}'s. *)
 
 val reserve : t -> len:int -> unit
 (** Virtual-only reservation (MAP_NORESERVE): accounted, not
@@ -164,7 +164,8 @@ val page_sub : page -> int -> int -> Bytes.t
 
 val page_equal_sub : page -> int -> Bytes.t -> bool
 (** [page_equal_sub p off b] is whether [p]'s buffer holds [b] at
-    offset [off]: how the I-cache rechecks a line.  Allocates
+    offset [off]: how the I-cache rechecks a line.  Compares 8 bytes
+    at a time, so [b]'s length must be a multiple of 8.  Allocates
     nothing. *)
 
 val read_u8 : t -> pkru:int -> int -> int
