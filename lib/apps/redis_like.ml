@@ -8,6 +8,7 @@
     exactly as the paper's numbers show. *)
 
 open K23_isa
+open K23_machine
 
 type config = {
   path : string;
@@ -97,17 +98,17 @@ let items cfg =
 
 let register w cfg =
   let serial = Appkit.serial_create () in
-  let marks : (int, int) Hashtbl.t = Hashtbl.create 16 in
+  let marks : int Inttbl.t = Inttbl.create 16 in
   let clock (ctx : K23_kernel.Kern.ctx) = ctx.world.core_cycles.(ctx.thread.core) in
   let host_fns =
     [
       ("rd_parse", fun ctx -> Appkit.charge_work ctx cfg.parse_cost);
-      ("rd_mark", fun ctx -> Hashtbl.replace marks ctx.K23_kernel.Kern.thread.tid (clock ctx));
+      ("rd_mark", fun ctx -> Inttbl.replace marks ctx.K23_kernel.Kern.thread.tid (clock ctx));
       ( "rd_exec",
         fun ctx ->
           let tid = ctx.K23_kernel.Kern.thread.tid in
           let measured_extra =
-            match Hashtbl.find_opt marks tid with Some m -> clock ctx - m | None -> 0
+            match Inttbl.find_opt marks tid with Some m -> clock ctx - m | None -> 0
           in
           Appkit.serial_enter_measured ctx serial ~cost:cfg.serial_cost ~measured_extra );
     ]

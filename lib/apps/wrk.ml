@@ -184,28 +184,32 @@ let items () =
 (** Build and register the client; returns the shared results record. *)
 let register w cfg : results =
   let results = { completed = 0; started_at = None; errors = 0; latencies = [] } in
-  let states : (int, tstate) Hashtbl.t = Hashtbl.create 16 in
+  let states : tstate Inttbl.t = Inttbl.create 16 in
   let live_threads = ref cfg.threads in
   let prog = Asm.assemble (items ()) in
   let state_of (ctx : Kern.ctx) =
-    match Hashtbl.find_opt states ctx.thread.tid with
+    match Inttbl.find_opt states ctx.thread.tid with
     | Some st -> st
     | None ->
       (* the first thread to step is the main thread: it spawns the
          others, which go straight to connecting *)
-      let is_main = Hashtbl.length states = 0 in
+      let is_main = Inttbl.length states = 0 in
       let st =
         fresh_tstate cfg ~tid:ctx.thread.tid
           (if is_main && cfg.threads > 1 then Spawn (cfg.threads - 1) else Socket)
       in
-      Hashtbl.replace states ctx.thread.tid st;
+      Inttbl.replace states ctx.thread.tid st;
       st
   in
-  let data_sym (ctx : Kern.ctx) name =
-    match Mapper.prog_sym ~name:cfg.path prog ctx.thread.t_proc name with
-    | Some a -> a
-    | None -> Kern.panic "wrk: missing symbol %s" name
+  let data_sym label =
+    let find = Mapper.prog_sym_memo ~name:cfg.path prog label in
+    fun (ctx : Kern.ctx) ->
+      match find ctx.thread.t_proc with
+      | Some a -> a
+      | None -> Kern.panic "wrk: missing symbol %s" label
   in
+  let wk_thread_entry = data_sym "wk_thread_entry" in
+  let wk_req = data_sym "wk_req" and wk_buf = data_sym "wk_buf" in
   let set ctx r v = Regs.set ctx.Kern.thread.regs r v in
   let sys (ctx : Kern.ctx) st nr a0 a1 a2 ~post =
     set ctx RAX nr;
@@ -232,7 +236,7 @@ let register w cfg : results =
   (* host-side readiness probe, standing in for epoll: data queued (or
      a FIN) on the connection's receive side *)
   let conn_readable (ctx : Kern.ctx) fd =
-    match Hashtbl.find_opt ctx.thread.t_proc.Kern.fds fd with
+    match Inttbl.find_opt ctx.thread.t_proc.Kern.fds fd with
     | Some (Kern.Fd_conn (c, ep)) ->
       Net.Byteq.length (Net.recv_q c ep) > 0 || Net.peer_closed c ep
     | _ -> true (* stale fd: let the read fail promptly *)
@@ -266,7 +270,7 @@ let register w cfg : results =
           else st.stack <- r)
     | Mmap_stack n ->
       st.mode <- Spawn (n - 1);
-      sys ctx st Sysno.clone (data_sym ctx "wk_thread_entry") (st.stack + 0xf000) 0 ~post:ignore
+      sys ctx st Sysno.clone (wk_thread_entry ctx) (st.stack + 0xf000) 0 ~post:ignore
     | Socket ->
       sys ctx st Sysno.socket 2 1 0 ~post:(fun r ->
           if cfg.retries > 0 && r < 0 then begin
@@ -319,7 +323,7 @@ let register w cfg : results =
          16 concurrent connections per thread *)
       let total = cfg.depth * cfg.rounds in
       if st.wpart = 0 then Appkit.charge_work ctx cfg.req_cost;
-      sys ctx st Sysno.write st.cur_fd (data_sym ctx "wk_req" + st.wpart) (64 - st.wpart)
+      sys ctx st Sysno.write st.cur_fd (wk_req ctx + st.wpart) (64 - st.wpart)
         ~post:(fun r ->
           if cfg.retries > 0 && retryable r && (st.attempts < cfg.retries || st.wpart > 0)
           then backoff st Fill
@@ -346,7 +350,7 @@ let register w cfg : results =
         if st.received >= total then st.mode <- Close
         else if st.sent < total then st.mode <- Steady_send
       in
-      sys ctx st Sysno.read st.cur_fd (data_sym ctx "wk_buf") (cfg.resp_len - st.partial)
+      sys ctx st Sysno.read st.cur_fd (wk_buf ctx) (cfg.resp_len - st.partial)
         ~post:(fun r ->
           if cfg.retries > 0 && retryable r && st.attempts < cfg.retries then
             backoff st Steady_recv
@@ -370,7 +374,7 @@ let register w cfg : results =
           end)
     | Steady_send ->
       if st.wpart = 0 then Appkit.charge_work ctx cfg.req_cost;
-      sys ctx st Sysno.write st.cur_fd (data_sym ctx "wk_req" + st.wpart) (64 - st.wpart)
+      sys ctx st Sysno.write st.cur_fd (wk_req ctx + st.wpart) (64 - st.wpart)
         ~post:(fun r ->
           if cfg.retries > 0 && retryable r && (st.attempts < cfg.retries || st.wpart > 0)
           then backoff st Steady_send
@@ -399,7 +403,7 @@ let register w cfg : results =
          sent, block for the rest) paths *)
       let read_conn c =
         let fd = ost.o_fds.(c) in
-        sys ctx st Sysno.read fd (data_sym ctx "wk_buf") (cfg.resp_len - ost.o_partial.(c))
+        sys ctx st Sysno.read fd (wk_buf ctx) (cfg.resp_len - ost.o_partial.(c))
           ~post:(fun r ->
             if cfg.retries > 0 && retryable r && st.attempts < cfg.retries then
               backoff st Open_step
@@ -436,7 +440,7 @@ let register w cfg : results =
         let req = ost.o_sent in
         let sched = ost.o_next_at in
         if ost.o_wpart = 0 then Appkit.charge_work ctx cfg.req_cost;
-        sys ctx st Sysno.write fd (data_sym ctx "wk_req" + ost.o_wpart) (64 - ost.o_wpart)
+        sys ctx st Sysno.write fd (wk_req ctx + ost.o_wpart) (64 - ost.o_wpart)
           ~post:(fun r ->
             if cfg.retries > 0 && retryable r && (st.attempts < cfg.retries || ost.o_wpart > 0)
             then backoff st Open_step (* still due: o_sent unchanged *)

@@ -29,7 +29,7 @@ open K23_interpose.Interpose
 let lib_path = "/usr/lib/liblazypoline.so"
 
 type state = {
-  rewritten : (int, unit) Hashtbl.t;
+  rewritten : unit Inttbl.t;
   mutable pending_rw : int option;  (** site currently half-rewritten *)
   mutable data_corruptions : int;  (** sites rewritten inside non-code bytes (for PoCs) *)
 }
@@ -39,14 +39,14 @@ type state = {
    rewriting progress is its own.  A child starts with an empty table
    and simply re-discovers sites through SUD, exactly like the real
    system after fork. *)
-type states = (int, state) Hashtbl.t
+type states = state Inttbl.t
 
 let get_state (states : states) (p : proc) =
-  match Hashtbl.find_opt states p.pid with
+  match Inttbl.find_opt states p.pid with
   | Some s -> s
   | None ->
-    let s = { rewritten = Hashtbl.create 64; pending_rw = None; data_corruptions = 0 } in
-    Hashtbl.replace states p.pid s;
+    let s = { rewritten = Inttbl.create 64; pending_rw = None; data_corruptions = 0 } in
+    Inttbl.replace states p.pid s;
     s
 
 (* --- the flawed two-step runtime rewrite ---------------------------- *)
@@ -62,7 +62,7 @@ let rw_step1 states (ctx : ctx) =
   | frame :: _ ->
     let site = frame.fr_site in
     let st = get_state states p in
-    if Hashtbl.mem st.rewritten site || st.pending_rw <> None then ()
+    if Inttbl.mem st.rewritten site || st.pending_rw <> None then ()
     else begin
       Memory.set_perm p.mem ~addr:site ~len:2 ~perm:Memory.perm_rwx;
       Memory.write_u8_raw p.mem site 0xff;
@@ -87,7 +87,7 @@ let rw_step2 states (ctx : ctx) =
        pages silently become r-x *)
     Memory.set_perm p.mem ~addr:site ~len:2 ~perm:Memory.perm_rx;
     code_write_barrier ctx.world ~addr:site ~len:2;
-    Hashtbl.replace st.rewritten site ();
+    Inttbl.replace st.rewritten site ();
     (match find_region p site with
     | Some r when r.r_sec <> `Text || r.r_owner = Anon -> st.data_corruptions <- st.data_corruptions + 1
     | _ -> ());
@@ -95,7 +95,7 @@ let rw_step2 states (ctx : ctx) =
     charge ctx.world th 250
 
 let image ~handler ~stats () : image =
-  let states : states = Hashtbl.create 16 in
+  let states : states = Inttbl.create 16 in
   let prog =
     Asm.assemble
       (ctor_items Asm.kit "__lazypoline_init" "lp_init"
@@ -126,7 +126,7 @@ let image ~handler ~stats () : image =
   in
   let init (ctx : ctx) =
     let p = ctx.thread.t_proc in
-    Hashtbl.remove states p.pid;
+    Inttbl.remove states p.pid;
     ignore (get_state states p);
     install_trampoline ctx cfg;
     let sel_addr = arm_sud ctx cfg ~sym in

@@ -27,7 +27,7 @@ type variant = Default | Ultra
 let lib_path = "/usr/lib/libzpoline.so"
 
 type state = {
-  sites : (int, unit) Hashtbl.t;  (** rewritten sites (the bitmap's content) *)
+  sites : unit Inttbl.t;  (** rewritten sites (the bitmap's content) *)
   mutable bitmap_pages : (int, unit) Hashtbl.t;  (** committed bitmap pages *)
   mutable rewrites : int;
 }
@@ -61,7 +61,7 @@ let check_memory_bytes (p : proc) =
   (bitmap_reservation, Hashtbl.length st.bitmap_pages * Memory.page_size)
 
 let null_check (ctx : ctx) ~site =
-  Hashtbl.mem (get_state ctx.thread.t_proc).sites site
+  Inttbl.mem (get_state ctx.thread.t_proc).sites site
 
 let make_config ~variant ~handler ~stats =
   (* calibrated so the microbenchmark lands near the paper's 1.1267x
@@ -73,7 +73,7 @@ let make_config ~variant ~handler ~stats =
 
 let init ~variant cfg (ctx : ctx) =
   let p = ctx.thread.t_proc in
-  let st = { sites = Hashtbl.create 256; bitmap_pages = Hashtbl.create 16; rewrites = 0 } in
+  let st = { sites = Inttbl.create 256; bitmap_pages = Hashtbl.create 16; rewrites = 0 } in
   Hashtbl.replace p.pstates state_key (Zp st);
   install_trampoline ctx cfg;
   if variant = Ultra then Memory.reserve p.mem ~len:bitmap_reservation;
@@ -88,7 +88,7 @@ let init ~variant cfg (ctx : ctx) =
       List.iter
         (fun site ->
           rewrite_site_atomic ctx ~site;
-          Hashtbl.replace st.sites site ();
+          Inttbl.replace st.sites site ();
           st.rewrites <- st.rewrites + 1;
           if variant = Ultra then bitmap_mark p st site)
         found)

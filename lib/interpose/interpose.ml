@@ -38,11 +38,11 @@ type stats = {
   mutable via_sigsys : int;  (** SUD fallback *)
   mutable via_ptrace : int;  (** ptrace stops *)
   mutable aborts : int;  (** NULL-execution / prctl-guard aborts *)
-  by_nr : (int, int) Hashtbl.t;
+  by_nr : int Inttbl.t;
 }
 
 let fresh_stats () =
-  { interposed = 0; via_rewrite = 0; via_sigsys = 0; via_ptrace = 0; aborts = 0; by_nr = Hashtbl.create 32 }
+  { interposed = 0; via_rewrite = 0; via_sigsys = 0; via_ptrace = 0; aborts = 0; by_nr = Inttbl.create 32 }
 
 (** The paper's evaluation handler: "an empty interposition function
     that simply invokes the original system call and returns its
@@ -50,7 +50,7 @@ let fresh_stats () =
 let counting_handler ?inner stats : handler =
  fun ctx ~nr ~args ~site ->
   stats.interposed <- stats.interposed + 1;
-  Hashtbl.replace stats.by_nr nr (1 + Option.value ~default:0 (Hashtbl.find_opt stats.by_nr nr));
+  Inttbl.replace stats.by_nr nr (1 + Inttbl.find stats.by_nr nr ~default:0);
   match inner with Some h -> h ctx ~nr ~args ~site | None -> Forward
 
 (** Abort the target process (SIGABRT), as K23/zpoline do on failed
@@ -377,7 +377,7 @@ let install_sigsys_handler (p : proc) ~sym =
   match sym p sigsys_handler_sym with
   | None -> panic "pid %d: interposer has no SIGSYS handler" p.pid
   | Some a ->
-    Hashtbl.replace p.sig_handlers sigsys a;
+    Inttbl.replace p.sig_handlers sigsys a;
     Option.get (find_region p a)
 
 (** Install the SIGSYS handler and arm SUD, with [cfg]'s selector, for

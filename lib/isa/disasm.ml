@@ -67,33 +67,11 @@ let find_syscall_sites bytes ~base = List.map (fun off -> base + off) (find_sysc
 (* ------------------------------------------------------------------ *)
 (* Content-addressed sweep memo                                        *)
 
-(* FNV-style multiply-xor over 8-byte words in native ints, with an
-   xor-shift so high bits feed back into low ones.  Every memo hit
-   pays it, so it must run at memory speed (libc-sized text hashes in
-   tens of microseconds); collisions cost only a re-sweep, since a hit
-   is confirmed with [Bytes.equal]. *)
-let content_hash bytes =
-  let n = Bytes.length bytes in
-  let mix h w =
-    let h = (h lxor w) * 0x100000001b3 in
-    h lxor (h lsr 29)
-  in
-  let h = ref 0x0bf29ce484222325 in
-  let i = ref 0 in
-  while !i + 8 <= n do
-    h := mix !h (Int64.to_int (Bytes.get_int64_le bytes !i));
-    i := !i + 8
-  done;
-  while !i < n do
-    h := mix !h (Char.code (Bytes.unsafe_get bytes !i));
-    incr i
-  done;
-  !h
-
 (* One memo table per domain (Domain.DLS): rewriters on different
    domains never share it, so no synchronisation and no cross-domain
-   mutable state (DESIGN.md §4f audit). *)
-let memo_key : (int * int, Bytes.t * int list) Hashtbl.t Domain.DLS.key =
+   mutable state (DESIGN.md §4f audit).  Keyed by length; a length can
+   hold several buffers, each told apart by [Bytes.equal]. *)
+let memo_key : (int, Bytes.t * int list) Hashtbl.t Domain.DLS.key =
   Domain.DLS.new_key (fun () -> Hashtbl.create 8)
 
 (* library images in one world: a handful; bound keeps a pathological
@@ -101,22 +79,23 @@ let memo_key : (int * int, Bytes.t * int list) Hashtbl.t Domain.DLS.key =
 let memo_capacity = 64
 
 (** {!find_syscall_sites} with a per-domain content-addressed memo.
-    The sweep is a pure function of the bytes, so a hit (verified by
-    [Bytes.equal], not just the hash) returns the identical site list;
-    rewriters scanning the same library text in run after run — libc
-    is ~200 KiB and never changes — pay the sweep once per domain.
-    Misses (fresh application text, JIT pages) fall through to the
-    plain sweep and are cached in turn. *)
+    The sweep is a pure function of the bytes, so a hit (a stored
+    buffer of the same length that is [Bytes.equal] to this one)
+    returns the identical site list; rewriters scanning the same
+    library text in run after run — libc is ~200 KiB and never
+    changes — pay the sweep once per domain and one compare per
+    launch.  Misses (fresh application text, JIT pages) fall through
+    to the plain sweep and are cached in turn. *)
 let find_syscall_sites_memo bytes ~base =
   let tbl = Domain.DLS.get memo_key in
-  let key = (Bytes.length bytes, content_hash bytes) in
+  let len = Bytes.length bytes in
   let offs =
-    match Hashtbl.find_opt tbl key with
-    | Some (stored, offs) when Bytes.equal stored bytes -> offs
-    | _ ->
+    match List.find_opt (fun (stored, _) -> Bytes.equal stored bytes) (Hashtbl.find_all tbl len) with
+    | Some (_, offs) -> offs
+    | None ->
       let offs = find_syscall_offsets bytes in
       if Hashtbl.length tbl >= memo_capacity then Hashtbl.reset tbl;
-      Hashtbl.replace tbl key (Bytes.copy bytes, offs);
+      Hashtbl.add tbl len (Bytes.copy bytes, offs);
       offs
   in
   List.map (fun off -> base + off) offs

@@ -24,7 +24,8 @@ val find_syscall_sites : Bytes.t -> base:int -> int list
 
 val find_syscall_sites_memo : Bytes.t -> base:int -> int list
 (** {!find_syscall_sites} through a per-domain content-addressed memo
-    (hash plus [Bytes.equal] verification, so a hit is byte-exact).
+    (keyed by length, a hit confirmed with [Bytes.equal], so it is
+    byte-exact).
     Identical results; the sweep of an unchanged buffer — library text
     rescanned by every launch — is paid once per domain. *)
 

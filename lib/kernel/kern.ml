@@ -140,11 +140,11 @@ and proc = {
   mutable regions : region list;
   rmemo : region_memo;  (** {!find_region}'s memo over [regions] *)
   mutable threads : thread list;
-  mutable fds : (int, fdesc) Hashtbl.t;
+  mutable fds : fdesc Inttbl.t;
   mutable next_fd : int;
   mutable env : (string * string) list;
   mutable cwd : string;
-  mutable sig_handlers : (int, int) Hashtbl.t;  (** signo -> handler code address *)
+  mutable sig_handlers : int Inttbl.t;  (** signo -> handler code address *)
   mutable exit_status : int option;
   mutable term_signal : int option;
   mutable reaped : bool;
@@ -322,11 +322,11 @@ let new_proc w ~parent ~cmd =
       regions = [];
       rmemo = { rm_regions = []; rm_hits = Inttbl.create 16 };
       threads = [];
-      fds = Hashtbl.create 16;
+      fds = Inttbl.create 16;
       next_fd = 3;
       env = [];
       cwd = "/";
-      sig_handlers = Hashtbl.create 8;
+      sig_handlers = Inttbl.create 8;
       exit_status = None;
       term_signal = None;
       reaped = false;
@@ -351,9 +351,9 @@ let new_proc w ~parent ~cmd =
   in
   (* fd 0/1/2: console *)
   let console = Buffer.create 256 in
-  Hashtbl.replace p.fds 0 Fd_devnull;
-  Hashtbl.replace p.fds 1 (Fd_console console);
-  Hashtbl.replace p.fds 2 (Fd_console console);
+  Inttbl.replace p.fds 0 Fd_devnull;
+  Inttbl.replace p.fds 1 (Fd_console console);
+  Inttbl.replace p.fds 2 (Fd_console console);
   w.procs <- w.procs @ [ p ];
   (match parent with Some pp -> pp.children <- p :: pp.children | None -> ());
   p
@@ -396,7 +396,7 @@ let new_thread w (p : proc) =
   th
 
 let console_output p =
-  match Hashtbl.find_opt p.fds 1 with
+  match Inttbl.find_opt p.fds 1 with
   | Some (Fd_console b) -> Buffer.contents b
   | _ -> ""
 
@@ -608,13 +608,13 @@ let cleanup_fds (p : proc) =
     List.exists
       (fun q ->
         q != p && q.exit_status = None && q.term_signal = None
-        && Hashtbl.fold (fun _ fd acc -> acc || probe fd) q.fds false)
+        && Inttbl.fold (fun _ fd acc -> acc || probe fd) q.fds false)
       p.w.procs
   in
   (* ascending fd order, matching the kernel's exit_files() table walk:
      release order (and hence FIN/unlisten and ktrace event order) must
      not depend on hash-table layout *)
-  Hashtbl.fold (fun n fd acc -> (n, fd) :: acc) p.fds []
+  Inttbl.fold (fun n fd acc -> (n, fd) :: acc) p.fds []
   |> List.sort (fun (a, _) (b, _) -> compare a b)
   |> List.iter (fun (_, fd) ->
          match fd with
@@ -656,7 +656,7 @@ let deliver_signal (w : world) (th : thread) ~signo ~sysno ~site ~args =
   | Some t ->
     K23_obs.Trace.emit t ~cycles:w.core_cycles.(th.core) ~pid:p.pid ~tid:th.tid
       (K23_obs.Event.Signal_deliver { signo; sysno; site }));
-  match Hashtbl.find_opt p.sig_handlers signo with
+  match Inttbl.find_opt p.sig_handlers signo with
   | None -> kill_proc p ~signal:signo
   | Some handler_addr ->
     (* A signal wakes a thread parked in a blocking syscall before its
@@ -981,7 +981,7 @@ let handle_syscall (w : world) (th : thread) ~site =
     | Some t ->
       K23_obs.Trace.emit t ~cycles:w.core_cycles.(th.core) ~pid:p.pid ~tid:th.tid
         (K23_obs.Event.Sud_block { nr; site }));
-    if Hashtbl.mem p.sig_handlers sigsys then deliver_signal w th ~signo:sigsys ~sysno:nr ~site ~args
+    if Inttbl.mem p.sig_handlers sigsys then deliver_signal w th ~signo:sigsys ~sysno:nr ~site ~args
     else kill_proc p ~signal:sigsys
   end
   else begin
@@ -1026,7 +1026,7 @@ let handle_syscall (w : world) (th : thread) ~site =
       p.counters.c_sigsys <- p.counters.c_sigsys + 1;
       ktrace_count w "sigsys";
       if w.faults <> None && Sysno.fault nr <> No_faults then Queue.push nr th.fault_divq;
-      if Hashtbl.mem p.sig_handlers sigsys then
+      if Inttbl.mem p.sig_handlers sigsys then
         deliver_signal w th ~signo:sigsys ~sysno:nr ~site ~args
       else kill_proc p ~signal:sigsys
     | Bpf.Allow | Bpf.Log -> (

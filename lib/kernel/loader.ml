@@ -361,7 +361,7 @@ let do_execve (ctx : ctx) ~path ~argv ~envp : int =
     p.pstates <- Hashtbl.create 8;
     p.image_bases <- Hashtbl.create 8;
     p.counters <- fresh_counters ();
-    p.sig_handlers <- Hashtbl.create 8;
+    p.sig_handlers <- Inttbl.create 8;
     p.startup_done <- false;
     p.scratch_cursor <- 0;
     p.brk_cur <- 0x0060_0000;

@@ -38,7 +38,7 @@ let vfs_err e = Errno.ret (Vfs.err_to_errno e)
 let alloc_fd (p : proc) fd =
   let n = p.next_fd in
   p.next_fd <- n + 1;
-  Hashtbl.replace p.fds n fd;
+  Inttbl.replace p.fds n fd;
   n
 
 let read_user_cstr (p : proc) addr =
@@ -75,7 +75,7 @@ let do_read (w : world) (th : thread) fd buf count =
   let p = th.t_proc in
   if count < 0 then Errno.ret Errno.einval
   else
-  match Hashtbl.find_opt p.fds fd with
+  match Inttbl.find_opt p.fds fd with
   | None -> Errno.ret Errno.ebadf
   | Some (Fd_file f) ->
     let b = Vfs.read_at f.file ~pos:f.pos ~len:count in
@@ -116,7 +116,7 @@ let do_write (w : world) (th : thread) fd buf count =
   let p = th.t_proc in
   if count < 0 then Errno.ret Errno.einval
   else
-  match Hashtbl.find_opt p.fds fd with
+  match Inttbl.find_opt p.fds fd with
   | None -> Errno.ret Errno.ebadf
   | Some (Fd_console out) -> (
     try
@@ -212,7 +212,7 @@ let do_mmap (w : world) (th : thread) addr len prot flags fd off =
   if len <= 0 then Errno.ret Errno.einval
   else begin
     let perm = perm_of_prot prot in
-    match (fd >= 0, Hashtbl.find_opt p.fds fd) with
+    match (fd >= 0, Inttbl.find_opt p.fds fd) with
     | true, Some (Fd_file f) -> (
       (* file-backed: if the file is a registered library image, map the
          requested section of that image *)
@@ -255,16 +255,23 @@ let do_mmap (w : world) (th : thread) addr len prot flags fd off =
       end
   end
 
+(* A zero length changes nothing and succeeds, and a negative one,
+   which Linux reads as a size past the end of the address space, is
+   ENOMEM, as in Linux's do_mprotect_pkey. *)
 let do_mprotect (w : world) (th : thread) addr len prot =
   let p = th.t_proc in
   charge w th 150;
-  let perm = perm_of_prot prot in
-  Memory.set_perm p.mem ~addr ~len ~perm;
-  (match find_region p addr with
-  | Some r when r.r_start = addr && r.r_len = Memory.align_up len -> r.r_perm <- perm
-  | Some r -> r.r_perm <- perm (* partial: reflect latest change in maps *)
-  | None -> ());
-  0
+  if len = 0 then 0
+  else if len < 0 then Errno.ret Errno.enomem
+  else begin
+    let perm = perm_of_prot prot in
+    Memory.set_perm p.mem ~addr ~len ~perm;
+    (match find_region p addr with
+    | Some r when r.r_start = addr && r.r_len = Memory.align_up len -> r.r_perm <- perm
+    | Some r -> r.r_perm <- perm (* partial: reflect latest change in maps *)
+    | None -> ());
+    0
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Process management                                                  *)
@@ -275,11 +282,11 @@ let do_fork (w : world) (th : thread) =
   let child = new_proc w ~parent:(Some p) ~cmd:p.cmd in
   child.mem <- Memory.clone p.mem;
   child.regions <- p.regions;
-  child.fds <- Hashtbl.copy p.fds;
+  child.fds <- Inttbl.copy p.fds;
   child.next_fd <- p.next_fd;
   child.env <- p.env;
   child.cwd <- p.cwd;
-  child.sig_handlers <- Hashtbl.copy p.sig_handlers;
+  child.sig_handlers <- Inttbl.copy p.sig_handlers;
   child.vdso_enabled <- p.vdso_enabled;
   child.globals <- Hashtbl.copy p.globals;
   child.brk_cur <- p.brk_cur;
@@ -396,19 +403,19 @@ let handlers : (int * handler) list =
     (Sysno.open_, fun w th p args -> with_path p args.(0) (fun path -> do_open w th path args.(1)));
     (Sysno.openat, fun w th p args -> with_path p args.(1) (fun path -> do_open w th path args.(2)));
     (Sysno.close, fun w _ p args ->
-      if Hashtbl.mem p.fds args.(0) then begin
-        (match Hashtbl.find_opt p.fds args.(0) with
+      if Inttbl.mem p.fds args.(0) then begin
+        (match Inttbl.find_opt p.fds args.(0) with
         | Some (Fd_conn (c, ep)) -> Net.close c ep
         | Some (Fd_listener l) -> Net.unlisten w.net l.port
         | _ -> ());
-        Hashtbl.remove p.fds args.(0);
+        Inttbl.remove p.fds args.(0);
         0
       end
       else Errno.ret Errno.ebadf);
     (Sysno.stat, path_exists);
     (Sysno.access, path_exists);
     (Sysno.fstat, fun _ _ p args ->
-      match Hashtbl.find_opt p.fds args.(0) with
+      match Inttbl.find_opt p.fds args.(0) with
       | Some fd -> (
         try
           Memory.write_u64_raw p.mem args.(1) (match fd with Fd_file f -> Vfs.size f.file | _ -> 0);
@@ -416,7 +423,7 @@ let handlers : (int * handler) list =
         with Memory.Fault _ -> Errno.ret Errno.efault)
       | None -> Errno.ret Errno.ebadf);
     (Sysno.lseek, fun _ _ p args ->
-      match Hashtbl.find_opt p.fds args.(0) with
+      match Inttbl.find_opt p.fds args.(0) with
       | Some (Fd_file f) ->
         let pos =
           match args.(2) with
@@ -448,14 +455,14 @@ let handlers : (int * handler) list =
       p.brk_cur);
     (Sysno.rt_sigaction, fun _ _ p args ->
       if args.(1) = 0 then begin
-        Hashtbl.remove p.sig_handlers args.(0);
+        Inttbl.remove p.sig_handlers args.(0);
         0
       end
       else if args.(0) = sigkill || args.(0) = sigstop then
         (* neither can be caught, as on Linux *)
         Errno.ret Errno.einval
       else begin
-        Hashtbl.replace p.sig_handlers args.(0) args.(1);
+        Inttbl.replace p.sig_handlers args.(0) args.(1);
         0
       end);
     (Sysno.rt_sigprocmask, noop);
@@ -476,7 +483,7 @@ let handlers : (int * handler) list =
         0
       with Memory.Fault _ -> Errno.ret Errno.efault);
     (Sysno.dup, fun _ _ p args ->
-      match Hashtbl.find_opt p.fds args.(0) with
+      match Inttbl.find_opt p.fds args.(0) with
       | Some fd -> alloc_fd p fd
       | None -> Errno.ret Errno.ebadf);
     (Sysno.sched_yield, noop);
@@ -501,7 +508,7 @@ let handlers : (int * handler) list =
     (Sysno.socket, fun _ _ p _ -> alloc_fd p Fd_devnull);
     (Sysno.bind, fun w _ p args ->
       (* sockaddr is modelled as a bare port number (loopback only) *)
-      if Hashtbl.mem p.fds args.(0) then begin
+      if Inttbl.mem p.fds args.(0) then begin
         Hashtbl.replace w.net.Net.bound_ports (p.pid, args.(0)) args.(1);
         0
       end
@@ -513,10 +520,10 @@ let handlers : (int * handler) list =
         match Net.listen w.net port with
         | Error `Addrinuse -> Errno.ret Errno.eaddrinuse
         | Ok l ->
-          Hashtbl.replace p.fds args.(0) (Fd_listener l);
+          Inttbl.replace p.fds args.(0) (Fd_listener l);
           0));
     (Sysno.accept, fun w th p args ->
-      match Hashtbl.find_opt p.fds args.(0) with
+      match Inttbl.find_opt p.fds args.(0) with
       | Some (Fd_listener l) -> (
         match Net.accept l with
         | Some c ->
@@ -536,12 +543,12 @@ let handlers : (int * handler) list =
       match Net.connect w.net args.(1) with
       | Error `Refused -> Errno.ret Errno.econnrefused
       | Ok c ->
-        Hashtbl.replace p.fds args.(0) (Fd_conn (c, Net.A));
+        Inttbl.replace p.fds args.(0) (Fd_conn (c, Net.A));
         0);
     (Sysno.sendto, fun w th _ args -> do_write w th args.(0) args.(1) args.(2));
     (Sysno.recvfrom, fun w th _ args -> do_read w th args.(0) args.(1) args.(2));
     (Sysno.shutdown, fun _ _ p args ->
-      match Hashtbl.find_opt p.fds args.(0) with
+      match Inttbl.find_opt p.fds args.(0) with
       | Some (Fd_conn (c, ep)) ->
         Net.close c ep;
         0
@@ -575,7 +582,7 @@ let handlers : (int * handler) list =
            -EINTR before its deadline (the signal-wake contract
            test_faults pins) *)
         match
-          if Hashtbl.mem q.sig_handlers signo then
+          if Inttbl.mem q.sig_handlers signo then
             List.find_opt (fun t -> t.state <> Dead) q.threads
           else None
         with
@@ -615,7 +622,7 @@ let handlers : (int * handler) list =
       with_path p args.(0) (fun path ->
           if Vfs.path_immutable w.vfs (resolve_path p path) then Errno.ret Errno.eperm else 0));
     (Sysno.ftruncate, fun _ _ p args ->
-      match Hashtbl.find_opt p.fds args.(0) with
+      match Inttbl.find_opt p.fds args.(0) with
       | Some (Fd_file f) ->
         if Vfs.immutable f.file then Errno.ret Errno.eperm
         else (match Vfs.truncate f.file args.(1) with Ok () -> 0 | Error e -> vfs_err e)
@@ -624,7 +631,7 @@ let handlers : (int * handler) list =
       charge w th 3000;
       0);
     (Sysno.getdents64, fun w _ p args ->
-      match Hashtbl.find_opt p.fds args.(0) with
+      match Inttbl.find_opt p.fds args.(0) with
       | Some (Fd_file f) when Vfs.size f.file = 0 && Vfs.is_dir w.vfs f.path -> (
         (* opened a directory: emit the listing once *)
         match Vfs.listdir w.vfs f.path with
@@ -698,7 +705,7 @@ let fault_errno (w : world) (th : thread) (p : proc) ~nr ~args =
       | Accept -> ( match fd_alloc () with None -> eagain () | r -> r)
       | Connect -> reset ()
       | Rw -> (
-        match Hashtbl.find_opt p.fds args.(0) with
+        match Inttbl.find_opt p.fds args.(0) with
         | Some (Fd_conn _) -> ( match reset () with None -> eagain () | r -> r)
         | _ -> None)
 

@@ -100,3 +100,16 @@ let iter f t =
       go c.next
   in
   Array.iter go t.buckets
+
+let fold f t init =
+  let rec go acc = function Nil -> acc | Cons c -> go (f c.key c.data acc) c.next in
+  Array.fold_left go init t.buckets
+
+(* The cells are mutable, so a copy needs its own: sharing a chain
+   would let [replace] or [remove] on one table show in the other. *)
+let copy t =
+  let rec copy_chain = function
+    | Nil -> Nil
+    | Cons c -> Cons { key = c.key; data = c.data; next = copy_chain c.next }
+  in
+  { t with buckets = Array.map copy_chain t.buckets }

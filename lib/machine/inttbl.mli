@@ -3,7 +3,8 @@
 
     The machine's two hot tables are keyed by ints: {!Memory}'s pages
     by page index and {!Icache}'s lines by line index; the kernel's
-    per-process lookup memos are keyed by address or pid.  The polymorphic
+    per-process lookup memos are keyed by address or pid, and its
+    descriptor and signal-handler tables by fd and signal number.  The polymorphic
     [Hashtbl] hashes and compares those keys through the runtime's
     generic [caml_hash] and [caml_compare]; so does
     [Hashtbl.Make (Int)], whose [Int.hash] is [caml_hash] too.  Here the
@@ -13,7 +14,8 @@
     trampoline at 0) spread out, and keys are compared with [=] on
     ints.
 
-    Iteration order is unspecified; no caller depends on it. *)
+    Iteration order is unspecified; no caller depends on it (those
+    whose output is ordered sort what they collect). *)
 
 type 'a t
 
@@ -36,3 +38,8 @@ val remove : 'a t -> int -> unit
 (** Drop the key's binding, if any. *)
 
 val iter : (int -> 'a -> unit) -> 'a t -> unit
+val fold : (int -> 'a -> 'acc -> 'acc) -> 'a t -> 'acc -> 'acc
+
+val copy : 'a t -> 'a t
+(** A new table with the same bindings.  Changes to either table do
+    not show in the other. *)

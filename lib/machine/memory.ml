@@ -187,18 +187,21 @@ let unmap t ~addr ~len =
   done;
   tlb_flush t
 
+(* The pages [addr, addr+len) touches: none when [len <= 0], as
+   mprotect with length 0 changes nothing. *)
+let pages_spanned ~addr ~len =
+  if len <= 0 then 0 else align_up (len + (addr land (page_size - 1))) lsr page_shift
+
 (** mprotect: change permissions of every mapped page in range. *)
 let set_perm t ~addr ~len ~perm =
-  let npages = (align_up (len + (addr land (page_size - 1)))) lsr page_shift in
-  for i = 0 to max 0 (npages - 1) do
+  for i = 0 to pages_spanned ~addr ~len - 1 do
     match Inttbl.find_opt t.pages (page_index addr + i) with
     | Some p -> p.perm <- perm
     | None -> ()
   done
 
 let set_pkey t ~addr ~len ~pkey =
-  let npages = (align_up (len + (addr land (page_size - 1)))) lsr page_shift in
-  for i = 0 to max 0 (npages - 1) do
+  for i = 0 to pages_spanned ~addr ~len - 1 do
     match Inttbl.find_opt t.pages (page_index addr + i) with
     | Some p -> p.pkey <- pkey
     | None -> ()

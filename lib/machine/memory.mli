@@ -102,10 +102,11 @@ val reserve : t -> len:int -> unit
 val unmap : t -> addr:int -> len:int -> unit
 
 val set_perm : t -> addr:int -> len:int -> perm:perm -> unit
-(** mprotect. *)
+(** mprotect: every mapped page that [addr, addr+len) touches.  A
+    [len <= 0] touches none. *)
 
 val set_pkey : t -> addr:int -> len:int -> pkey:int -> unit
-(** pkey_mprotect. *)
+(** pkey_mprotect, over the same pages as {!set_perm}. *)
 
 val get_perm : t -> int -> perm option
 val get_pkey : t -> int -> int option

@@ -69,7 +69,7 @@ let run_poc sys ?predecode ~path ?argv ?quantum () =
   | Ok (p, stats, _) -> (p, Option.get stats)
 
 let count_500 (stats : I.stats) =
-  Option.value ~default:0 (Hashtbl.find_opt stats.by_nr Sysno.bench_nonexistent)
+  K23_machine.Inttbl.find stats.by_nr Sysno.bench_nonexistent ~default:0
 
 let exit_desc (p : Kern.proc) =
   match (p.exit_status, p.term_signal) with

@@ -83,7 +83,7 @@ let dump_state (w : Kern.world) ~index (ev : Event.t) =
     pr "maps:\n%s" maps;
     if maps = "" || maps.[String.length maps - 1] <> '\n' then pr "\n";
     pr "fds:\n";
-    Hashtbl.fold (fun fd d acc -> (fd, d) :: acc) p.Kern.fds []
+    K23_machine.Inttbl.fold (fun fd d acc -> (fd, d) :: acc) p.Kern.fds []
     |> List.sort (fun (a, _) (b, _) -> compare a b)
     |> List.iter (fun (fd, d) -> pr "  %d -> %s\n" fd (fd_to_string d)));
   Buffer.contents b

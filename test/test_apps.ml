@@ -79,7 +79,7 @@ let test_connect_retry_no_fd_leak () =
   in
   Kern.run ~max_steps:5_000_000 ~until:(fun () -> results.Apps.Wrk.errors >= 25) w;
   Alcotest.(check bool) "connect retries happened" true (results.errors >= 25);
-  let fds = Hashtbl.length cp.Kern.fds in
+  let fds = K23_machine.Inttbl.length cp.Kern.fds in
   Alcotest.(check bool)
     (Printf.sprintf "fd table bounded during retries (%d fds after %d refusals)" fds
        results.errors)

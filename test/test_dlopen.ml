@@ -63,7 +63,7 @@ let make_world () =
   w
 
 let count_500 (stats : K23_interpose.Interpose.stats) =
-  Option.value ~default:0 (Hashtbl.find_opt stats.by_nr Sysno.bench_nonexistent)
+  K23_machine.Inttbl.find stats.by_nr Sysno.bench_nonexistent ~default:0
 
 let test_zpoline_misses_dlopened () =
   let w = make_world () in

@@ -35,7 +35,7 @@ let test_counting_handler () =
   | I.Forward -> ()
   | I.Emulate _ -> Alcotest.fail "default is Forward");
   Alcotest.(check int) "counted" 1 stats.interposed;
-  Alcotest.(check (option int)) "by_nr" (Some 1) (Hashtbl.find_opt stats.by_nr 39)
+  Alcotest.(check (option int)) "by_nr" (Some 1) (K23_machine.Inttbl.find_opt stats.by_nr 39)
 
 (* rewriting saves and restores page permissions (the zpoline/K23
    behaviour, contrast with lazypoline's P5 flaw) *)

@@ -205,7 +205,9 @@ let prop_fuzz_gen_roundtrip =
       flat && straddled)
 
 (* The sweep memo returns exactly what a fresh sweep would, through
-   hits, one-byte edits (same length, new content) and truncations. *)
+   hits, one-byte edits (same length, new content), truncations, and
+   rotations checked alternately with the buffer they came from (two
+   buffers of one length, so one memo key, held side by side). *)
 let prop_sweep_memo =
   let open QCheck in
   let gen_byte = Gen.(map Char.chr (oneof [ int_range 0 255; oneofl [ 0x0f; 0x05; 0x34 ] ])) in
@@ -213,7 +215,7 @@ let prop_sweep_memo =
     Gen.(
       pair
         (string_size ~gen:gen_byte (int_range 0 300))
-        (list_size (int_range 1 6) (pair (int_range 0 2) (pair nat gen_byte))))
+        (list_size (int_range 1 6) (pair (int_range 0 3) (pair nat gen_byte))))
   in
   Test.make ~name:"sweep memo == fresh sweep (hits, edits, truncations)" ~count:300
     (make ~print:(fun (s, edits) -> Printf.sprintf "%S + %d edits" s (List.length edits)) gen_case)
@@ -232,6 +234,9 @@ let prop_sweep_memo =
                let e = Bytes.copy b in
                Bytes.set e (pos mod n) c;
                check e
+             | 3 when n > 0 ->
+               let r = Bytes.init n (fun i -> Bytes.get b ((i + 1 + (pos mod n)) mod n)) in
+               check r && check b && check r
              | _ -> check (Bytes.sub b 0 (if n = 0 then 0 else pos mod n)))
            edits)
 

@@ -431,6 +431,77 @@ let test_kill_validates_signal () =
     ]
     (List.map (fun (nr, _, ret) -> (Sysno.name nr, ret)) (app_calls events))
 
+(* ---------------- mprotect of no pages ---------------- *)
+
+(* mprotect and pkey_mprotect with length 0 change nothing and return
+   0, as on Linux, and a negative length, a size past the end of the
+   address space to Linux, is ENOMEM: the store after them lands, the
+   page stays rw- with key 0, and /proc/PID/maps still shows it
+   writable. *)
+let test_mprotect_no_pages () =
+  let mov r v = Asm.I (Insn.Mov_ri (r, v)) in
+  let sys nr = [ mov RAX nr; Asm.I Insn.Syscall ] in
+  let on_page len = [ Asm.I (Insn.Mov_rr (RDI, R12)); mov RSI len; mov RDX 0 ] in
+  let items =
+    [ Asm.Label "main"; mov RDI 0; mov RSI 4096; mov RDX 3; mov R10 0x22; mov R8 (-1); mov R9 0 ]
+    @ sys Sysno.mmap
+    @ [ Asm.I (Insn.Mov_rr (R12, RAX)) ]
+    @ on_page 0 @ sys Sysno.mprotect
+    @ on_page 0 @ [ mov R10 1 ] @ sys Sysno.pkey_mprotect
+    @ on_page (-4096) @ sys Sysno.mprotect
+    @ [ mov RAX 7; Asm.I (Insn.Store (R12, 0, RAX)); mov RDI 0 ]
+    @ sys Sysno.exit_group
+  in
+  let p, events = run_raw (K23_fuzz.Gen.X86 items) in
+  Alcotest.(check (option int)) "no signal" None p.Kern.term_signal;
+  Alcotest.(check (option int)) "exits 0" (Some 0) p.Kern.exit_status;
+  let page, rest =
+    match List.map (fun (nr, _, ret) -> (Sysno.name nr, ret)) (app_calls events) with
+    | ("mmap", page) :: rest -> (page, rest)
+    | _ -> Alcotest.fail "no mmap"
+  in
+  Alcotest.(check (list (pair string int)))
+    "results"
+    [ ("mprotect", 0); ("pkey_mprotect", 0); ("mprotect", -Errno.enomem) ]
+    (List.filter (fun (name, _) -> name <> "exit_group") rest);
+  Alcotest.(check (option string)) "page perm" (Some "rw-")
+    (Option.map K23_machine.Memory.perm_to_string (K23_machine.Memory.get_perm p.Kern.mem page));
+  Alcotest.(check (option int)) "page key" (Some 0) (K23_machine.Memory.get_pkey p.Kern.mem page);
+  Alcotest.(check (option bool)) "maps: region still writable" (Some true)
+    (Option.map (fun r -> r.Kern.r_perm.K23_machine.Memory.w) (Kern.find_region p page))
+
+(* ---------------- fork copies the fd and handler tables ---------------- *)
+
+(* A forked child gets its own descriptor and signal-handler tables:
+   its close and SIGSYS handler stay out of the parent's, and the
+   parent's later close and handler stay out of the child's. *)
+let test_fork_tables_independent () =
+  let mov r v = Asm.I (Insn.Mov_ri (r, v)) in
+  let sys nr = [ mov RAX nr; Asm.I Insn.Syscall ] in
+  let close fd = mov RDI fd :: sys Sysno.close in
+  let sigaction signo = [ mov RDI signo; Asm.Mov_sym (Reg.RSI, "handler") ] @ sys Sysno.rt_sigaction in
+  let exit0 = mov RDI 0 :: sys Sysno.exit_group in
+  let items =
+    (Asm.Label "main" :: sys Sysno.fork)
+    @ [ Asm.I (Insn.Test_rr (RAX, RAX)); Asm.Jc (Insn.Z, "child") ]
+    @ [ mov RDI (-1); mov RSI 0; mov RDX 0; mov R10 0 ]
+    @ sys Sysno.wait4 @ close 0 @ sigaction 10 @ exit0
+    @ (Asm.Label "child" :: close 2)
+    @ sigaction Kern.sigsys @ exit0
+    @ (Asm.Label "handler" :: exit0)
+  in
+  let p, _ = run_raw (K23_fuzz.Gen.X86 items) in
+  let child =
+    match p.Kern.children with [ c ] -> c | l -> Alcotest.failf "%d children" (List.length l)
+  in
+  let keys t = List.sort compare (K23_machine.Inttbl.fold (fun k _ acc -> k :: acc) t []) in
+  Alcotest.(check (option int)) "parent exits 0" (Some 0) p.Kern.exit_status;
+  Alcotest.(check (option int)) "child exits 0" (Some 0) child.Kern.exit_status;
+  Alcotest.(check (list int)) "parent fds" [ 1; 2 ] (keys p.Kern.fds);
+  Alcotest.(check (list int)) "parent handlers" [ 10 ] (keys p.Kern.sig_handlers);
+  Alcotest.(check (list int)) "child fds" [ 0; 1 ] (keys child.Kern.fds);
+  Alcotest.(check (list int)) "child handlers" [ Kern.sigsys ] (keys child.Kern.sig_handlers)
+
 (* ---------------- region memo ---------------- *)
 
 (* The memoised [find_region] answers with the very region a scan of
@@ -520,4 +591,8 @@ let tests =
       Alcotest.test_case "kill validates its signal" `Quick test_kill_validates_signal;
       QCheck_alcotest.to_alcotest prop_find_region_memo;
       Alcotest.test_case "stats helpers" `Quick test_stats_drop_outliers;
+      Alcotest.test_case "mprotect of length 0 or below changes nothing" `Quick
+        test_mprotect_no_pages;
+      Alcotest.test_case "fork copies the fd and handler tables" `Quick
+        test_fork_tables_independent;
     ] )

@@ -516,6 +516,55 @@ let test_u64_straddle_fault_addr () =
     (Memory.Fault { fault_addr = 0x2000; access = `Read })
     (fun () -> ignore (Memory.read_u64 m ~pkru:0 0x1ffc))
 
+(* ---------------- int-keyed table ---------------- *)
+
+(* Inttbl against a Hashtbl model: after every step each table, the
+   copies included, holds what its own model holds, seen through fold,
+   find_opt, mem and length.  Copies are made mid-sequence and both a
+   copy and its source are changed afterwards (rebinding, removing and
+   adding keys, growing), so a copy that shared cells or buckets with
+   its source would show the other's changes. *)
+let prop_inttbl_model =
+  let open QCheck.Gen in
+  let key =
+    oneof [ int_range (-3) 40; map (fun k -> k * 4096) (int_range 0 30); oneofl [ max_int; min_int ] ]
+  in
+  let op =
+    frequency
+      [
+        (6, map3 (fun t k v -> `Replace (t, k, v)) nat key small_int);
+        (3, map2 (fun t k -> `Remove (t, k)) nat key);
+        (1, map (fun t -> `Copy t) nat);
+      ]
+  in
+  QCheck.Test.make ~name:"Inttbl fold and copy == Hashtbl model" ~count:300
+    (QCheck.make (list_size (int_range 0 150) op))
+    (fun ops ->
+      let tables = ref [| (Inttbl.create 1, Hashtbl.create 8) |] in
+      let pick i = !tables.(i mod Array.length !tables) in
+      let agrees (t, m) =
+        let bindings = List.sort compare (Inttbl.fold (fun k v acc -> (k, v) :: acc) t []) in
+        bindings = List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) m [])
+        && Inttbl.length t = Hashtbl.length m
+        && List.for_all (fun (k, v) -> Inttbl.find_opt t k = Some v && Inttbl.mem t k) bindings
+      in
+      List.for_all
+        (fun op ->
+          (match op with
+          | `Replace (i, k, v) ->
+            let t, m = pick i in
+            Inttbl.replace t k v;
+            Hashtbl.replace m k v
+          | `Remove (i, k) ->
+            let t, m = pick i in
+            Inttbl.remove t k;
+            Hashtbl.remove m k
+          | `Copy i ->
+            let t, m = pick i in
+            tables := Array.append !tables [| (Inttbl.copy t, Hashtbl.copy m) |]);
+          Array.for_all agrees !tables)
+        ops)
+
 (* ---------------- icache ---------------- *)
 
 let test_icache_caches_stale () =
@@ -930,4 +979,5 @@ let tests =
       Alcotest.test_case "#UD on garbage" `Quick test_ud_on_garbage;
       Alcotest.test_case "torn rewrite is #UD (P5)" `Quick test_torn_rewrite_is_ud;
       Alcotest.test_case "wrpkru" `Quick test_wrpkru;
+      QCheck_alcotest.to_alcotest prop_inttbl_model;
     ] )

@@ -39,7 +39,7 @@ let test_lazypoline_strips_xom () =
         fr_args = [| 0; 0; 0; 0; 0; 0 |];
       };
     ];
-  let states : Lp.states = Hashtbl.create 4 in
+  let states : Lp.states = K23_machine.Inttbl.create 4 in
   let ctx = { Kern.world = w; thread = th } in
   Lp.rw_step1 states ctx;
   Lp.rw_step2 states ctx;
