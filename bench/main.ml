@@ -7,15 +7,16 @@
      dune exec bench/main.exe -- --quick table5 table6   # fewer runs
 
    Experiments: table2 table3 fig1 fig3 table5 table6 startup memory
-   ablation seccomp arm simperf ktrace fuzz parfuzz replay table6-load
-   table6-chaos; an unknown name exits 2 before anything runs.
+   ablation seccomp arm ktrace fuzz parfuzz table6-load table6-chaos;
+   an unknown name exits 2 before anything runs.
    EXPERIMENTS.md records the paper-vs-measured comparison in full.
 
    --jobs N shards the embarrassingly-parallel sweeps (table5, table6,
    table6-load, table6-chaos, fuzz, parfuzz) across N domains via
    K23_par; every table is byte-identical whatever N is.  parfuzz
    measures the jobs scaling curve itself (--repeat N medians, --check
-   for the CI gate). *)
+   for the CI gate).  Host timings of the simulator itself are
+   perfbench's (perfbench/README.md). *)
 
 open K23_eval
 
@@ -24,24 +25,21 @@ let section title =
   Printf.printf "%s\n" title;
   Printf.printf "======================================================================\n%!"
 
-(* Every BENCH_*.json artifact is written here. *)
+(* BENCH_load.json and BENCH_chaos.json are written here. *)
 let write_artifact path text =
   Out_channel.with_open_bin path (fun oc -> output_string oc text);
   Printf.printf "wrote %s\n" path
 
-(* Median wall-clock seconds per call of [f], over [reps] samples of
-   [n] calls each, after the paper's drop-one-min/one-max rule (§6.2
-   methodology, applied to our own harness).  Wall time
-   (Unix.gettimeofday), not Sys.time: CPU time sums across domains and
-   would hide any parallel speedup. *)
-let median_wall ~reps ~n f =
+(* Median wall-clock seconds of [f], over [reps] samples, after the
+   paper's drop-one-min/one-max rule (§6.2 methodology, applied to our
+   own harness).  Wall time (Unix.gettimeofday), not Sys.time: CPU time
+   sums across domains and would hide any parallel speedup. *)
+let median_wall ~reps f =
   let samples =
     List.init reps (fun _ ->
         let t0 = Unix.gettimeofday () in
-        for _ = 1 to n do
-          f ()
-        done;
-        (Unix.gettimeofday () -. t0) /. float_of_int n)
+        f ();
+        Unix.gettimeofday () -. t0)
   in
   K23_util.Stats.median (K23_util.Stats.drop_outliers samples)
 
@@ -122,21 +120,6 @@ let ablation () =
   section "E6 - feature-cost ablation (microbenchmark deltas)";
   print_string (Ablation.render (Ablation.run ()))
 
-(* Bechamel measurements of the simulator's own hot paths: not a paper
-   artifact, but the perf trajectory every table depends on (billions
-   of simulated steps per full run).  The workload lives in
-   [K23_eval.Simperf] so the test suite can run a fast smoke pass;
-   [--json <path>] additionally emits a machine-readable record so the
-   numbers are tracked across PRs (BENCH_simperf.json /
-   EXPERIMENTS.md).  [--quick] shrinks the per-test budget. *)
-let simperf ~quick ?json () =
-  section "simulator hot-path performance (Bechamel)";
-  let r =
-    if quick then Simperf.run ~quota:0.05 ~limit:50 () else Simperf.run ()
-  in
-  print_string (Simperf.render r);
-  Option.iter (fun path -> write_artifact path (Simperf.render_json r)) json
-
 let ktrace ~quick () =
   section "ktrace - per-mechanism event/counter summaries (stress app)";
   let rows = Ktrace_summary.run ~iters:(if quick then 100 else 300) () in
@@ -193,11 +176,10 @@ let fuzz ~quick ~jobs () =
 
 (* The --jobs scaling curve: the same campaign at jobs = 1, 2, 4, 8,
    asserting every report renders byte-identical JSON.  [--repeat N]
-   runs each point N times and keeps the [median_wall].  [--json
-   <path>] writes BENCH_parfuzz.json;
-   [--check] exits non-zero when the determinism or scaling floor is
-   violated — the CI sanity gate. *)
-let parfuzz ~quick ~repeat ~check ~jobs ?json () =
+   runs each point N times and keeps the [median_wall].  [--check]
+   exits non-zero when the determinism or scaling floor is violated —
+   the CI sanity gate. *)
+let parfuzz ~quick ~repeat ~check ~jobs () =
   let module F = K23_fuzz in
   section "parfuzz - --jobs scaling curve (throughput & determinism)";
   let iters = if quick then 50 else 300 in
@@ -210,7 +192,7 @@ let parfuzz ~quick ~repeat ~check ~jobs ?json () =
   let measure j =
     let reports = ref [] in
     let dt =
-      median_wall ~reps:(max 1 repeat) ~n:1 (fun () ->
+      median_wall ~reps:(max 1 repeat) (fun () ->
           reports := F.Campaign.run ~jobs:j config :: !reports)
     in
     List.iter
@@ -236,31 +218,6 @@ let parfuzz ~quick ~repeat ~check ~jobs ?json () =
       Printf.printf "  %-6d %10.2f %12.1f %8.2fx\n" j dt (eps dt) (dt1 /. dt))
     curve;
   Printf.printf "\nreports byte-identical across all points: %b\n" !identical;
-  Option.iter
-    (fun path ->
-      write_artifact path
-        (Printf.sprintf
-           "{\n\
-           \  \"experiment\": \"parfuzz\",\n\
-           \  \"iters\": %d,\n\
-           \  \"oracle_runs\": %d,\n\
-           \  \"cores\": %d,\n\
-           \  \"repeat\": %d,\n\
-           \  \"reports_identical\": %b,\n\
-           \  \"curve\": [\n%s\n  ]\n\
-            }\n"
-           iters r.F.Campaign.r_runs
-           (Domain.recommended_domain_count ())
-           (max 1 repeat) !identical
-           (String.concat ",\n"
-              (List.map
-                 (fun (j, dt) ->
-                   Printf.sprintf
-                     "    {\"jobs\": %d, \"wall_s\": %.3f, \"execs_per_sec\": %.1f, \
-                      \"speedup\": %.3f}"
-                     j dt (eps dt) (dt1 /. dt))
-                 curve))))
-    json;
   if check then begin
     let failed = ref false in
     if not !identical then begin
@@ -279,140 +236,6 @@ let parfuzz ~quick ~repeat ~check ~jobs ?json () =
     if !failed then exit 1;
     print_endline "parfuzz --check: ok"
   end
-
-(* Record & replay (lib/replay): what recording costs on top of a
-   plain run / a ktrace-ring run, how fast the replayer re-drives and
-   checks a log, and whether the replay-checked fuzz oracle keeps up
-   with the live one while rendering the identical report.  All
-   wall-clock medians (drop-one-min/one-max), written to
-   BENCH_replay.json with --json. *)
-let replay_bench ~quick ?json () =
-  let module R = K23_replay in
-  let module F = K23_fuzz in
-  section "replay - record overhead, replay-check throughput, oracle parity";
-  let reps = if quick then 3 else 7 in
-  (* single ls runs are ~3ms; batch them so each timed sample is tens
-     of ms and scheduler noise stops dominating the overhead ratio *)
-  let batch = if quick then 5 else 20 in
-  let register w = K23_apps.Coreutils.register_all w in
-  let median_of = median_wall ~reps in
-  let apps = [ ("ls", Mech.Zpoline_ultra); ("ls", Mech.K23_ultra) ] in
-  (* A. record overhead: plain run vs bounded ktrace ring vs full
-     recording (unbounded sink + log assembly), each one session *)
-  let fresh () =
-    let w = K23_userland.Sim.create_world () in
-    register w;
-    w
-  in
-  let run ?sink mech path =
-    match Session.run ?sink (fresh ()) ~mech ~path with
-    | Error e -> failwith (Printf.sprintf "replay bench: launch failed (%d)" e)
-    | Ok _ -> ()
-  in
-  Printf.printf "record overhead (%d reps, median):\n" reps;
-  Printf.printf "  %-6s %-16s %8s %10s %10s %10s %9s\n" "app" "mech" "events" "plain_s"
-    "ktrace_s" "record_s" "overhead";
-  let record_rows =
-    List.map
-      (fun (app, mech) ->
-        let path = K23_apps.Coreutils.path app in
-        let plain_s = median_of ~n:batch (fun () -> run mech path) in
-        let ktrace_s = median_of ~n:batch (fun () -> run ~sink:Session.Bounded mech path) in
-        let rc = ref None in
-        let record_s =
-          median_of ~n:batch (fun () ->
-              match
-                R.Recorder.record ~cfg:K23_kernel.World.Config.default (fresh ()) ~mech ~path
-              with
-              | Error e -> failwith (Printf.sprintf "replay bench: record failed (%d)" e)
-              | Ok r -> rc := Some r)
-        in
-        let r = Option.get !rc in
-        let events = List.length r.R.Recording.rc_events in
-        Printf.printf "  %-6s %-16s %8d %10.4f %10.4f %10.4f %8.2fx\n" app
-          (Mech.to_string mech) events plain_s ktrace_s record_s (record_s /. plain_s);
-        (app, mech, events, plain_s, ktrace_s, record_s, r))
-      apps
-  in
-  (* B. replay-check throughput: re-drive + diff every event *)
-  Printf.printf "\nreplay check (%d reps, median):\n" reps;
-  Printf.printf "  %-6s %-16s %10s %14s %12s\n" "app" "mech" "replay_s" "events/sec"
-    "vs record";
-  let replay_rows =
-    List.map
-      (fun (app, mech, events, _, _, record_s, r) ->
-        let replay_s =
-          median_of ~n:batch (fun () ->
-              match R.Replayer.replay ~register r with
-              | Error e -> failwith (Printf.sprintf "replay bench: replay failed (%d)" e)
-              | Ok o ->
-                if not (R.Replayer.ok o) then failwith "replay bench: replay diverged")
-        in
-        Printf.printf "  %-6s %-16s %10.4f %14.0f %11.2fx\n" app (Mech.to_string mech)
-          replay_s
-          (float_of_int events /. replay_s)
-          (record_s /. replay_s);
-        (app, mech, events, replay_s, record_s))
-      record_rows
-  in
-  (* C. oracle parity: live vs replay-checked campaign, same report *)
-  let iters = if quick then 30 else 100 in
-  let live_cfg = { F.Campaign.default_config with c_iters = iters } in
-  let replay_cfg = { live_cfg with F.Campaign.c_oracle = F.Campaign.Replay } in
-  let out = ref None in
-  let time_campaign cfg =
-    median_of ~n:1 (fun () -> out := Some (F.Campaign.run ~jobs:1 cfg))
-  in
-  let live_s = time_campaign live_cfg in
-  let live_json = F.Campaign.render_json (Option.get !out) in
-  let replay_s = time_campaign replay_cfg in
-  let replay_json = F.Campaign.render_json (Option.get !out) in
-  let identical = live_json = replay_json in
-  let runs = (Option.get !out).F.Campaign.r_runs in
-  Printf.printf "\nfuzz oracle (%d iters, %d oracle runs, jobs=1):\n" iters runs;
-  Printf.printf "  live:   %7.2fs (%.0f execs/sec)\n" live_s (float_of_int runs /. live_s);
-  Printf.printf "  replay: %7.2fs (%.0f execs/sec)\n" replay_s
-    (float_of_int runs /. replay_s);
-  Printf.printf "  reports byte-identical: %b\n" identical;
-  if not identical then failwith "replay bench: live and replay oracle reports differ";
-  Option.iter
-    (fun path ->
-      write_artifact path
-        (Printf.sprintf
-           "{\n\
-           \  \"experiment\": \"replay\",\n\
-           \  \"reps\": %d,\n\
-           \  \"record\": [\n%s\n  ],\n\
-           \  \"replay\": [\n%s\n  ],\n\
-           \  \"oracle\": {\"iters\": %d, \"oracle_runs\": %d, \"live_s\": %.3f, \
-            \"replay_s\": %.3f, \"live_execs_per_sec\": %.1f, \"replay_execs_per_sec\": %.1f, \
-            \"reports_identical\": %b}\n\
-            }\n"
-           reps
-           (String.concat ",\n"
-              (List.map
-                 (fun (app, mech, events, plain_s, ktrace_s, record_s, _) ->
-                   Printf.sprintf
-                     "    {\"app\": \"%s\", \"mech\": \"%s\", \"events\": %d, \"plain_s\": %.4f, \
-                      \"ktrace_s\": %.4f, \"record_s\": %.4f, \"record_overhead\": %.3f}"
-                     app (Mech.to_string mech) events plain_s ktrace_s record_s
-                     (record_s /. plain_s))
-                 record_rows))
-           (String.concat ",\n"
-              (List.map
-                 (fun (app, mech, events, replay_s, record_s) ->
-                   Printf.sprintf
-                     "    {\"app\": \"%s\", \"mech\": \"%s\", \"events\": %d, \"replay_s\": %.4f, \
-                      \"events_per_sec\": %.1f, \"replay_vs_record\": %.3f}"
-                     app (Mech.to_string mech) events replay_s
-                     (float_of_int events /. replay_s)
-                     (record_s /. replay_s))
-                 replay_rows))
-           iters runs live_s replay_s
-           (float_of_int runs /. live_s)
-           (float_of_int runs /. replay_s)
-           identical))
-    json
 
 (* [flag name args] takes the first [name VALUE] pair (or
    [name=VALUE]) out of [args]: [None] when [name] is absent,
@@ -452,7 +275,7 @@ let () =
   let repeat, args = count_flag "--repeat" ~eg:5 args in
   let repeat = Option.value repeat ~default:1 in
   (* bare trailing --json: each experiment picks its default artifact
-     name (BENCH_load.json, BENCH_simperf.json, ...) *)
+     name (BENCH_load.json or BENCH_chaos.json) *)
   let json, args = flag "--json" args in
   let json_or default = Option.map (Option.value ~default) json in
   let jobs, args = count_flag "--jobs" ~eg:4 args in
@@ -479,11 +302,9 @@ let () =
   let experiments =
     default
     @ [
-        ("simperf", simperf ~quick ?json:(json_or "BENCH_simperf.json"));
         ("ktrace", ktrace ~quick);
         ("fuzz", fuzz ~quick ~jobs);
-        ("parfuzz", parfuzz ~quick ~repeat ~check ~jobs ?json:(json_or "BENCH_parfuzz.json"));
-        ("replay", replay_bench ~quick ?json:(json_or "BENCH_replay.json"));
+        ("parfuzz", parfuzz ~quick ~repeat ~check ~jobs);
         ( "table6-load",
           load ~title:"table6-load - open-loop latency campaign (p50/p99/p999 per mechanism)"
             ~faults:None ~json:"BENCH_load.json" );
@@ -502,4 +323,10 @@ let () =
       end)
     args;
   let names = if args = [] then List.map fst default else args in
+  (* a --json that no named experiment writes would end with no file
+     and exit 0 *)
+  if json <> None && not (List.mem "table6-load" names || List.mem "table6-chaos" names) then begin
+    prerr_endline "--json: only table6-load and table6-chaos write a JSON record";
+    exit 2
+  end;
   List.iter (fun name -> List.assoc name experiments ()) names

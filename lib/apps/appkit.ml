@@ -147,11 +147,6 @@ let write_response ~resilient len =
       Asm.Call_sym "write";
     ]
 
-(** Host-function helpers. *)
-let ret (ctx : Kern.ctx) v = K23_machine.Regs.set ctx.thread.regs RAX v
-
-let arg (ctx : Kern.ctx) r = K23_machine.Regs.get ctx.thread.regs r
-
 (** Charge an application-logic cost with ~1% deterministic jitter
     (models microarchitectural run-to-run noise so the benchmark's
     standard deviations are non-degenerate). *)

@@ -21,16 +21,21 @@
       so a heavyweight interposer on one tenant shows up in the
       others' tails.
 
+    Each (row, seed) run goes through {!Macro.run_servers}, the one
+    server-scenario path Table 6 also uses: this module keeps only the
+    row specs, the open-loop clients, aggregation and rendering.  A
+    run that deadlocks or outlives its step budget raises [Failure]
+    naming the clients and the blocked tids; it is never folded in as
+    a short count.
+
     Every (row, seed) pair is an independent cell of a
     {!K23_par.Pool.grid}: each row folds its seeds in order, so the
     report is byte-identical at any [--jobs]. *)
 
 open K23_kernel
-open K23_userland
 module F = K23_faults.Faults
 module Stats = K23_util.Stats
 module Apps = K23_apps
-module K23 = K23_core.K23
 
 type workload = Web | Redis
 
@@ -95,143 +100,48 @@ type tenant_out = {
   to_tput : float;  (** completed req/s over the load phase *)
 }
 
-(* client-side parameters matched to the server, as in Macro.client_for *)
-let client_params t =
-  match t.t_workload with
-  | Web -> (Apps.Webserver.header_len, 300)
-  | Redis -> (64, 12_500)
-
-let rate_of t = match t.t_workload with Web -> web_rate | Redis -> redis_rate
-
-(** Register a tenant's server app; returns its (path, port).  Paths
-    and ports are suffixed per tenant so several servers coexist in
-    one world. *)
-let register_tenant w idx t ~resilient =
-  match t.t_workload with
-  | Web ->
-    let cfg = Apps.Webserver.nginx ~workers:t.t_workers ~file_size:0 ~resilient () in
-    let cfg = { cfg with Apps.Webserver.path = cfg.path ^ "#" ^ t.t_tag; port = 8080 + idx } in
-    Apps.Webserver.register w cfg;
-    (cfg.path, cfg.port)
-  | Redis ->
-    let cfg = Apps.Redis_like.default ~io_threads:t.t_workers ~resilient () in
-    let cfg = { cfg with Apps.Redis_like.path = cfg.path ^ "#" ^ t.t_tag; port = 6379 + idx } in
-    Apps.Redis_like.register w cfg;
-    (cfg.path, cfg.port)
-
-(** K23's offline phase for one tenant: run its server briefly under
-    libLogger + the ptracer enforcer, drive a short closed-loop warmup
-    client, then clear the world (same recipe as {!Macro.offline_spec}). *)
-let offline_tenant w t ~path ~port =
-  ignore (K23.offline_spawn w ~path ());
-  Macro.wait_for_listener w port;
-  let resp_len, req_cost = client_params t in
-  let warm =
+(** A tenant as a {!Macro.tenant}: its server's path and port are
+    suffixed per tenant so several servers coexist in one world, and
+    its client is {!Macro.client_for}'s, switched to open-loop
+    arrivals. *)
+let scenario_tenant ~requests ~seed ~resilient idx t =
+  let tag path = path ^ "#" ^ t.t_tag in
+  let workload, rate =
+    match t.t_workload with
+    | Web ->
+      let cfg = Apps.Webserver.nginx ~workers:t.t_workers ~file_size:0 ~resilient () in
+      (Macro.Web { cfg with path = tag cfg.path; port = 8080 + idx }, web_rate)
+    | Redis ->
+      let cfg = Apps.Redis_like.default ~io_threads:t.t_workers ~resilient () in
+      (Macro.Redis { cfg with path = tag cfg.path; port = 6379 + idx }, redis_rate)
+  in
+  let spec = { Macro.label = t.t_tag; workload; rounds = 0 } in
+  let client = Option.get (Macro.client_for spec ~rounds:0) in
+  let client =
     {
-      Apps.Wrk.path = "/usr/bin/wrk-warm#" ^ t.t_tag;
-      port;
-      threads = t.t_workers;
-      conns = 1;
-      depth = 16;
-      rounds = 3;
-      req_cost;
-      resp_len;
-      arrival = Apps.Wrk.Closed;
-      retries = 0;
+      client with
+      path = tag client.path;
+      arrival = Apps.Wrk.Open { rate; requests; seed = seed + 77 };
+      retries = (if resilient then 8 else 0);
     }
   in
-  ignore (Macro.drive_client w ~client:warm);
-  Macro.kill_everything w;
-  K23.seal_logs w
+  { Macro.spec; mech = t.t_mech; client }
 
 let progress fmt = Printf.eprintf fmt
 
-(** One seeded world-run of a row: register every tenant's server, run
-    the K23 offline phases, launch all servers under their mechanisms,
-    then spawn one open-loop client per tenant and run until every
-    client exits.  Returns per-tenant outcomes in tenant order.
+(** One seeded world-run of a row through {!Macro.run_servers}: one
+    open-loop client per tenant.  Returns per-tenant outcomes in tenant
+    order.
 
-    With [?faults] (the chaos row), servers are built resilient,
-    clients retry, and the fault plane is armed only once every server
-    is listening: registration, offline phases, and mechanism launches
-    run clean, so chaos perturbs the measured load phase and nothing
-    else.  The armed plan derives its seed from the run seed, keeping
-    every (row, seed) task's schedule independent but reproducible. *)
+    With [?faults] (the chaos row), servers are built resilient and
+    clients retry; the runner arms the plan only once every server is
+    listening, with its seed offset by the run seed. *)
 let run_one ~requests ~seed ?faults (rs : row_spec) : (string * tenant_out) list =
   progress "[load] %s / %s / seed %d\n%!" rs.rs_workload rs.rs_mech_label seed;
-  let w = Sim.create_world ~seed ~quantum:8 () in
-  let infos =
-    List.mapi
-      (fun idx t ->
-        let path, port = register_tenant w idx t ~resilient:(faults <> None) in
-        (t, path, port))
-      rs.rs_tenants
-  in
-  List.iter
-    (fun (t, path, port) -> if Mech.needs_offline t.t_mech then offline_tenant w t ~path ~port)
-    infos;
-  Kern.sync_cores w;
-  List.iter
-    (fun (t, path, _) ->
-      match Mech.launch t.t_mech w ~path () with
-      | Error e ->
-        failwith (Printf.sprintf "load: %s launch failed: %d" (Mech.to_string t.t_mech) e)
-      | Ok _ -> ())
-    infos;
-  List.iter (fun (_, _, port) -> Macro.wait_for_listener w port) infos;
-  (* phase boundary: wall time has passed on every core *)
-  Kern.sync_cores w;
-  (match faults with
-  | None -> ()
-  | Some p ->
-    w.Kern.faults <- Some { p with F.fseed = p.F.fseed + seed };
-    Kern.fault_reset w);
-  let clients =
-    List.map
-      (fun (t, _, port) ->
-        let resp_len, req_cost = client_params t in
-        let ccfg =
-          {
-            Apps.Wrk.path = "/usr/bin/wrk#" ^ t.t_tag;
-            port;
-            threads = t.t_workers;
-            conns = 1;
-            depth = 0;
-            rounds = 0;
-            req_cost;
-            resp_len;
-            arrival = Apps.Wrk.Open { rate = rate_of t; requests; seed = seed + 77 };
-            retries = (if faults = None then 0 else 8);
-          }
-        in
-        (t, Apps.Wrk.register w ccfg, ccfg))
-      infos
-  in
-  let procs =
-    List.map
-      (fun (_, _, ccfg) ->
-        match World.spawn w ~path:ccfg.Apps.Wrk.path () with
-        | Error e -> failwith (Printf.sprintf "load: client spawn failed: %d" e)
-        | Ok p -> p)
-      clients
-  in
-  (* under chaos a pathological fault draw can strand a client mid
-     protocol (e.g. a reset abandoning a half-sent frame); a deadlocked
-     world just means those requests are lost, which the completed
-     counters already reflect — don't lose the whole row to it *)
-  (try Kern.run ~max_steps:600_000_000 ~until:(fun () -> List.for_all Kern.proc_dead procs) w
-   with Kern.Deadlock _ -> ());
-  let t_end = Kern.now w in
-  Macro.kill_everything w;
-  List.map
-    (fun (t, (res : Apps.Wrk.results), _) ->
-      let tput =
-        match res.started_at with
-        | Some t0 when res.completed > 0 && t_end > t0 ->
-          float_of_int res.completed *. float_of_int Kern.cycles_per_sec
-          /. float_of_int (t_end - t0)
-        | _ -> 0.0
-      in
+  let resilient = faults <> None in
+  let tenants = List.mapi (scenario_tenant ~requests ~seed ~resilient) rs.rs_tenants in
+  List.map2
+    (fun t ((res : Apps.Wrk.results), tput) ->
       ( t.t_tag,
         {
           to_completed = res.completed;
@@ -239,7 +149,8 @@ let run_one ~requests ~seed ?faults (rs : row_spec) : (string * tenant_out) list
           to_lat = List.rev res.latencies;
           to_tput = tput;
         } ))
-    clients
+    rs.rs_tenants
+    (Macro.run_servers ~seed ?faults tenants)
 
 (* ------------------------------------------------------------------ *)
 (* Aggregation                                                         *)

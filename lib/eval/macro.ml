@@ -125,22 +125,42 @@ let wait_for_listener w port =
 let kill_everything w =
   List.iter (fun p -> if not (Kern.proc_dead p) then Kern.kill_proc p ~signal:9) w.Kern.procs
 
-(** Spawn the client against a running server; returns requests/sec.
-    @raise Failure naming the client when its step budget runs out
-    before it exits. *)
-let drive_client w ~client =
-  let results = Apps.Wrk.register w client in
-  (match World.spawn w ~path:client.Apps.Wrk.path () with
-  | Error e -> failwith (Printf.sprintf "client spawn failed: %d" e)
-  | Ok cp ->
-    Kern.run ~max_steps:400_000_000 ~until:(fun () -> Kern.proc_dead cp) w;
-    if not (Kern.proc_dead cp) then
-      failwith (Printf.sprintf "client %s still running: its step budget ran out" client.path));
+(** Run [w] until [until] holds, under the one step budget of every
+    client run and of sqlite's run.
+    @raise Failure naming [what] when the world deadlocks first (with
+    the blocked tids) or the step budget runs out. *)
+let run_or_fail w ~what ~until =
+  (try Kern.run ~max_steps:400_000_000 ~until w
+   with Kern.Deadlock why -> failwith (Printf.sprintf "%s deadlocked: %s" what why));
+  if not (until ()) then failwith (Printf.sprintf "%s still running: the step budget ran out" what)
+
+(** Spawn every client against the running servers and run until all
+    of them exit, under one step budget.  Returns each client's
+    results and requests/sec, in order.
+    @raise Failure naming the clients, as {!run_or_fail}. *)
+let drive_clients w clients =
+  let results = List.map (Apps.Wrk.register w) clients in
+  let procs =
+    List.map
+      (fun (c : Apps.Wrk.config) ->
+        match World.spawn w ~path:c.path () with
+        | Error e -> failwith (Printf.sprintf "client %s spawn failed: %d" c.path e)
+        | Ok p -> p)
+      clients
+  in
+  let names = String.concat ", " (List.map (fun (c : Apps.Wrk.config) -> c.path) clients) in
+  run_or_fail w ~what:("clients " ^ names) ~until:(fun () -> List.for_all Kern.proc_dead procs);
   let t_end = Kern.now w in
-  match results.started_at with
-  | Some t0 when results.completed > 0 && t_end > t0 ->
-    float_of_int results.completed *. float_of_int Kern.cycles_per_sec /. float_of_int (t_end - t0)
-  | _ -> 0.0
+  List.map
+    (fun (r : Apps.Wrk.results) ->
+      let tput =
+        match r.started_at with
+        | Some t0 when r.completed > 0 && t_end > t0 ->
+          float_of_int r.completed *. float_of_int Kern.cycles_per_sec /. float_of_int (t_end - t0)
+        | _ -> 0.0
+      in
+      (r, tput))
+    results
 
 (** K23's offline phase for a server spec: run the real workload
     briefly under libLogger (Section 6.2: "we first performed its
@@ -152,46 +172,81 @@ let offline_spec w spec ~path ~port =
     ignore (K23.offline_spawn w ~path ());
     wait_for_listener w port;
     (match client_for spec ~rounds:3 with
-    | Some client -> ignore (drive_client w ~client)
+    | Some client -> ignore (drive_clients w [ client ])
     | None -> ());
     kill_everything w);
   K23.seal_logs w
 
-(** One measurement: requests/sec for servers, elapsed cycles for
-    sqlite. *)
-let progress fmt = Printf.eprintf fmt
+(** One server of a scenario: its spec, the mechanism it runs under
+    and the client that drives it. *)
+type tenant = { spec : spec; mech : Mech.t; client : Apps.Wrk.config }
 
-let run_spec spec mech ~seed =
-  progress "[macro] %s / %s / seed %d\n%!" spec.label (Mech.to_string mech) seed;
+(** The one server-scenario runner, behind Table 6's server rows and
+    the load and chaos campaigns ({!Load}).  In order:
+    + build a world at quantum 8 and register every server;
+    + K23's offline phase for each tenant that needs it, then
+      [sync_cores];
+    + launch every server, wait for every listener, then [sync_cores]
+      (phase boundary: wall time has passed on every core);
+    + arm [faults], its seed offset by the run seed, so only the
+      measured phase is perturbed and each seed draws its own
+      schedule;
+    + run every client through {!drive_clients}, under one step
+      budget;
+    + {!kill_everything}.
+    Returns each tenant's client results and requests/sec, in tenant
+    order.
+    @raise Failure when a launch fails, a listener never appears, or
+    the clients deadlock or outlive the step budget. *)
+let run_servers ~seed ?faults tenants =
   (* a fine scheduling quantum approximates truly concurrent cores:
      with coarse slices the simulated servers can drain their request
      queues and stall in lockstep, an artifact real hardware does not
      have *)
   let w = Sim.create_world ~seed ~quantum:8 () in
-  let path, port = register_workload w spec in
-  if Mech.needs_offline mech then begin
-    offline_spec w spec ~path ~port;
-    Kern.sync_cores w
-  end;
-  match spec.workload with
-  | Sqlite _ -> (
+  let served = List.map (fun t -> (t, register_workload w t.spec)) tenants in
+  List.iter
+    (fun (t, (path, port)) -> if Mech.needs_offline t.mech then offline_spec w t.spec ~path ~port)
+    served;
+  Kern.sync_cores w;
+  List.iter
+    (fun (t, (path, _)) ->
+      match Mech.launch t.mech w ~path () with
+      | Error e -> failwith (Printf.sprintf "%s launch failed: %d" path e)
+      | Ok _ -> ())
+    served;
+  List.iter (fun (_, (_, port)) -> wait_for_listener w port) served;
+  Kern.sync_cores w;
+  Option.iter
+    (fun (p : K23_faults.Faults.plan) ->
+      w.Kern.faults <- Some { p with fseed = p.fseed + seed };
+      Kern.fault_reset w)
+    faults;
+  let out = drive_clients w (List.map (fun t -> t.client) tenants) in
+  kill_everything w;
+  out
+
+let progress fmt = Printf.eprintf fmt
+
+(** One measurement: requests/sec for servers, elapsed cycles for
+    sqlite. *)
+let run_spec spec mech ~seed =
+  progress "[macro] %s / %s / seed %d\n%!" spec.label (Mech.to_string mech) seed;
+  match client_for spec ~rounds:spec.rounds with
+  | Some client -> snd (List.hd (run_servers ~seed [ { spec; mech; client } ]))
+  | None -> (
+    let w = Sim.create_world ~seed ~quantum:8 () in
+    let path, port = register_workload w spec in
+    if Mech.needs_offline mech then begin
+      offline_spec w spec ~path ~port;
+      Kern.sync_cores w
+    end;
     let t0 = Kern.now w in
     match Mech.launch mech w ~path () with
     | Error e -> failwith (Printf.sprintf "sqlite launch failed: %d" e)
     | Ok (p, _) ->
-      World.run_until_exit ~max_steps:400_000_000 w p;
+      run_or_fail w ~what:path ~until:(fun () -> Kern.proc_dead p);
       float_of_int (Kern.now w - t0))
-  | Web _ | Redis _ -> (
-    match Mech.launch mech w ~path () with
-    | Error e -> failwith (Printf.sprintf "server launch failed: %d" e)
-    | Ok (_sp, _) ->
-      wait_for_listener w port;
-      (* phase boundary: wall time has passed on every core *)
-      Kern.sync_cores w;
-      let client = Option.get (client_for spec ~rounds:spec.rounds) in
-      let tput = drive_client w ~client in
-      kill_everything w;
-      tput)
 
 type cell = { rel_mean : float; rel_std : float }
 

@@ -22,7 +22,10 @@
     - [Micro.run_one] reads the root's core cycles between the launch
       and the run;
     - [Ktrace_summary] traces the offline phase too;
-    - [Macro] and [Load] run servers, then a client against them;
+    - server runs have one path of their own, {!Macro.run_servers}:
+      Table 6's server rows and the load and chaos rows ({!Load}) run
+      servers, then clients against them, and fail loudly on a
+      deadlock or a spent step budget;
     - [Startup_bench] launches ptrace with an inner handler and a
       marker preload, and [k23 trace]'s legacy listing launches K23
       with an inner handler. *)

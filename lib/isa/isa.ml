@@ -25,8 +25,6 @@ let of_string = function
   | "arm64" | "aarch64" | "arm" -> Some Arm64
   | _ -> None
 
-let equal (a : t) (b : t) = a = b
-
 (** Bytes occupied by the host-escape [Vcall] pseudo-instruction:
     6 on x86 (0f 1f /0 imm16-style), one word on arm64 (hlt-space). *)
 let vcall_len = function X86_64 -> 6 | Arm64 -> 4

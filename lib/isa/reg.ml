@@ -79,5 +79,3 @@ let to_string = function
   | R13 -> "r13"
   | R14 -> "r14"
   | R15 -> "r15"
-
-let equal a b = index a = index b

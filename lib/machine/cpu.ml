@@ -46,7 +46,7 @@ let set_flags (regs : Regs.t) result =
 (* Flags encoded into an int for the r11 <- rflags syscall clobber. *)
 let flags_to_int (regs : Regs.t) = (if regs.zf then 0x40 else 0) lor if regs.sf then 0x80 else 0
 
-let step ?(cost = Cost.default) (regs : Regs.t) (mem : Memory.t) (icache : Icache.t) : outcome =
+let step ~cost (regs : Regs.t) (mem : Memory.t) (icache : Icache.t) : outcome =
   let pc = regs.rip in
   match Icache.fetch_decode icache mem pc with
   | exception Memory.Fault f -> Trapped (Fault_trap f, 1)
@@ -212,8 +212,7 @@ let step ?(cost = Cost.default) (regs : Regs.t) (mem : Memory.t) (icache : Icach
     [svc] clobbers {e nothing} (no rcx/r11 analogue — an ARM
     trampoline can forward a syscall without any register surgery),
     and calls link in x30 rather than pushing to the stack. *)
-let step_arm ?(cost = Cost.default) (regs : Regs.t) (mem : Memory.t) (icache : Icache.t) :
-    outcome =
+let step_arm ~cost (regs : Regs.t) (mem : Memory.t) (icache : Icache.t) : outcome =
   let pc = regs.rip in
   if pc land 3 <> 0 then Trapped (Ud_trap pc, 1)
   else

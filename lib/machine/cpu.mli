@@ -24,9 +24,9 @@ val trap_name : trap -> string
     "hlt", "vcall") — the machine-level key used by the kernel's
     ktrace event/counter hooks. *)
 
-val step : ?cost:Cost.model -> Regs.t -> Memory.t -> Icache.t -> outcome
+val step : cost:Cost.model -> Regs.t -> Memory.t -> Icache.t -> outcome
 
-val step_arm : ?cost:Cost.model -> Regs.t -> Memory.t -> Icache.t -> outcome
+val step_arm : cost:Cost.model -> Regs.t -> Memory.t -> Icache.t -> outcome
 (** One AArch64 instruction: aligned 4-byte word fetch
     ({!Icache.fetch_u32}), mask-compare decode, direct execution.
     [svc] raises [Syscall_trap] with kind [`Svc] and clobbers no

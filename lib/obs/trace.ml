@@ -4,7 +4,8 @@
     emission site with a single [match] on that option field, so a
     world with tracing off pays one branch and zero allocation per
     would-be event (the "zero-overhead when disabled" contract,
-    verified by the simperf numbers in EXPERIMENTS.md).
+    measured when the hooks went in: EXPERIMENTS.md "ktrace
+    tracing-off overhead").
 
     The sink is bounded overwrite-oldest by default (tracing);
     [~unbounded:true] switches to a growing ring that never drops — the

@@ -1,8 +1,10 @@
-(* Open-loop latency campaign (lib/eval/load.ml) and the Stats
-   percentile/histogram machinery beneath it. *)
+(* Open-loop latency campaign (lib/eval/load.ml), the server-scenario
+   runner beneath it (Macro.run_servers) and the Stats
+   percentile/histogram machinery. *)
 
 module Stats = K23_util.Stats
 module Load = K23_eval.Load
+module Macro = K23_eval.Macro
 module Mech = K23_eval.Mech
 
 let raises_invalid f =
@@ -116,6 +118,24 @@ let test_chaos_row_determinism () =
     Alcotest.(check int) "sud: no errors" 0 sud.Load.r_errors
   | rows -> Alcotest.failf "expected 2 rows, got %d" (List.length rows)
 
+(* a stalled scenario fails loudly: a client framing one byte more
+   than the server's response waits for a byte that never comes, while
+   the server waits for the next request.  The runner raises with the
+   blocked tids, clean and under chaos, instead of returning the short
+   count *)
+let test_stall_fails_loudly () =
+  let spec = Macro.nginx ~workers:1 ~kb:0 in
+  let client = Option.get (Macro.client_for spec ~rounds:2) in
+  let client = { client with depth = 1; resp_len = client.resp_len + 1 } in
+  List.iter
+    (fun (what, faults) ->
+      match Macro.run_servers ~seed:7 ?faults [ { Macro.spec; mech = Mech.Native; client } ] with
+      | _ -> Alcotest.failf "%s: the stalled run returned" what
+      | exception Failure msg ->
+        Alcotest.(check string) (what ^ ": names the client and the blocked tids")
+          "clients /usr/bin/wrk deadlocked: tid 1: read(conn 1), tid 2: read(conn 1)" msg)
+    [ ("clean", None); ("chaos", Some (K23_faults.Faults.chaos ())) ]
+
 let tests =
   ( "load campaign",
     [
@@ -125,4 +145,5 @@ let tests =
         test_campaign_determinism_and_tails;
       Alcotest.test_case "chaos row --jobs determinism + resilience" `Quick
         test_chaos_row_determinism;
+      Alcotest.test_case "a stalled scenario fails loudly" `Quick test_stall_fails_loudly;
     ] )

@@ -612,7 +612,7 @@ let test_predecode_self_store () =
   let regs = Regs.create () in
   regs.rip <- 0x1000;
   for _ = 1 to 3 do
-    ignore (Cpu.step regs m ic)
+    ignore (Cpu.step ~cost:Cost.default regs m ic)
   done;
   check_decode "self-store re-decodes" (Ok (Insn.Hlt, 1)) (Icache.fetch_decode ic m 0x1200)
 
@@ -630,7 +630,7 @@ let test_predecode_call_push call () =
   let regs = Regs.create () in
   regs.rip <- 0x1000;
   for _ = 1 to 3 do
-    ignore (Cpu.step regs m ic)
+    ignore (Cpu.step ~cost:Cost.default regs m ic)
   done;
   Alcotest.(check int) "return address pushed at 0x1200" 0x1200 (Regs.get regs RSP);
   Alcotest.(check bool) "memory changed" true (Memory.read_u8_raw m 0x1200 <> 0x90);
@@ -653,7 +653,7 @@ let test_predecode_cross_core_stale () =
   let regs = Regs.create () in
   regs.rip <- 0x1000;
   for _ = 1 to 3 do
-    ignore (Cpu.step regs m ic2)
+    ignore (Cpu.step ~cost:Cost.default regs m ic2)
   done;
   Alcotest.(check int) "memory updated" 0xf4 (Memory.read_u8_raw m 0x1200);
   check_decode "core1 still stale without barrier" (Ok (Insn.Nop, 1))
@@ -844,7 +844,7 @@ let exec_prog ?(steps = 100) insns =
   let trap = ref None in
   (try
      for _ = 1 to steps do
-       match Cpu.step regs m ic with
+       match Cpu.step ~cost:Cost.default regs m ic with
        | Cpu.Stepped _ -> ()
        | Cpu.Trapped (t, _) ->
          trap := Some t;
@@ -909,7 +909,7 @@ let test_ud_on_garbage () =
   let regs = Regs.create () in
   regs.rip <- 0x1000;
   let ic = Icache.create () in
-  match Cpu.step regs m ic with
+  match Cpu.step ~cost:Cost.default regs m ic with
   | Cpu.Trapped (Cpu.Ud_trap 0x1000, _) -> ()
   | _ -> Alcotest.fail "expected #UD"
 
@@ -921,7 +921,7 @@ let test_torn_rewrite_is_ud () =
   Memory.write_bytes_raw m 0x1000 (Bytes.of_string "\xff\x05");
   let regs = Regs.create () in
   regs.rip <- 0x1000;
-  match Cpu.step regs m (Icache.create ()) with
+  match Cpu.step ~cost:Cost.default regs m (Icache.create ()) with
   | Cpu.Trapped (Cpu.Ud_trap _, _) -> ()
   | _ -> Alcotest.fail "torn bytes must fault"
 
